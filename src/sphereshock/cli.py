@@ -15,7 +15,6 @@ import numpy as np
 def _add_common(p):
     p.add_argument("--config", help="experiment config JSON")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--print-defaults", action="store_true",
                    help="print the fully resolved default config and exit")
 
@@ -23,8 +22,6 @@ def _add_common(p):
 def _load_config(args):
     from .config import ExperimentConfig
     cfg = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
     if args.out:
         cfg.out_dir = args.out
     return cfg
@@ -37,7 +34,7 @@ def cmd_simulate(args):
         return 0
     cfg = _load_config(args)
     if args.emit_selfsim is not None:
-        cfg.solver.emit_selfsim_ds = args.emit_selfsim
+        cfg.solver = cfg.solver.replace(emit_selfsim_ds=args.emit_selfsim)
         cfg.snapshots_csv = True
     from .harness import run_experiment
     rec = run_experiment(cfg)

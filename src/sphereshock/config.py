@@ -54,7 +54,6 @@ class ExperimentConfig:
     diagnostics: DiagnosticsConfig = field(default_factory=DiagnosticsConfig)
     sweep: SweepConfig = field(default_factory=SweepConfig)
     out_dir: str = "runs"
-    seed: int = 0
     snapshots_csv: bool = False
 
     def to_dict(self):
@@ -83,7 +82,6 @@ class ExperimentConfig:
                    diagnostics=build(DiagnosticsConfig, doc.get("diagnostics"), "diagnostics"),
                    sweep=build(SweepConfig, doc.get("sweep"), "sweep"),
                    out_dir=doc.get("out_dir", "runs"),
-                   seed=int(doc.get("seed", 0)),
                    snapshots_csv=bool(doc.get("snapshots_csv", False)))
 
     @classmethod

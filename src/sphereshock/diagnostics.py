@@ -8,6 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .riemann import betas
+
 
 class DiagnosticUndefinedError(ValueError):
     """Not enough usable samples for the requested fit."""
@@ -58,8 +60,6 @@ def _growth_window(t, slope, clip_frac=0.02, decade=10.0):
     idx = np.flatnonzero(slope[:keep] >= lo)
     if len(idx) < 10:
         raise DiagnosticUndefinedError("fewer than 10 samples in the fit window")
-    if slope[idx[-1]] < decade * np.min(slope[idx]):
-        pass  # window spans less than a decade; caller checks span explicitly
     return idx
 
 
@@ -87,6 +87,12 @@ def blowup_time(record, clip_frac=0.02):
     return float(T_star), tau_end, resid
 
 
+def resolution_window(tau0, dx):
+    """Largest max-slope at which the stencil bias in the tracked tau, which
+    grows like ~150 dx^4 s^5, stays below 2% of tau0^2."""
+    return (0.02 * tau0**2 / (150.0 * dx**4)) ** 0.2
+
+
 def blowup_time_refined(record, slope_lo=None, slope_hi=None):
     """Sharper T* from the tracker: fit tau = T* + a (tau - t)^2.
 
@@ -103,10 +109,8 @@ def blowup_time_refined(record, slope_lo=None, slope_hi=None):
     if slope_lo is None:
         slope_lo = 1.5 / tau0
     if slope_hi is None:
-        # stencil bias in tau grows like ~150 dx^4 s^5; cap it at 2% of tau0^2
         dx = (solver["theta_max"] - solver["theta_min"]) / (solver["n_cells"] - 1)
-        slope_hi = (0.02 * tau0**2 / (150.0 * dx**4)) ** 0.2
-        slope_hi = min(slope_hi, 0.35 * dx ** (-2.0 / 3.0))
+        slope_hi = min(resolution_window(tau0, dx), 0.35 * dx ** (-2.0 / 3.0))
         slope_hi = max(slope_hi, 2.2 * slope_lo)
     sel = (slope >= slope_lo) & (slope <= slope_hi)
     if np.count_nonzero(sel) < 10:
@@ -189,9 +193,7 @@ def blowup_report(record, holder_cap, rate_tol=0.05, time_budget=None) -> Blowup
     solver = cfg.get("solver", cfg)
     sigma_inf = solver["sigma_inf"]
     tau0 = solver["tau0"]
-    gamma = solver["gamma"]
-    alpha = 0.5 * (gamma - 1.0)
-    beta3 = alpha / (1.0 + alpha)
+    beta3 = betas(solver["gamma"]).beta3
     M = solver.get("monitor_M", 100.0)
     xi0 = solver["xi0"]
     kappa0 = sigma_inf

@@ -10,6 +10,7 @@ feed back into the discretization, keeping runs deterministic.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import asdict, dataclass
 
@@ -37,6 +38,10 @@ class PoleProximityError(RuntimeError):
 
 class CFLViolationError(ValueError):
     pass
+
+
+class SupportGrowthError(RuntimeError):
+    """The deviation support outran transport plus the stencil reach."""
 
 
 class OracleDomainError(ValueError):
@@ -68,7 +73,6 @@ class SolverConfig:
     monitor_M: float = 100.0
     ext_grad_deltas: tuple = (0.1, None)  # None -> quarter of the domain width
     emit_selfsim_ds: float = None         # snapshot cadence in s; None = off
-    seed: int = 0
 
     def __post_init__(self):
         if not self.gamma > 1.0:
@@ -81,6 +85,14 @@ class SolverConfig:
             raise ConfigError("tau0 must be positive")
         if not 0 < self.cut_inner < self.cut_outer:
             raise ConfigError("need 0 < cut_inner < cut_outer")
+        if not self.record_every >= 1:
+            raise ConfigError("record_every must be >= 1")
+        if not 1.0 < self.monitor_M < math.inf:
+            raise ConfigError("monitor_M must be finite and exceed 1")
+        if not self.slope_dt_frac > 0:
+            raise ConfigError("slope_dt_frac must be positive")
+        if self.emit_selfsim_ds is not None and not self.emit_selfsim_ds > 0:
+            raise ConfigError("emit_selfsim_ds must be positive when set")
         bc = betas(self.gamma)
         if self.enforce_regime:
             if not math.pi / 16.0 <= self.xi0 <= math.pi / 8.0:
@@ -89,17 +101,24 @@ class SolverConfig:
             if not self.sigma_inf > floor:
                 raise ConfigError(f"sigma_inf={self.sigma_inf} <= {floor:.4f} "
                                   "(background too weak for the regime)")
-        if self.blowup_slope_cap is None:
-            self.blowup_slope_cap = 1e4 / self.tau0
-        if self.t_max is None:
-            self.t_max = 2.0 * self.tau0
-        if self.theta_min is None:
-            self.theta_min = -2.0 * self.tau0
-        if self.theta_max is None:
-            self.theta_max = 2.0 * self.tau0 + (
-                2.0 * self.sigma_inf * self.tau0 if self.flat_mode else 0.0)
+        defaults = {
+            "blowup_slope_cap": 1e4 / self.tau0,
+            "t_max": 2.0 * self.tau0,
+            "theta_min": -2.0 * self.tau0,
+            "theta_max": 2.0 * self.tau0 + (
+                2.0 * self.sigma_inf * self.tau0 if self.flat_mode else 0.0),
+        }
+        self._derived = [k for k in defaults if getattr(self, k) is None]
+        for k in self._derived:
+            setattr(self, k, defaults[k])
         if not self.theta_min < 0 < self.theta_max:
             raise ConfigError("the co-moving domain must contain theta_hat = 0")
+
+    def replace(self, **changes):
+        """Copy with changes; the fields left unset at construction are
+        derived again from the new values instead of being copied."""
+        return dataclasses.replace(
+            self, **{**dict.fromkeys(self._derived), **changes})
 
     @property
     def kappa0(self):
@@ -164,18 +183,22 @@ def initial_data(cfg: SolverConfig) -> EquivariantState:
                             frame_drift=cfg.frame_drift())
 
 
+def transport_speeds(w, z, bc, xi_dot):
+    """Characteristic speeds of the w- and z-equations in a frame drifting
+    at xi_dot: the diagonal (w + b2 z, b2 w + z) of the Riemann system."""
+    return w + bc.beta2 * z - xi_dot, bc.beta2 * w + z - xi_dot
+
+
 def rhs(state: EquivariantState, mod: ModulationState, bc, cfg: SolverConfig,
         t=None, w=None, z=None):
     """Time derivatives (dw/dt, dz/dt) with upwinded transport.
 
-    Transport speeds are (w + b2 z - xi_dot) and (b2 w + z - xi_dot); the
-    curvature forcing is (b3/2)(w^2 - z^2) tan(theta); flat mode drops it.
+    The curvature forcing is (b3/2)(w^2 - z^2) tan(theta); flat mode drops it.
     """
     w = state.w if w is None else w
     z = state.z if z is None else z
     t = state.t_tilde if t is None else t
-    cw = w + bc.beta2 * z - mod.xi_dot
-    cz = bc.beta2 * w + z - mod.xi_dot
+    cw, cz = transport_speeds(w, z, bc, mod.xi_dot)
     dwx = weno5_upwind_derivative(w, state.dx, cw)
     dzx = weno5_upwind_derivative(z, state.dx, cz)
     if cfg.flat_mode:
@@ -189,8 +212,7 @@ def rhs(state: EquivariantState, mod: ModulationState, bc, cfg: SolverConfig,
 
 
 def max_transport_speed(state, mod, bc):
-    cw = state.w + bc.beta2 * state.z - mod.xi_dot
-    cz = bc.beta2 * state.w + state.z - mod.xi_dot
+    cw, cz = transport_speeds(state.w, state.z, bc, mod.xi_dot)
     return max(float(np.max(np.abs(cw))), float(np.max(np.abs(cz))))
 
 
@@ -225,7 +247,7 @@ def step(state: EquivariantState, mod: ModulationState, dt, bc, cfg: SolverConfi
         # beyond the tol-support; at physical amplitude growth is one cell
         reach = vmax * dt + 3.5 * state.dx
         if lo1 is not None and (lo1 < lo0 - reach or hi1 > hi0 + reach):
-            raise RuntimeError("support grew faster than transport + stencil")
+            raise SupportGrowthError("support grew faster than transport + stencil")
     return new
 
 
@@ -331,9 +353,10 @@ def run_until_blowup(cfg: SolverConfig, keep_snapshots=True, tracker="extremal",
         dt = min(dt_base, cfg.t_max - state.t_tilde)
 
         sample_step = (step_i % cfg.record_every == 0)
-        hit_cap = smax_grid >= cfg.blowup_slope_cap or dt_base < cfg.dt_floor
+        hit_cap = smax_grid >= cfg.blowup_slope_cap
+        stalled = dt_base < cfg.dt_floor
         hit_tmax = state.t_tilde >= cfg.t_max * (1.0 - 1e-12)
-        stopping = hit_cap or hit_tmax
+        stopping = hit_cap or stalled or hit_tmax
         if sample_step or stopping:
             xi_loc, kappa, tau, smin = track_extremal(
                 state.grid, w, state.t_tilde, slope=slope)
@@ -376,10 +399,9 @@ def run_until_blowup(cfg: SolverConfig, keep_snapshots=True, tracker="extremal",
                 if xi_dot_now is None:
                     xi_dot_now = drift
                 es2 = math.exp(0.5 * mod.s)
-                g_w = (mod.beta_tau * fld.W + mod.beta_tau * es2
-                       * (mod.kappa + bc.beta2 * fld.Z - xi_dot_now))
-                g_z = (bc.beta2 * mod.beta_tau * fld.W + mod.beta_tau * es2
-                       * (bc.beta2 * mod.kappa + fld.Z - xi_dot_now))
+                cw, cz = transport_speeds(mod.kappa, fld.Z, bc, xi_dot_now)
+                g_w = mod.beta_tau * fld.W + mod.beta_tau * es2 * cw
+                g_z = bc.beta2 * mod.beta_tau * fld.W + mod.beta_tau * es2 * cz
                 record.add_snapshot(s=fld.s, t_tilde=state.t_tilde,
                                     kappa=mod.kappa, tau=mod.tau, xi=mod.xi,
                                     beta_tau=mod.beta_tau,
@@ -388,7 +410,8 @@ def run_until_blowup(cfg: SolverConfig, keep_snapshots=True, tracker="extremal",
                 next_snap_s += cfg.emit_selfsim_ds
 
         if stopping:
-            status = "blew_up" if hit_cap else "max_time"
+            status = ("blew_up" if hit_cap else
+                      "stalled" if stalled else "max_time")
             break
 
         state = step(state, mod_pde, dt, bc, cfg,

@@ -10,7 +10,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -54,7 +54,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunRecord:
     """Run one configured experiment and persist its artifacts.
 
     Writes run.jsonl (time series), summary.json (no timestamps; idempotent
-    given config + seed), meta.json (wall-clock info), optional snapshot and
+    given the config), meta.json (wall-clock info), optional snapshot and
     field CSVs.  Returns the in-memory record.
     """
     out_dir = out_dir or config.out_dir
@@ -63,9 +63,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunRecord:
     record = run_until_blowup(config.solver,
                               tracker=config.modulation.tracker,
                               validate_every=config.modulation.validate_every)
-    record.config = {**config.to_dict(), "tracker": config.modulation.tracker}
+    record.config = config.to_dict()
     record.summary["config_hash"] = config_hash(record.config)
-    record.summary["seed"] = config.seed
     try:
         T_aff, tau_end, resid = dg.blowup_time(record,
                                                config.diagnostics.clip_frac)
@@ -84,12 +83,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunRecord:
 
     if config.snapshots_csv and record.snapshots:
         for i, snap in enumerate(record.snapshots):
-            wbar = profile.w1d(snap["y"])
-
-            class _F:
-                s, y, W, Z = snap["s"], snap["y"], snap["W"], snap["Z"]
             write_selfsim_csv(os.path.join(out_dir, f"selfsim_{i:04d}.csv"),
-                              _F, wbar)
+                              snap["s"], snap["y"], snap["W"], snap["Z"],
+                              profile.w1d(snap["y"]))
     _save_snapshots(record, out_dir)
     if hasattr(record, "final_state"):
         st = record.final_state
@@ -117,7 +113,7 @@ def _sweep_row(config: ExperimentConfig, overrides, out_root):
            "min_sigma": "", "holder_max": "", "ba_w_ok": "", "ba_z_ok": "",
            "error": ""}
     try:
-        config = replace(config, solver=replace(config.solver, **overrides))
+        config = replace(config, solver=config.solver.replace(**overrides))
         out_dir = os.path.join(out_root, row["config_hash"])
         rec = run_experiment(config, out_dir)
         row["status"] = rec.status

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _jsonable(obj):
@@ -93,9 +93,9 @@ def write_field_csv(path, theta_tilde, w, z):
             out.writerow([f"{x:.17g}" for x in row])
 
 
-def write_selfsim_csv(path, field_obj, wbar):
+def write_selfsim_csv(path, s, y, W, Z, wbar):
     with open(path, "w", newline="") as f:
         out = csv.writer(f)
         out.writerow(["s", "y", "W", "Z", "Wbar", "W_minus_Wbar"])
-        for y, W, Z, wb in zip(field_obj.y, field_obj.W, field_obj.Z, wbar):
-            out.writerow([f"{x:.17g}" for x in (field_obj.s, y, W, Z, wb, W - wb)])
+        for yi, Wi, Zi, wb in zip(y, W, Z, wbar):
+            out.writerow([f"{x:.17g}" for x in (s, yi, Wi, Zi, wb, Wi - wb)])

@@ -34,8 +34,7 @@ def _report(num, name, ok, detail=""):
 
 
 def _sweep_config(tau0):
-    dx = 3.0 * tau0 / 8191
-    slope_hi = (0.02 * tau0**2 / (150.0 * dx**4)) ** 0.2
+    slope_hi = dg.resolution_window(tau0, 3.0 * tau0 / 8191)
     return eq.SolverConfig(n_cells=8192, tau0=tau0, sigma_inf=SIGMA_INF,
                            xi0=XI0, record_every=4, t_max=1.6 * tau0,
                            theta_min=-1.5 * tau0, theta_max=1.5 * tau0,

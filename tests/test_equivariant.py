@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from sphereshock import equivariant as eq
+from sphereshock import geometry as geo
+from sphereshock import riemann as rm
 from sphereshock.modulation import ModulationState
 from sphereshock.riemann import betas
+from sphereshock.selfsim import BootstrapConstants
 from sphereshock.weno import deriv1_c4
 
 
@@ -24,6 +28,40 @@ def test_config_validation():
     cfg = eq.SolverConfig(xi0=0.1, enforce_regime=False, theta_min=-0.05,
                           theta_max=0.05)
     assert cfg.blowup_slope_cap == pytest.approx(1e4 / cfg.tau0)
+    for bad in (dict(record_every=0), dict(monitor_M=1.0),
+                dict(monitor_M=math.inf), dict(slope_dt_frac=0.0),
+                dict(emit_selfsim_ds=0.0)):
+        with pytest.raises(eq.ConfigError):
+            eq.SolverConfig(**bad)
+
+
+def test_replace_rederives_unset_fields():
+    base = eq.SolverConfig(tau0=1e-2, t_max=0.03)
+    row = base.replace(tau0=5e-3)
+    fresh = eq.SolverConfig(tau0=5e-3)
+    assert (row.theta_min, row.theta_max, row.blowup_slope_cap) == \
+        (fresh.theta_min, fresh.theta_max, fresh.blowup_slope_cap)
+    assert row.t_max == 0.03  # set by the user, so kept
+    assert base.replace() == base
+
+
+@settings(max_examples=30, deadline=None)
+@given(record_every=hs.integers(-1, 8), monitor_M=hs.floats(0.0, 1e4),
+       slope_dt_frac=hs.floats(-0.1, 1.0),
+       emit_selfsim_ds=hs.none() | hs.floats(-0.1, 1.0))
+def test_accepted_cadences_complete_a_step(record_every, monitor_M,
+                                          slope_dt_frac, emit_selfsim_ds):
+    try:
+        cfg = eq.SolverConfig(n_cells=128, t_max=1e-12, record_every=record_every,
+                              monitor_M=monitor_M, slope_dt_frac=slope_dt_frac,
+                              emit_selfsim_ds=emit_selfsim_ds)
+    except eq.ConfigError:
+        return
+    BootstrapConstants(M=cfg.monitor_M, tau0=cfg.tau0, sigma_inf=cfg.sigma_inf)
+    rec = eq.run_until_blowup(cfg)
+    # t_max <= dt_floor, so one step ends the run unless a tiny slope
+    # fraction puts the first step below dt_floor
+    assert (rec.status, rec.summary["steps"]) in (("max_time", 1), ("stalled", 0))
 
 
 def test_initial_data_shape():
@@ -128,6 +166,41 @@ def test_support_growth_bounded():
         st = eq.step(st, mod, dt, bc, cfg, check_support=True)  # raises on violation
 
 
+def test_support_growth_error():
+    # an understated vmax drops the CFL guard and shrinks the allowed reach
+    # to the stencil alone, which two CFL steps of real transport outrun
+    cfg = eq.SolverConfig(n_cells=512)
+    st = eq.initial_data(cfg)
+    bc = betas(cfg.gamma)
+    mod = make_mod(cfg, xi_dot=0.0)
+    dt = 2.0 * cfg.cfl * st.dx / eq.max_transport_speed(st, mod, bc)
+    assert issubclass(eq.SupportGrowthError, RuntimeError)
+    with pytest.raises(eq.SupportGrowthError):
+        eq.step(st, mod, dt, bc, cfg, vmax=0.0)
+
+
+def test_transport_speeds_match_certified_diagonal():
+    # A_R_u1t = J diag(w + b2 z, b2 w + z, b1 (w + z)) + shift I, where the
+    # shift depends on the frame only: it is the whole matrix at zero state
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        q = rng.uniform(-1, 1, 3)
+        Q = np.array([[0.0, q[0], q[1]], [-q[0], 0.0, q[2]],
+                      [-q[1], -q[2], 0.0]])
+        frame = geo.frame_at(rng.uniform(-1, 1, 2), rng.uniform(-3, 3), Q,
+                             rng.uniform(-2, 2), rng.uniform(0.5, 2.0))
+        bc = betas(rng.uniform(1.05, 4.0))
+        w, z, a = rng.uniform(-3, 3, 3)
+        P = rm.to_phys(rm.RiemannVars(w, z, a), frame.lam)
+        diag = np.diag(rm.assemble_matrices(P, frame, bc).A_R_u1t)
+        shift = rm.assemble_matrices(rm.PhysVars(0.0, 0.0, 0.0), frame,
+                                     bc).A_R_u1t[0, 0]
+        xi_dot = rng.uniform(-2, 2)
+        speeds = eq.transport_speeds(w, z, bc, xi_dot)
+        assert np.allclose(np.add(speeds, xi_dot), (diag[:2] - shift) / frame.J,
+                           rtol=1e-10, atol=1e-10)
+
+
 def test_pole_abort():
     cfg = eq.SolverConfig(n_cells=512, enforce_regime=False, xi0=1.55,
                           theta_min=-1e-3, theta_max=1e-3, tau0=1e-5)
@@ -214,6 +287,18 @@ def test_run_statuses():
     assert np.all(np.diff(t) > 0)
     s = rec.series("s")
     assert np.all(np.diff(s) > 0)
+
+
+def test_dt_floor_stop_is_stalled():
+    # slope_dt_frac = 0 is refused at construction; zeroed afterwards it
+    # forces dt = 0 at the first step, which once read as a blow-up
+    cfg = eq.SolverConfig(n_cells=256, tau0=1e-2)
+    cfg.slope_dt_frac = 0.0
+    rec = eq.run_until_blowup(cfg)
+    assert rec.status != "blew_up"
+    assert rec.status == "stalled" and rec.summary["steps"] == 0
+    rec = eq.run_until_blowup(eq.SolverConfig(n_cells=256, dt_floor=1.0))
+    assert rec.status == "stalled"
 
 
 def test_run_vacuum_detection():

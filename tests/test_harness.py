@@ -1,4 +1,5 @@
 import csv
+import glob
 import json
 import os
 
@@ -7,9 +8,13 @@ import pytest
 
 from sphereshock import cli
 from sphereshock.config import ConfigError, ExperimentConfig, print_defaults
-from sphereshock.equivariant import SolverConfig
+from sphereshock.equivariant import initial_data
 from sphereshock.harness import load_snapshots, run_experiment, sweep
-from sphereshock.records import RunRecord, config_hash, write_field_csv
+from sphereshock.records import (SCHEMA_VERSION, RunRecord, config_hash,
+                                 write_field_csv)
+
+CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..",
+                                        "configs", "*.json")))
 
 
 def small_config(tmp, **solver_overrides):
@@ -62,9 +67,16 @@ def test_experiment_config_validation():
         ExperimentConfig.from_dict({"solver": {"nonsense_key": 1}})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"modulation": {"tracker": "psychic"}})
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict({"seed": 0})  # removed: fed no randomness
     cfg = ExperimentConfig.from_dict({"solver": {"tau0": 5e-3}})
     assert cfg.solver.tau0 == 5e-3
     assert cfg.solver.blowup_slope_cap == pytest.approx(1e4 / 5e-3)
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)
+def test_shipped_config_loads(path):
+    initial_data(ExperimentConfig.load(path).solver)
 
 
 def test_print_defaults_parses():
@@ -84,14 +96,15 @@ def test_run_experiment_artifacts(tmp_path):
         assert required in names
     summary = json.load(open(tmp_path / "summary.json"))
     assert summary["status"] == "blew_up"
-    assert "T_star" in summary
+    assert summary["schema_version"] == SCHEMA_VERSION == 2
+    assert "T_star" in summary and "seed" not in summary
     snaps = load_snapshots(tmp_path)
     assert len(snaps) >= 2
     assert {"s", "y", "W", "Z", "g_w"} <= set(snaps[0])
 
 
 def test_run_experiment_deterministic(tmp_path):
-    # identical config + seed (including out_dir) => byte-identical outputs
+    # identical config (including out_dir) => byte-identical outputs
     cfg = small_config(tmp_path / "a")
     run_experiment(cfg, str(tmp_path / "a"))
     jl1 = open(tmp_path / "a" / "run.jsonl", "rb").read()
@@ -121,6 +134,20 @@ def test_sweep_cross_product_and_isolation(tmp_path):
     with open(tmp_path / "sweep.csv") as f:
         rows_csv = list(csv.DictReader(f))
     assert len(rows_csv) == 2
+
+
+def test_sweep_rows_derive_unset_fields_from_their_tau0(tmp_path):
+    cfg = small_config(tmp_path)
+    cfg.sweep.tau0 = [1e-2, 5e-3]
+    rows = sweep(cfg, str(tmp_path), max_workers=1)
+    assert sorted(r["tau0"] for r in rows) == [5e-3, 1e-2]
+    for row in rows:
+        with open(tmp_path / row["config_hash"] / "run.jsonl") as f:
+            solver = json.loads(f.readline())["config"]["solver"]
+        assert solver["tau0"] == row["tau0"]
+        assert solver["theta_min"] == -2.0 * row["tau0"]
+        assert solver["t_max"] == 2.0 * row["tau0"]
+        assert solver["blowup_slope_cap"] == 300.0  # set by the user, so kept
 
 
 def test_cli_simulate_and_diagnose(tmp_path):
@@ -156,3 +183,6 @@ def test_cli_print_defaults(capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["solver"]["gamma"] == 3.0
+    assert "seed" not in doc and "seed" not in doc["solver"]
+    with pytest.raises(SystemExit):
+        cli.main(["simulate", "--seed", "1"])
