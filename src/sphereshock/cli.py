@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
-import os
 import sys
 
 import numpy as np
@@ -60,12 +58,14 @@ def cmd_sweep(args):
 
 
 def cmd_diagnose(args):
+    from .config import DiagnosticsConfig
     from .diagnostics import DiagnosticUndefinedError, blowup_report
     from .records import RunRecord
     rec = RunRecord.read_jsonl(args.record)
+    diag = DiagnosticsConfig(**rec.config.get("diagnostics", {}))
     try:
-        rep = blowup_report(rec, holder_cap=args.holder_cap,
-                            rate_tol=args.rate_tol)
+        rep = blowup_report(rec, holder_cap=diag.holder_cap,
+                            rate_tol=diag.rate_tol, clip_frac=diag.clip_frac)
     except DiagnosticUndefinedError as err:
         print(f"diagnostics undefined: {err}")
         return 2
@@ -149,10 +149,9 @@ def build_parser():
     p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("diagnose", help="verify a recorded run")
+    p = sub.add_parser("diagnose", help="verify a recorded run against the "
+                       "diagnostics thresholds in its header config")
     p.add_argument("record", help="run.jsonl path")
-    p.add_argument("--holder-cap", type=float, default=2.5)
-    p.add_argument("--rate-tol", type=float, default=0.05)
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("profile", help="blow-up profile tools")

@@ -1,6 +1,6 @@
 """Experiment configuration: a nested, JSON-serializable document with
-schema validation and dumpable defaults, wrapping the solver, modulation,
-diagnostics, and sweep blocks.
+schema validation and dumpable defaults, wrapping the solver, diagnostics,
+and sweep blocks.
 """
 
 from __future__ import annotations
@@ -9,18 +9,6 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 
 from .equivariant import ConfigError, SolverConfig
-
-
-@dataclass
-class ModulationConfig:
-    tracker: str = "extremal"      # "extremal" | "ode"
-    validate_every: int = 1        # ODE-monitor cadence, in samples
-
-    def __post_init__(self):
-        if self.tracker not in ("extremal", "ode"):
-            raise ConfigError(f"unknown tracker {self.tracker!r}")
-        if self.validate_every < 1:
-            raise ConfigError("validate_every must be >= 1")
 
 
 @dataclass
@@ -50,7 +38,6 @@ class SweepConfig:
 @dataclass
 class ExperimentConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
-    modulation: ModulationConfig = field(default_factory=ModulationConfig)
     diagnostics: DiagnosticsConfig = field(default_factory=DiagnosticsConfig)
     sweep: SweepConfig = field(default_factory=SweepConfig)
     out_dir: str = "runs"
@@ -78,7 +65,6 @@ class ExperimentConfig:
             return klass(**block)
 
         return cls(solver=build(SolverConfig, doc.get("solver"), "solver"),
-                   modulation=build(ModulationConfig, doc.get("modulation"), "modulation"),
                    diagnostics=build(DiagnosticsConfig, doc.get("diagnostics"), "diagnostics"),
                    sweep=build(SweepConfig, doc.get("sweep"), "sweep"),
                    out_dir=doc.get("out_dir", "runs"),

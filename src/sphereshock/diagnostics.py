@@ -187,8 +187,10 @@ class BlowupReport:
         return all(self.flags.values())
 
 
-def blowup_report(record, holder_cap, rate_tol=0.05, time_budget=None) -> BlowupReport:
-    """Assemble the full verdict for a completed blow-up run."""
+def blowup_report(record, holder_cap, rate_tol=0.05, time_budget=None,
+                  clip_frac=0.02) -> BlowupReport:
+    """Assemble the full verdict for a completed blow-up run; clip_frac is
+    passed on to the T* and rate fits."""
     cfg = record.config
     solver = cfg.get("solver", cfg)
     sigma_inf = solver["sigma_inf"]
@@ -198,8 +200,8 @@ def blowup_report(record, holder_cap, rate_tol=0.05, time_budget=None) -> Blowup
     xi0 = solver["xi0"]
     kappa0 = sigma_inf
 
-    T_star, tau_end, _ = blowup_time(record)
-    rate, span = rate_fit(record, T_star)
+    T_star, tau_end, _ = blowup_time(record, clip_frac)
+    rate, span = rate_fit(record, T_star, clip_frac)
     loc = location_report(record, xi0, kappa0, beta3, M, tau0)
     vac = vacuum_check(record, sigma_inf)
     holder_max = float(np.max(record.series("holder_w")))

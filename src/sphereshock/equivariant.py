@@ -57,7 +57,6 @@ class SolverConfig:
     n_cells: int = 4096
     cfl: float = 0.6
     flat_mode: bool = False
-    modulation_coupling: bool = True
     blowup_slope_cap: float = None       # default 1e4 / tau0
     dt_floor: float = 1e-12
     t_max: float = None                  # default 2 * tau0
@@ -93,6 +92,12 @@ class SolverConfig:
             raise ConfigError("slope_dt_frac must be positive")
         if self.emit_selfsim_ds is not None and not self.emit_selfsim_ds > 0:
             raise ConfigError("emit_selfsim_ds must be positive when set")
+        if not self.dt_floor > 0:
+            raise ConfigError("dt_floor must be positive")
+        if not self.support_tol > 0:
+            raise ConfigError("support_tol must be positive")
+        if not 0 < self.pole_margin < 0.5 * math.pi:
+            raise ConfigError("pole_margin must lie in (0, pi/2)")
         bc = betas(self.gamma)
         if self.enforce_regime:
             if not math.pi / 16.0 <= self.xi0 <= math.pi / 8.0:
@@ -125,7 +130,7 @@ class SolverConfig:
         return self.sigma_inf
 
     def frame_drift(self):
-        if self.flat_mode or not self.modulation_coupling:
+        if self.flat_mode:
             return 0.0
         return 2.0 * betas(self.gamma).beta3 * self.kappa0
 
@@ -265,22 +270,52 @@ def _ext_grad(state, slope, xi_abs, delta):
     return float(np.max(np.abs(slope[mask])))
 
 
-def run_until_blowup(cfg: SolverConfig, keep_snapshots=True, tracker="extremal",
-                     validate_every=1) -> RunRecord:
+def _sample_row(state: EquivariantState, fld, mod, slope, smax, dt_next, bc,
+                cfg: SolverConfig, consts, deltas):
+    """The recorded scalars of one sample: modulation, bootstrap margins,
+    profile distances, support extent, exterior gradients, ODE monitor."""
+    ba = bootstrap_report(fld, consts)
+    dist = profile_distance(fld, consts)
+    w0r, dw0r = normalization_check(fld)
+    row = dict(t_tilde=state.t_tilde, s=mod.s, kappa=mod.kappa, tau=mod.tau,
+               xi=mod.xi, max_slope=smax,
+               min_sigma=float(np.min(state.sigma())),
+               holder_w=holder_seminorm(state.grid, state.w),
+               dt=dt_next, beta_tau=mod.beta_tau,
+               w0_resid=w0r, dw0_resid=dw0r,
+               prof_inner=dist["inner_sup"],
+               prof_weighted=dist["weighted_sup"],
+               prof_weighted_grad=dist["weighted_grad_sup"],
+               ba_margins=ba.margins,
+               ba_w_pass=ba.family_passed("ba_w_"),
+               ba_z_pass=ba.family_passed("ba_z_"))
+    lo, hi = support_bounds(state, cfg.sigma_inf, cfg.support_tol)
+    row["support_lo"], row["support_hi"] = lo, hi
+    for d in deltas:
+        row[f"ext_grad_{d:g}"] = _ext_grad(state, slope, mod.xi, d)
+    try:
+        cons = constraints_from_field(state.theta_abs(), state.w, mod.xi)
+        Z0, dZ0, d2Z0 = _z_origin_jet(state, mod.xi, mod.s)
+        ode = ode_rhs(cons, mod, bc, cfg.sigma_inf, Z0, dZ0, d2Z0,
+                      flat_mode=cfg.flat_mode)
+    except DegenerateRhsError:
+        ode = (None, None, None)
+    row["ode_dkappa"], row["ode_dtau"], row["ode_dxi"] = ode
+    return row
+
+
+def run_until_blowup(cfg: SolverConfig) -> RunRecord:
     """Integrate to gradient blow-up (or another terminal status), recording
     the modulation, bootstrap, and diagnostic time series.
 
-    tracker selects the primary modulation source: "extremal" reads the
-    fields directly; "ode" integrates the origin ODEs and records the
-    extremal values alongside for cross-validation.  validate_every sets the
-    ODE-monitor cadence in samples.
+    The modulation triple is read from the fields by extremal tracking; the
+    origin-ODE right-hand sides ride along on every sample as a monitor
+    (modulation.cross_validate integrates them).
     """
-    if tracker not in ("extremal", "ode"):
-        raise ConfigError(f"unknown tracker {tracker!r}")
     bc = betas(cfg.gamma)
     state = initial_data(cfg)
     drift = cfg.frame_drift()
-    record = RunRecord(config={"solver": asdict(cfg), "tracker": tracker})
+    record = RunRecord(config={"solver": asdict(cfg)})
     consts = BootstrapConstants(M=cfg.monitor_M, tau0=cfg.tau0,
                                 sigma_inf=cfg.sigma_inf)
     deltas = [0.25 * (cfg.theta_max - cfg.theta_min) if d is None else d
@@ -293,48 +328,8 @@ def run_until_blowup(cfg: SolverConfig, keep_snapshots=True, tracker="extremal",
     prev_t = 0.0
     beta_tau = 1.0
     next_snap_s = -math.log(cfg.tau0)
-    sample_count = [0]
     mod_pde = ModulationState(kappa=cfg.kappa0, tau=cfg.tau0, xi=cfg.xi0,
                               t_tilde=0.0, xi_dot=drift)
-    # ODE-tracker state: integrated modulation triple and its last rhs
-    ode_vals = np.array([cfg.kappa0, cfg.tau0, cfg.xi0])
-    ode_rhs_last = np.array([0.0, 0.0, 2.0 * bc.beta3 * cfg.kappa0])
-    ode_t_last = 0.0
-
-    def emit_sample(state, mod, slope, smax, dt_next):
-        s = mod.s
-        fld = to_selfsimilar(state.theta_abs(), state.w, state.z, mod)
-        ba = bootstrap_report(fld, consts)
-        dist = profile_distance(fld, consts)
-        w0r, dw0r = normalization_check(fld)
-        row = dict(t_tilde=state.t_tilde, s=s, kappa=mod.kappa, tau=mod.tau,
-                   xi=mod.xi, max_slope=smax,
-                   min_sigma=float(np.min(state.sigma())),
-                   holder_w=holder_seminorm(state.grid, state.w),
-                   dt=dt_next, beta_tau=mod.beta_tau,
-                   w0_resid=w0r, dw0_resid=dw0r,
-                   prof_inner=dist["inner_sup"],
-                   prof_weighted=dist["weighted_sup"],
-                   prof_weighted_grad=dist["weighted_grad_sup"],
-                   ba_margins=ba.margins,
-                   ba_w_pass=ba.family_passed("ba_w_"),
-                   ba_z_pass=ba.family_passed("ba_z_"))
-        lo, hi = support_bounds(state, cfg.sigma_inf, cfg.support_tol)
-        row["support_lo"], row["support_hi"] = lo, hi
-        for d in deltas:
-            row[f"ext_grad_{d:g}"] = _ext_grad(state, slope, mod.xi, d)
-        if sample_count[0] % validate_every == 0:
-            try:
-                cons = constraints_from_field(state.theta_abs(), state.w, mod.xi)
-                Z0, dZ0, d2Z0 = _z_origin_jet(state, mod.xi, s)
-                dk, dtau, dxi = ode_rhs(cons, mod, bc, cfg.sigma_inf, Z0, dZ0,
-                                        d2Z0, flat_mode=cfg.flat_mode)
-                row.update(ode_dkappa=dk, ode_dtau=dtau, ode_dxi=dxi)
-            except DegenerateRhsError:
-                row.update(ode_dkappa=None, ode_dtau=None, ode_dxi=None)
-        sample_count[0] += 1
-        record.add_sample(**row)
-        return fld
 
     while True:
         w, z = state.w, state.z
@@ -364,38 +359,19 @@ def run_until_blowup(cfg: SolverConfig, keep_snapshots=True, tracker="extremal",
             if state.t_tilde > prev_t:
                 dta = (tau - prev_tau) / (state.t_tilde - prev_t)
                 beta_tau = float(np.clip(1.0 / (1.0 - dta), 0.5, 2.0))
-            mod_ext = ModulationState(kappa=kappa, tau=tau, xi=xi_abs,
-                                      t_tilde=state.t_tilde, xi_dot=drift,
-                                      beta_tau=beta_tau)
+            mod = ModulationState(kappa=kappa, tau=tau, xi=xi_abs,
+                                  t_tilde=state.t_tilde, xi_dot=drift,
+                                  beta_tau=beta_tau)
             prev_tau, prev_t = tau, state.t_tilde
-            if tracker == "ode":
-                ode_vals = ode_vals + ode_rhs_last * (state.t_tilde - ode_t_last)
-                ode_t_last = state.t_tilde
-                if ode_vals[1] <= state.t_tilde:
-                    status = "numerical_failure"
-                    break
-                mod = ModulationState(kappa=float(ode_vals[0]),
-                                      tau=float(ode_vals[1]),
-                                      xi=float(ode_vals[2]),
-                                      t_tilde=state.t_tilde, xi_dot=drift,
-                                      beta_tau=float(np.clip(
-                                          1.0 / (1.0 - ode_rhs_last[1]), 0.5, 2.0)))
-            else:
-                mod = mod_ext
-            fld = emit_sample(state, mod, slope, abs(smin), dt)
-            if tracker == "ode":
-                last = record.samples[-1]
-                last["kappa_ext"], last["tau_ext"], last["xi_ext"] = \
-                    mod_ext.kappa, mod_ext.tau, mod_ext.xi
-                if last.get("ode_dkappa") is not None:
-                    ode_rhs_last = np.array([last["ode_dkappa"],
-                                             last["ode_dtau"], last["ode_dxi"]])
-            if keep_snapshots and cfg.emit_selfsim_ds is not None \
-                    and mod.s >= next_snap_s:
+            fld = to_selfsimilar(state.theta_abs(), state.w, state.z, mod)
+            row = _sample_row(state, fld, mod, slope, abs(smin), dt, bc, cfg,
+                              consts, deltas)
+            record.add_sample(**row)
+            if cfg.emit_selfsim_ds is not None and mod.s >= next_snap_s:
                 # frozen transport uses the instantaneous modulation drift so
                 # the origin term carries the small ODE correction, not the
                 # constant-frame offset
-                xi_dot_now = record.samples[-1].get("ode_dxi")
+                xi_dot_now = row["ode_dxi"]
                 if xi_dot_now is None:
                     xi_dot_now = drift
                 es2 = math.exp(0.5 * mod.s)

@@ -9,6 +9,7 @@ import itertools
 import json
 import os
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import replace
 
@@ -60,9 +61,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunRecord:
     out_dir = out_dir or config.out_dir
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.time()
-    record = run_until_blowup(config.solver,
-                              tracker=config.modulation.tracker,
-                              validate_every=config.modulation.validate_every)
+    record = run_until_blowup(config.solver)
     record.config = config.to_dict()
     record.summary["config_hash"] = config_hash(record.config)
     try:
@@ -112,15 +111,16 @@ def _sweep_row(config: ExperimentConfig, overrides, out_root):
            "status": "", "T_star": "", "T_star_refined": "", "rate": "",
            "min_sigma": "", "holder_max": "", "ba_w_ok": "", "ba_z_ok": "",
            "error": ""}
+    out_dir = os.path.join(out_root, row["config_hash"])
     try:
         config = replace(config, solver=config.solver.replace(**overrides))
-        out_dir = os.path.join(out_root, row["config_hash"])
         rec = run_experiment(config, out_dir)
         row["status"] = rec.status
         row["T_star"] = rec.summary.get("T_star")
         row["T_star_refined"] = rec.summary.get("T_star_refined")
         try:
-            row["rate"] = dg.rate_fit(rec, rec.summary.get("T_star"))[0]
+            row["rate"] = dg.rate_fit(rec, rec.summary.get("T_star"),
+                                      config.diagnostics.clip_frac)[0]
         except dg.DiagnosticUndefinedError:
             row["rate"] = ""
         row["min_sigma"] = float(np.min(rec.series("min_sigma")))
@@ -130,6 +130,9 @@ def _sweep_row(config: ExperimentConfig, overrides, out_root):
     except Exception as err:  # crash isolation: a bad run keeps its row
         row["status"] = "error"
         row["error"] = repr(err)
+        os.makedirs(out_dir, exist_ok=True)
+        with open(os.path.join(out_dir, "error.txt"), "w") as f:
+            f.write(traceback.format_exc())
     return row
 
 

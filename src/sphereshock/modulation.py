@@ -149,22 +149,15 @@ def cross_validate(record, M, tau0, kappa0, xi0, beta3):
     """
     t = record.series("t_tilde")
     kap, tau, xi = record.series("kappa"), record.series("tau"), record.series("xi")
-    if "kappa_ext" in record.samples[0]:
-        # ODE-driven run: the extremal values ride along for comparison
-        kap_ode = record.series("kappa_ext")
-        tau_ode = record.series("tau_ext")
-        xi_ode = record.series("xi_ext")
-        ok = len(kap_ode)
-    else:
-        dk, dt_, dx_ = (record.series("ode_dkappa"), record.series("ode_dtau"),
-                        record.series("ode_dxi"))
-        ok = min(len(dk), len(t))
-        kap_ode = kappa0 + np.concatenate([[0.0], np.cumsum(
-            0.5 * (dk[1:ok] + dk[:ok - 1]) * np.diff(t[:ok]))])
-        tau_ode = tau0 + np.concatenate([[0.0], np.cumsum(
-            0.5 * (dt_[1:ok] + dt_[:ok - 1]) * np.diff(t[:ok]))])
-        xi_ode = xi0 + np.concatenate([[0.0], np.cumsum(
-            0.5 * (dx_[1:ok] + dx_[:ok - 1]) * np.diff(t[:ok]))])
+    dk, dt_, dx_ = (record.series("ode_dkappa"), record.series("ode_dtau"),
+                    record.series("ode_dxi"))
+    ok = min(len(dk), len(t))
+    kap_ode = kappa0 + np.concatenate([[0.0], np.cumsum(
+        0.5 * (dk[1:ok] + dk[:ok - 1]) * np.diff(t[:ok]))])
+    tau_ode = tau0 + np.concatenate([[0.0], np.cumsum(
+        0.5 * (dt_[1:ok] + dt_[:ok - 1]) * np.diff(t[:ok]))])
+    xi_ode = xi0 + np.concatenate([[0.0], np.cumsum(
+        0.5 * (dx_[1:ok] + dx_[:ok - 1]) * np.diff(t[:ok]))])
 
     drift = xi - xi0 - 2.0 * beta3 * kappa0 * t
     s = record.series("s")

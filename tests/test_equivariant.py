@@ -30,7 +30,9 @@ def test_config_validation():
     assert cfg.blowup_slope_cap == pytest.approx(1e4 / cfg.tau0)
     for bad in (dict(record_every=0), dict(monitor_M=1.0),
                 dict(monitor_M=math.inf), dict(slope_dt_frac=0.0),
-                dict(emit_selfsim_ds=0.0)):
+                dict(emit_selfsim_ds=0.0), dict(dt_floor=0.0),
+                dict(support_tol=0.0), dict(pole_margin=0.0),
+                dict(pole_margin=0.5 * math.pi)):
         with pytest.raises(eq.ConfigError):
             eq.SolverConfig(**bad)
 

@@ -65,8 +65,8 @@ def test_experiment_config_validation():
         ExperimentConfig.from_dict({"bogus": 1})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"solver": {"nonsense_key": 1}})
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict({"modulation": {"tracker": "psychic"}})
+    with pytest.raises(ConfigError):  # removed: extremal tracking is the only path
+        ExperimentConfig.from_dict({"modulation": {}})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"seed": 0})  # removed: fed no randomness
     cfg = ExperimentConfig.from_dict({"solver": {"tau0": 5e-3}})
@@ -96,7 +96,7 @@ def test_run_experiment_artifacts(tmp_path):
         assert required in names
     summary = json.load(open(tmp_path / "summary.json"))
     assert summary["status"] == "blew_up"
-    assert summary["schema_version"] == SCHEMA_VERSION == 2
+    assert summary["schema_version"] == SCHEMA_VERSION == 3
     assert "T_star" in summary and "seed" not in summary
     snaps = load_snapshots(tmp_path)
     assert len(snaps) >= 2
@@ -134,6 +134,9 @@ def test_sweep_cross_product_and_isolation(tmp_path):
     with open(tmp_path / "sweep.csv") as f:
         rows_csv = list(csv.DictReader(f))
     assert len(rows_csv) == 2
+    failed = next(r for r in rows if r["status"] == "error")
+    with open(tmp_path / failed["config_hash"] / "error.txt") as f:
+        assert "ConfigError" in f.read()
 
 
 def test_sweep_rows_derive_unset_fields_from_their_tau0(tmp_path):
@@ -150,16 +153,20 @@ def test_sweep_rows_derive_unset_fields_from_their_tau0(tmp_path):
         assert solver["blowup_slope_cap"] == 300.0  # set by the user, so kept
 
 
-def test_cli_simulate_and_diagnose(tmp_path):
+def test_cli_simulate_and_diagnose(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     json.dump({"solver": {"n_cells": 1024, "tau0": 1e-2, "record_every": 4,
                           "blowup_slope_cap": 1100.0},
+               "diagnostics": {"clip_frac": 0.2},
                "out_dir": str(tmp_path / "run")}, open(cfg_path, "w"))
     rc = cli.main(["simulate", "--config", str(cfg_path)])
     assert rc == 0
-    rc = cli.main(["diagnose", str(tmp_path / "run" / "run.jsonl"),
-                   "--holder-cap", "2.5"])
+    rc = cli.main(["diagnose", str(tmp_path / "run" / "run.jsonl")])
     assert rc in (0, 1)  # verdict exit code, not a crash
+    # diagnose fits with the run's own clip_frac, so its T* is the summary's
+    summary = json.load(open(tmp_path / "run" / "summary.json"))
+    out = capsys.readouterr().out
+    assert f"T*                : {summary['T_star']:.8g}\n" in out
 
 
 def test_cli_profile_table(tmp_path, capsys):
