@@ -60,8 +60,6 @@ class ExperimentConfig:
             bad = set(block) - valid
             if bad:
                 raise ConfigError(f"unknown keys in {name!r} block: {sorted(bad)}")
-            if "ext_grad_deltas" in block and block["ext_grad_deltas"] is not None:
-                block["ext_grad_deltas"] = tuple(block["ext_grad_deltas"])
             return klass(**block)
 
         return cls(solver=build(SolverConfig, doc.get("solver"), "solver"),

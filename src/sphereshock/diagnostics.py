@@ -104,7 +104,7 @@ def blowup_time_refined(record, slope_lo=None, slope_hi=None):
     t = record.series("t_tilde")
     tau = record.series("tau")
     slope = record.series("max_slope")
-    solver = record.config.get("solver", record.config)
+    solver = record.config["solver"]
     tau0 = solver["tau0"]
     if slope_lo is None:
         slope_lo = 1.5 / tau0
@@ -191,12 +191,11 @@ def blowup_report(record, holder_cap, rate_tol=0.05, time_budget=None,
                   clip_frac=0.02) -> BlowupReport:
     """Assemble the full verdict for a completed blow-up run; clip_frac is
     passed on to the T* and rate fits."""
-    cfg = record.config
-    solver = cfg.get("solver", cfg)
+    solver = record.config["solver"]
     sigma_inf = solver["sigma_inf"]
     tau0 = solver["tau0"]
     beta3 = betas(solver["gamma"]).beta3
-    M = solver.get("monitor_M", 100.0)
+    M = solver["monitor_M"]
     xi0 = solver["xi0"]
     kappa0 = sigma_inf
 

@@ -70,7 +70,6 @@ class SolverConfig:
     support_tol: float = 1e-11
     enforce_regime: bool = True
     monitor_M: float = 100.0
-    ext_grad_deltas: tuple = (0.1, None)  # None -> quarter of the domain width
     emit_selfsim_ds: float = None         # snapshot cadence in s; None = off
 
     def __post_init__(self):
@@ -263,17 +262,10 @@ def _z_origin_jet(state: EquivariantState, xi_abs, s):
     return float(vals[0]), float(vals[1]) * e32, float(vals[2]) * e32**2
 
 
-def _ext_grad(state, slope, xi_abs, delta):
-    mask = np.abs(state.theta_abs() - xi_abs) > delta
-    if not np.any(mask):
-        return 0.0
-    return float(np.max(np.abs(slope[mask])))
-
-
 def _sample_row(state: EquivariantState, fld, mod, slope, smax, dt_next, bc,
-                cfg: SolverConfig, consts, deltas):
+                cfg: SolverConfig, consts):
     """The recorded scalars of one sample: modulation, bootstrap margins,
-    profile distances, support extent, exterior gradients, ODE monitor."""
+    profile distances, support extent, exterior gradient, ODE monitor."""
     ba = bootstrap_report(fld, consts)
     dist = profile_distance(fld, consts)
     w0r, dw0r = normalization_check(fld)
@@ -291,8 +283,11 @@ def _sample_row(state: EquivariantState, fld, mod, slope, smax, dt_next, bc,
                ba_z_pass=ba.family_passed("ba_z_"))
     lo, hi = support_bounds(state, cfg.sigma_inf, cfg.support_tol)
     row["support_lo"], row["support_hi"] = lo, hi
-    for d in deltas:
-        row[f"ext_grad_{d:g}"] = _ext_grad(state, slope, mod.xi, d)
+    # sup outside a quarter domain width of xi; under half the width, the
+    # far set is never empty
+    delta = 0.25 * (cfg.theta_max - cfg.theta_min)
+    far = np.abs(state.theta_abs() - mod.xi) > delta
+    row[f"ext_grad_{delta:g}"] = float(np.max(np.abs(slope[far])))
     try:
         cons = constraints_from_field(state.theta_abs(), state.w, mod.xi)
         Z0, dZ0, d2Z0 = _z_origin_jet(state, mod.xi, mod.s)
@@ -318,8 +313,6 @@ def run_until_blowup(cfg: SolverConfig) -> RunRecord:
     record = RunRecord(config={"solver": asdict(cfg)})
     consts = BootstrapConstants(M=cfg.monitor_M, tau0=cfg.tau0,
                                 sigma_inf=cfg.sigma_inf)
-    deltas = [0.25 * (cfg.theta_max - cfg.theta_min) if d is None else d
-              for d in cfg.ext_grad_deltas]
 
     dx = state.grid[1] - state.grid[0]
     status = None
@@ -365,7 +358,7 @@ def run_until_blowup(cfg: SolverConfig) -> RunRecord:
             prev_tau, prev_t = tau, state.t_tilde
             fld = to_selfsimilar(state.theta_abs(), state.w, state.z, mod)
             row = _sample_row(state, fld, mod, slope, abs(smin), dt, bc, cfg,
-                              consts, deltas)
+                              consts)
             record.add_sample(**row)
             if cfg.emit_selfsim_ds is not None and mod.s >= next_snap_s:
                 # frozen transport uses the instantaneous modulation drift so

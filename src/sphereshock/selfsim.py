@@ -51,6 +51,7 @@ class SelfSimField:
     tau: float = 0.0
     xi: float = 0.0
     t_tilde: float = 0.0
+    origin_jet: np.ndarray = None  # d^k_y W at y = 0, k = 0..7
 
 
 def to_selfsimilar(grid_abs, w, z, mod: ModulationState, nderiv=4) -> SelfSimField:
@@ -58,7 +59,8 @@ def to_selfsimilar(grid_abs, w, z, mod: ModulationState, nderiv=4) -> SelfSimFie
 
     y = (theta - xi) e^{3s/2}, W = e^{s/2}(w - kappa), Z = z.  Derivative
     arrays are produced by differencing in theta and rescaling by powers of
-    e^{3s/2}, never by differencing the stretched y-grid.
+    e^{3s/2}, never by differencing the stretched y-grid.  The origin jet is
+    the one 8-node interpolant of W at y = 0 that every origin monitor reads.
     """
     if not mod.tau > mod.t_tilde:
         raise PastBlowupError("self-similar frame undefined at or past blow-up")
@@ -77,6 +79,8 @@ def to_selfsimilar(grid_abs, w, z, mod: ModulationState, nderiv=4) -> SelfSimFie
         dke = DERIVS_C4[k - 1]
         fld.dW[k] = e12 * e32 ** -k * dke(w, dx)
         fld.dZ[k] = e32 ** -k * dke(z, dx)
+    fld.origin_jet = lagrange_value_and_derivs(fld.y, fld.W, 0.0, nderiv=7,
+                                               npts=8)
     return fld
 
 
@@ -87,10 +91,20 @@ def from_selfsimilar(fld: SelfSimField):
     return fld.y / e32 + fld.xi, fld.W / e12 + fld.kappa, fld.Z.copy()
 
 
-def _origin_jet(fld: SelfSimField, nderiv=3, npts=8):
-    """W and its y-derivatives at y = 0 by local interpolation."""
-    vals = lagrange_value_and_derivs(fld.y, fld.W, 0.0, nderiv=nderiv, npts=npts)
-    return vals
+def _taylor(jet, y):
+    """Taylor polynomial at y of the derivatives `jet` taken at 0."""
+    out = 0.0
+    for k in range(len(jet) - 1, -1, -1):
+        out = jet[k] + out * y / (k + 1)
+    return out
+
+
+def compared_window(y, L):
+    """Slice of the nodes compared with the profile: |y| <= L, without the
+    outer three nodes, whose stencils are edge-padded."""
+    lo = max(3, int(np.searchsorted(y, -L, side="left")))
+    hi = min(len(y) - 3, int(np.searchsorted(y, L, side="right")))
+    return slice(lo, max(lo, hi))
 
 
 @dataclass
@@ -119,64 +133,55 @@ def bootstrap_report(fld: SelfSimField, consts: BootstrapConstants) -> Bootstrap
     """Pointwise margins of the bootstrap inequalities on the zoom frame.
 
     Families: ba_w_* (profile-scale bounds on W), ba_wt_* (deviation from
-    the profile on |y| <= L, |y| <= l, and at the origin), ba_z_* (sound
-    speed deviation).  Failures are reported, never raised.  The outer
-    three nodes carry edge-padded stencils and are excluded; the inner
-    family is interpolation-limited once its bounds fall below grid
-    precision.
+    the profile on the compared window |y| <= L, and on |y| <= l and at the
+    origin through the origin jet), ba_z_* (sound speed deviation).
+    Failures are reported, never raised.  The outer three nodes carry
+    edge-padded stencils and are excluded; the inner family is
+    interpolation-limited once its bounds fall below grid precision.
     """
     trim = slice(3, -3)
-    fld = SelfSimField(s=fld.s, y=fld.y[trim], W=fld.W[trim], Z=fld.Z[trim],
-                       dW={k: v[trim] for k, v in fld.dW.items()},
-                       dZ={k: v[trim] for k, v in fld.dZ.items()},
-                       kappa=fld.kappa, tau=fld.tau, xi=fld.xi,
-                       t_tilde=fld.t_tilde)
-    y = fld.y
+    y = fld.y[trim]
     yb = np.sqrt(1.0 + y * y)
     M, t0 = consts.M, consts.tau0
     e32 = np.exp(-1.5 * fld.s)
 
     margins, worst = {}, {}
 
-    def put(name, bound, quantity, mask=None, yy=None):
-        yy = y if yy is None else yy
-        if mask is not None:
-            if not np.any(mask):
-                return
-            bound, quantity, yy = bound[mask], quantity[mask], yy[mask]
-        margins[name], worst[name] = _min_margin(bound, quantity, yy)
+    def put(name, bound, quantity, yy=y):
+        if len(yy):
+            margins[name], worst[name] = _min_margin(bound, quantity, yy)
 
-    put("ba_w_0", (1.0 + t0 ** (1.0 / 23.0)) * yb ** (1.0 / 3.0), fld.W)
-    put("ba_w_1", 15.0 * yb ** (-2.0 / 3.0), fld.dW[1])
-    put("ba_w_2", M ** (1.0 / 6.0) * yb ** (-2.0 / 3.0), fld.dW[2])
-    put("ba_w_3", np.full_like(y, M ** 0.5), fld.dW[3])
-    put("ba_w_4", np.full_like(y, float(M)), fld.dW[4])
+    put("ba_w_0", (1.0 + t0 ** (1.0 / 23.0)) * yb ** (1.0 / 3.0), fld.W[trim])
+    put("ba_w_1", 15.0 * yb ** (-2.0 / 3.0), fld.dW[1][trim])
+    put("ba_w_2", M ** (1.0 / 6.0) * yb ** (-2.0 / 3.0), fld.dW[2][trim])
+    put("ba_w_3", np.full_like(y, M ** 0.5), fld.dW[3][trim])
+    put("ba_w_4", np.full_like(y, float(M)), fld.dW[4][trim])
 
-    wbar, dwbar1, dwbar2 = profile.w1d_jet(y, upto=2)
-    inL = np.abs(y) <= consts.L
-    put("ba_wt_0", t0 ** (1.0 / 3.0) * yb ** (1.0 / 3.0), fld.W - wbar, inL)
-    put("ba_wt_1", t0 ** 0.25 * yb ** (-2.0 / 3.0), fld.dW[1] - dwbar1, inL)
-    put("ba_wt_2", t0 ** 0.2 * yb ** (-2.0 / 3.0), fld.dW[2] - dwbar2, inL)
+    win = compared_window(fld.y, consts.L)
+    yw = fld.y[win]
+    ybw = np.sqrt(1.0 + yw * yw)
+    wbar, dwbar1, dwbar2 = profile.w1d_jet(yw, upto=2)
+    put("ba_wt_0", t0 ** (1.0 / 3.0) * ybw ** (1.0 / 3.0), fld.W[win] - wbar, yw)
+    put("ba_wt_1", t0 ** 0.25 * ybw ** (-2.0 / 3.0), fld.dW[1][win] - dwbar1, yw)
+    put("ba_wt_2", t0 ** 0.2 * ybw ** (-2.0 / 3.0), fld.dW[2][win] - dwbar2, yw)
 
-    jet = _origin_jet(fld, nderiv=3)
+    jet = fld.origin_jet
     margins["ba_wt_3_origin"] = float(t0 ** 0.8 - abs(jet[3] - 6.0))
     worst["ba_wt_3_origin"] = 0.0
 
-    # inner region |y| <= l sits below the grid scale; sample by interpolation
+    # inner region |y| <= l sits below the grid scale: read the origin jet
     ys = np.linspace(-consts.l, consts.l, 9)
-    jets = np.array([lagrange_value_and_derivs(fld.y, fld.W, yy, nderiv=4, npts=8)
-                     for yy in ys])
     wb_inner = profile.w1d_jet(ys, upto=4)
     for k in range(0, 5):
-        wt_k = jets[:, k] - wb_inner[k]
+        wt_k = _taylor(jet[k:], ys) - wb_inner[k]
         bound = 10.0 * M**2 * np.sqrt(t0) * np.abs(ys) ** (4 - k)
         if k <= 3:
             bound = bound + t0 ** 0.6 * np.abs(ys) ** (3 - k)
-        put(f"ba_wt_inner_{k}", bound, wt_k, yy=ys)
+        put(f"ba_wt_inner_{k}", bound, wt_k, ys)
 
-    put("ba_z_0", np.full_like(y, M * t0), fld.Z + consts.sigma_inf)
+    put("ba_z_0", np.full_like(y, M * t0), fld.Z[trim] + consts.sigma_inf)
     for k, power in ((1, 1.0), (2, 4.0 / 3.0), (3, 6.0), (4, 7.0)):
-        put(f"ba_z_{k}", np.full_like(y, M**power * e32), fld.dZ[k])
+        put(f"ba_z_{k}", np.full_like(y, M**power * e32), fld.dZ[k][trim])
 
     return BootstrapReport(margins=margins, worst=worst)
 
@@ -185,31 +190,26 @@ def profile_distance(fld: SelfSimField, consts: BootstrapConstants):
     """Weighted sup distances between W and the blow-up profile.
 
     Returns {inner_sup, weighted_sup, weighted_grad_sup}: the |y| <= l sup of
-    |W - Wbar|, and the <y>^(-1/3)- and <y>^(2/3)-weighted sups on |y| <= L.
+    |W - Wbar| through the origin jet, and the <y>^(-1/3)- and
+    <y>^(2/3)-weighted sups on the compared window |y| <= L.
     """
-    trim = slice(3, -3)
-    y = fld.y[trim]
-    W = fld.W[trim]
-    dW1 = fld.dW[1][trim]
-    inL = np.abs(y) <= consts.L
+    win = compared_window(fld.y, consts.L)
+    y = fld.y[win]
     wbar, dwbar = profile.w1d_jet(y, upto=1)
     yb = np.sqrt(1.0 + y * y)
 
     ys = np.linspace(-consts.l, consts.l, 17)
-    w_interp = np.array([lagrange_value_and_derivs(fld.y, fld.W, yy, nderiv=0)[0]
-                         for yy in ys])
-    inner = float(np.max(np.abs(w_interp - profile.w1d(ys))))
-    out = {
+    inner = float(np.max(np.abs(_taylor(fld.origin_jet, ys) - profile.w1d(ys))))
+    return {
         "inner_sup": inner,
-        "weighted_sup": float(np.max(yb[inL] ** (-1.0 / 3.0)
-                                     * np.abs(W - wbar)[inL])),
-        "weighted_grad_sup": float(np.max(yb[inL] ** (2.0 / 3.0)
-                                          * np.abs(dW1 - dwbar)[inL])),
+        "weighted_sup": float(np.max(yb ** (-1.0 / 3.0)
+                                     * np.abs(fld.W[win] - wbar))),
+        "weighted_grad_sup": float(np.max(yb ** (2.0 / 3.0)
+                                          * np.abs(fld.dW[1][win] - dwbar))),
     }
-    return out
 
 
 def normalization_check(fld: SelfSimField):
     """Residuals of the origin pinning W(s, 0) = 0, dW(s, 0) = -1."""
-    jet = _origin_jet(fld, nderiv=1)
+    jet = fld.origin_jet
     return float(abs(jet[0])), float(abs(jet[1] + 1.0))

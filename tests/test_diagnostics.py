@@ -19,7 +19,7 @@ def synthetic_burgers_record(tau0=1e-2, n=400, slope0=100.0, slope_end=2000.0,
         row = {"t_tilde": t, "s": -np.log(tau0 - t), "kappa": kappa,
                "tau": tau0, "xi": xi0 + drift * t, "max_slope": slope,
                "min_sigma": 1.2, "holder_w": 1.5, "dt": 1e-6,
-               "ext_grad_0.1": 0.0}
+               "ext_grad_0.01": 0.0}
         rec.add_sample(**row)
     rec.status = "blew_up"
     return rec

@@ -69,6 +69,8 @@ def test_experiment_config_validation():
         ExperimentConfig.from_dict({"modulation": {}})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"seed": 0})  # removed: fed no randomness
+    with pytest.raises(ConfigError):  # removed: one derived delta remains
+        ExperimentConfig.from_dict({"solver": {"ext_grad_deltas": [0.1]}})
     cfg = ExperimentConfig.from_dict({"solver": {"tau0": 5e-3}})
     assert cfg.solver.tau0 == 5e-3
     assert cfg.solver.blowup_slope_cap == pytest.approx(1e4 / 5e-3)
@@ -96,8 +98,12 @@ def test_run_experiment_artifacts(tmp_path):
         assert required in names
     summary = json.load(open(tmp_path / "summary.json"))
     assert summary["status"] == "blew_up"
-    assert summary["schema_version"] == SCHEMA_VERSION == 3
+    assert summary["schema_version"] == SCHEMA_VERSION == 4
     assert "T_star" in summary and "seed" not in summary
+    # the exterior gradient is taken outside a quarter of the domain width
+    delta = 0.25 * (cfg.solver.theta_max - cfg.solver.theta_min)
+    assert ([k for k in rec.samples[0] if k.startswith("ext_grad_")]
+            == [f"ext_grad_{delta:g}"])
     snaps = load_snapshots(tmp_path)
     assert len(snaps) >= 2
     assert {"s", "y", "W", "Z", "g_w"} <= set(snaps[0])

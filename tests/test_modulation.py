@@ -152,6 +152,30 @@ def test_cross_validate_flat_run():
     assert rep["max_dev_tau"] < 5e-4
     assert rep["ba_m_margins"]["tau_dev"] >= 0.0
     assert rep["ba_m_margins"]["kappa_dev"] >= 0.0
+    # y = 0 lies in the |y| <= l window of prof_inner, and the profile is 0
+    # there, so the window sup cannot fall below the origin residual
+    assert np.all(rec.series("prof_inner") >= rec.series("w0_resid"))
+
+
+def test_cross_validate_skips_null_ode_samples():
+    # rates linear in t integrate exactly under the trapezoid rule, so the
+    # tracked values below match the integrals wherever the rates are paired
+    # with their own times; a degenerate sample records no rates
+    from sphereshock.records import RunRecord
+    rec = RunRecord(config={})
+    t = 0.01 * np.linspace(0.0, 1.0, 12) ** 2
+    for i, ti in enumerate(t):
+        null = i == 5
+        rec.add_sample(t_tilde=ti, s=-np.log(0.02 - ti),
+                       kappa=1.2 + 0.5 * ti**2, tau=0.02 + ti**2,
+                       xi=0.3 - 1.5 * ti**2,
+                       ode_dkappa=None if null else ti,
+                       ode_dtau=None if null else 2.0 * ti,
+                       ode_dxi=None if null else -3.0 * ti)
+    rep = md.cross_validate(rec, M=100.0, tau0=0.02, kappa0=1.2, xi0=0.3,
+                            beta3=0.5)
+    for name in ("kappa", "tau", "xi"):
+        assert rep[f"max_dev_{name}"] < 1e-14
 
 
 def test_cross_validate_curved_run():

@@ -133,3 +133,44 @@ def test_margins_scale_consistency():
     # derivative margins minimize at the trimmed edge of the decaying bound,
     # so they shift by the 3-cell trim-extent budget
     assert abs(reps[0].margins["ba_w_1"] - reps[1].margins["ba_w_1"]) < 5e-3
+
+
+def test_origin_jet_reads_a_septic_exactly():
+    # the one 8-node origin fit reproduces a degree-7 W and its derivatives
+    grid = np.linspace(0.2, 0.3, 512)
+    mod = ModulationState(kappa=0.9, tau=1e-2, xi=0.25, t_tilde=0.0)
+    e32 = np.exp(1.5 * mod.s)
+    c = np.array([0.0, -1.0, 0.5, 3.0, -2.0, 1.0, 0.25, -0.5])
+    y = (grid - mod.xi) * e32
+    W = np.polynomial.polynomial.polyval(y, c)
+    fld = ss.to_selfsimilar(grid, 0.9 + W / np.exp(0.5 * mod.s),
+                            np.full_like(grid, -0.9), mod)
+    fact = np.cumprod([1.0, 1, 2, 3, 4, 5, 6, 7])
+    np.testing.assert_allclose(fld.origin_jet, c * fact, rtol=1e-6, atol=1e-9)
+    w0r, dw0r = ss.normalization_check(fld)
+    assert w0r < 1e-12 and dw0r < 1e-9
+
+
+def test_profile_evaluated_on_the_compared_window_only(monkeypatch):
+    grid, w, z, mod = make_field()
+    consts = ss.BootstrapConstants(M=100.0, tau0=1e-2, sigma_inf=1.2)
+    fld = ss.to_selfsimilar(grid, w, z, mod)
+    win = ss.compared_window(fld.y, consts.L)
+    inL = np.zeros(len(fld.y), dtype=bool)
+    inL[3:-3] = np.abs(fld.y[3:-3]) <= consts.L
+    assert np.array_equal(np.flatnonzero(inL), np.arange(len(fld.y))[win])
+    assert 0 < np.count_nonzero(inL) < len(fld.y) // 2
+
+    points = []
+    w1d_jet = profile.w1d_jet
+
+    def counting(y, upto=2):
+        points.append(np.size(y))
+        return w1d_jet(y, upto)
+
+    monkeypatch.setattr(profile, "w1d_jet", counting)
+    ss.bootstrap_report(fld, consts)
+    assert sum(points) <= np.count_nonzero(inL) + 9
+    points.clear()
+    ss.profile_distance(fld, consts)
+    assert sum(points) <= np.count_nonzero(inL)
