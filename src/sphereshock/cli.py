@@ -59,10 +59,14 @@ def cmd_sweep(args):
 
 def cmd_diagnose(args):
     from .config import DiagnosticsConfig
-    from .diagnostics import DiagnosticUndefinedError, blowup_report
+    from .diagnostics import (DiagnosticUndefinedError, blowup_report,
+                              edge_contact_time)
     from .records import RunRecord
     rec = RunRecord.read_jsonl(args.record)
     diag = DiagnosticsConfig(**rec.config.get("diagnostics", {}))
+    contact = edge_contact_time(rec)
+    print("edge contact      : "
+          + ("none" if contact is None else f"t~ = {contact:.8g}"))
     try:
         rep = blowup_report(rec, holder_cap=diag.holder_cap,
                             rate_tol=diag.rate_tol, clip_frac=diag.clip_frac)

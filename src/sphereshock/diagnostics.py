@@ -164,6 +164,20 @@ def location_report(record, xi0, kappa0, beta3, M, tau0):
     return out
 
 
+def edge_contact_time(record):
+    """First sample t_tilde whose deviation support lies within the WENO5
+    stencil reach (3 nodes) of either grid end, else None.  Past it the
+    edge-replicated ghosts are no longer exact."""
+    solver = record.config["solver"]
+    grid = np.linspace(solver["theta_min"], solver["theta_max"],
+                       solver["n_cells"])
+    for s in record.samples:
+        lo, hi = s.get("support_lo"), s.get("support_hi")
+        if lo is not None and (lo <= grid[3] or hi >= grid[-4]):
+            return s["t_tilde"]
+    return None
+
+
 def vacuum_check(record, sigma_inf):
     """Global minimum of sigma over the run; pass iff >= sigma_inf / 2."""
     min_sigma = float(np.min(record.series("min_sigma")))

@@ -63,7 +63,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunRecord:
     t0 = time.time()
     record = run_until_blowup(config.solver)
     record.config = config.to_dict()
-    record.summary["config_hash"] = config_hash(record.config)
+    record.summary["edge_contact_t"] = dg.edge_contact_time(record)
     try:
         T_aff, tau_end, resid = dg.blowup_time(record,
                                                config.diagnostics.clip_frac)

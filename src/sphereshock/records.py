@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 def _jsonable(obj):
@@ -27,7 +27,10 @@ def _jsonable(obj):
 
 
 def config_hash(config_dict):
-    blob = json.dumps(_jsonable(config_dict), sort_keys=True).encode()
+    """12 hex digits naming a config.  `out_dir` says where a run is written,
+    not what it computes, so it is left out: one physics, one hash."""
+    kept = {k: v for k, v in config_dict.items() if k != "out_dir"}
+    blob = json.dumps(_jsonable(kept), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
 
 

@@ -3,7 +3,8 @@ terms and centered fourth-order stencils for diagnostics.
 
 All kernels assume a uniform grid and use edge-replicated ghost cells, which
 is exact while the fields are constant near the boundary (finite propagation
-keeps the active region interior).
+keeps the active region interior; a run records when its deviation support
+first comes within the WENO5 stencil reach of an edge as `edge_contact_t`).
 """
 
 from __future__ import annotations
@@ -39,21 +40,43 @@ def _pad_edge(u, k):
     return np.concatenate([np.tile(lead, reps), u, np.tile(tail, reps)], axis=-1)
 
 
-def weno5_upwind_derivative(u, dx, speed):
-    """du/dx at the nodes, biased against the local transport direction.
+def _span(mask):
+    """[first, last + 1) of the True entries of a 1-D mask, or None."""
+    first = int(mask.argmax())
+    if not mask[first]:
+        return None
+    return first, mask.size - int(mask[::-1].argmax())
 
-    speed > 0 uses the left-leaning stencil, speed < 0 the right-leaning one.
-    Operates along the last axis, so stacked fields (m, n) go in one call.
+
+def weno5_upwind_derivative(u, dx, speed):
+    """du/dx at the nodes of a 1-D field, biased against the local transport
+    direction.
+
+    speed >= 0 uses the left-leaning stencil, speed < 0 (or NaN) the
+    right-leaning one; a scalar speed applies to every node.  Each face is
+    reconstructed only over the index span from the first to the last node
+    that uses it, so a one-signed speed costs one face, and every node gets
+    the same arithmetic as a full-grid face would give it.
     """
-    up = _pad_edge(np.asarray(u), 3)
-    d = np.diff(up, axis=-1) / dx  # d[j] = (up[j+1] - up[j]) / dx
-    n = u.shape[-1]
-    # node i sits at padded index i + 3; d[..., i + 2] = (u[i] - u[i-1]) / dx
-    left = _weno5_face(d[..., 0:n], d[..., 1:n + 1], d[..., 2:n + 2],
-                       d[..., 3:n + 3], d[..., 4:n + 4])
-    right = _weno5_face(d[..., 5:n + 5], d[..., 4:n + 4], d[..., 3:n + 3],
-                        d[..., 2:n + 2], d[..., 1:n + 1])
-    return np.where(np.asarray(speed) >= 0.0, left, right)
+    u = np.asarray(u)
+    up = _pad_edge(u, 3)
+    d = np.diff(up) / dx  # d[j] = (up[j+1] - up[j]) / dx
+    pos = np.greater_equal(speed, 0.0, out=np.empty(u.shape, dtype=bool))
+    out = np.empty_like(d, shape=u.shape)
+    # node i sits at padded index i + 3; d[i + 2] = (u[i] - u[i-1]) / dx.
+    # The left face fills its whole span; the right face then overwrites
+    # the nodes of its own span whose speed is negative.
+    span = _span(pos)
+    if span is not None:
+        a, b = span
+        out[a:b] = _weno5_face(*(d[k + a:k + b] for k in (0, 1, 2, 3, 4)))
+    neg = ~pos
+    span = _span(neg)
+    if span is not None:
+        a, b = span
+        np.copyto(out[a:b], _weno5_face(*(d[k + a:k + b] for k in (5, 4, 3, 2, 1))),
+                  where=neg[a:b])
+    return out
 
 
 def deriv1_c4(u, dx):

@@ -98,8 +98,9 @@ def test_run_experiment_artifacts(tmp_path):
         assert required in names
     summary = json.load(open(tmp_path / "summary.json"))
     assert summary["status"] == "blew_up"
-    assert summary["schema_version"] == SCHEMA_VERSION == 4
+    assert summary["schema_version"] == SCHEMA_VERSION == 5
     assert "T_star" in summary and "seed" not in summary
+    assert "edge_contact_t" in summary
     # the exterior gradient is taken outside a quarter of the domain width
     delta = 0.25 * (cfg.solver.theta_max - cfg.solver.theta_min)
     assert ([k for k in rec.samples[0] if k.startswith("ext_grad_")]
@@ -118,6 +119,45 @@ def test_run_experiment_deterministic(tmp_path):
     run_experiment(small_config(tmp_path / "a"), str(tmp_path / "a"))
     assert open(tmp_path / "a" / "run.jsonl", "rb").read() == jl1
     assert open(tmp_path / "a" / "summary.json", "rb").read() == s1
+
+
+def test_summary_does_not_depend_on_out_dir(tmp_path):
+    # same physics written to two directories => one hash, one summary
+    for name in ("a", "b"):
+        run_experiment(small_config(tmp_path / name))
+    s_a = open(tmp_path / "a" / "summary.json", "rb").read()
+    assert open(tmp_path / "b" / "summary.json", "rb").read() == s_a
+    header = json.loads(open(tmp_path / "b" / "run.jsonl").readline())
+    assert header["config"]["out_dir"] == str(tmp_path / "b")
+
+
+def _support_edges(rec):
+    solver = rec.config["solver"]
+    grid = np.linspace(solver["theta_min"], solver["theta_max"],
+                       solver["n_cells"])
+    return grid[3], grid[-4]  # the WENO5 stencil reach from either end
+
+
+def test_edge_contact_recorded_and_diagnosed(tmp_path, capsys):
+    # the curved run's z-deviation reaches the left grid edge before blow-up
+    curved = run_experiment(small_config(tmp_path / "curved"))
+    lo_edge, hi_edge = _support_edges(curved)
+    t_contact = json.load(open(tmp_path / "curved" / "summary.json"))["edge_contact_t"]
+    assert t_contact is not None
+    touching = [s["t_tilde"] for s in curved.samples
+                if s["support_lo"] <= lo_edge or s["support_hi"] >= hi_edge]
+    assert touching[0] == t_contact
+    cli.main(["diagnose", str(tmp_path / "curved" / "run.jsonl")])
+    assert f"edge contact      : t~ = {t_contact:.8g}\n" in capsys.readouterr().out
+
+    # in flat mode z stays at the background and w stays interior
+    flat = run_experiment(small_config(tmp_path / "flat", flat_mode=True))
+    lo_edge, hi_edge = _support_edges(flat)
+    assert json.load(open(tmp_path / "flat" / "summary.json"))["edge_contact_t"] is None
+    assert all(lo_edge < s["support_lo"] and s["support_hi"] < hi_edge
+               for s in flat.samples)
+    cli.main(["diagnose", str(tmp_path / "flat" / "run.jsonl")])
+    assert "edge contact      : none\n" in capsys.readouterr().out
 
 
 def test_empty_sweep_is_single_run(tmp_path):
