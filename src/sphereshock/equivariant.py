@@ -22,8 +22,8 @@ from .modulation import (DegenerateRhsError, ModulationState,
                          constraints_from_field, ode_rhs, track_extremal)
 from .records import RunRecord
 from .riemann import betas
-from .selfsim import (BootstrapConstants, bootstrap_report, normalization_check,
-                      profile_distance, to_selfsimilar)
+from .selfsim import (BootstrapConstants, bootstrap_report, compared_window,
+                      normalization_check, profile_distance, to_selfsimilar)
 from .util import bump, lagrange_value_and_derivs
 from .weno import deriv1_c4, weno5_upwind_derivative
 
@@ -357,6 +357,12 @@ def run_until_blowup(cfg: SolverConfig) -> RunRecord:
                                   beta_tau=beta_tau)
             prev_tau, prev_t = tau, state.t_tilde
             fld = to_selfsimilar(state.theta_abs(), state.w, state.z, mod)
+            win = compared_window(fld.y, consts.L)
+            if win.start == win.stop:
+                # the zoom frame has stretched the grid spacing past |y| <= L:
+                # no node is left to compare with the profile
+                status = "unresolved"
+                break
             row = _sample_row(state, fld, mod, slope, abs(smin), dt, bc, cfg,
                               consts)
             record.add_sample(**row)

@@ -303,6 +303,19 @@ def test_dt_floor_stop_is_stalled():
     assert rec.status == "stalled"
 
 
+def test_empty_compared_window_stops_unresolved():
+    # 512 cells never reach the default slope cap before the zoom frame
+    # stretches every node out of |y| <= L; this once crashed in
+    # profile_distance
+    cfg = eq.SolverConfig(n_cells=512, tau0=1e-2, record_every=4)
+    rec = eq.run_until_blowup(cfg)
+    assert rec.status == "unresolved"
+    assert rec.summary["steps"] > 0
+    last = rec.samples[-1]
+    assert last["max_slope"] < cfg.blowup_slope_cap
+    assert np.isfinite(last["prof_weighted"])
+
+
 def test_run_vacuum_detection():
     # adversarial rarefaction data: w pulled below z locally -> vacuum status
     cfg = eq.SolverConfig(n_cells=512, tau0=1e-2, enforce_regime=False,

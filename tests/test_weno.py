@@ -1,15 +1,26 @@
+import os
+
 import numpy as np
 import pytest
 
+from sphereshock import diagnostics as dg
+from sphereshock import equivariant as eq
 from sphereshock import weno
-from sphereshock.weno import _pad_edge, _weno5_face, weno5_upwind_derivative
+from sphereshock.config import ExperimentConfig
+from sphereshock.weno import (FRONT_HALF_WIDTH, _pad_edge, _weno5_face,
+                              front_window, weno5_upwind_derivative)
 
 N = 512
+K = FRONT_HALF_WIDTH
+
+
+def _slopes(u, dx):
+    return np.diff(_pad_edge(np.asarray(u, dtype=float), 3)) / dx
 
 
 def two_face_reference(u, dx, speed):
-    """Both faces on every node, then one picked per node by the sign."""
-    d = np.diff(_pad_edge(np.asarray(u), 3)) / dx
+    """Both WENO5 faces on every node, then one picked per node by the sign."""
+    d = _slopes(u, dx)
     n = len(u)
     left = _weno5_face(d[0:n], d[1:n + 1], d[2:n + 2], d[3:n + 3], d[4:n + 4])
     right = _weno5_face(d[5:n + 5], d[4:n + 4], d[3:n + 3], d[2:n + 2],
@@ -17,14 +28,29 @@ def two_face_reference(u, dx, speed):
     return np.where(np.asarray(speed) >= 0.0, left, right)
 
 
-def _field():
-    x = np.linspace(-1.0, 1.0, N)
+def linear_reference(u, dx, speed):
+    """Both linear faces on every node, then one picked per node by the sign;
+    the right-leaning face is the left-leaning one of the mirrored slopes."""
+    d = _slopes(u, dx)
+    n = len(u)
+    c = np.array([2.0, -13.0, 47.0, 27.0, -3.0]) / 60.0
+    left = np.correlate(d[:n + 4], c)
+    right = np.correlate(d[::-1][:n + 4], c)[::-1]
+    return np.where(np.asarray(speed) >= 0.0, left, right)
+
+
+def _field(n=N):
+    x = np.linspace(-1.0, 1.0, n)
     rng = np.random.default_rng(7)
-    return np.tanh(8.0 * x) + 0.3 * np.sin(5.0 * x) + 1e-3 * rng.standard_normal(N)
+    return np.tanh(8.0 * x) + 0.3 * np.sin(5.0 * x) + 1e-3 * rng.standard_normal(n)
 
 
 def _quarters(signs):
     return np.repeat(np.asarray(signs, dtype=float), N // len(signs))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
 
 
 SPEEDS = {
@@ -42,23 +68,91 @@ SPEEDS = {
 }
 
 
+def _window_mask(u):
+    a, b = front_window(u)
+    assert 0 < a < b < len(u)
+    inside = np.zeros(len(u), dtype=bool)
+    inside[a:b] = True
+    return inside
+
+
 @pytest.mark.parametrize("name", SPEEDS)
 def test_bit_identical_to_two_face_formula(name):
+    # inside the front window: the WENO5 faces, bit for bit
     u = _field()
     speed = SPEEDS[name]()
     got = weno5_upwind_derivative(u, 0.01, speed)
-    ref = two_face_reference(u, 0.01, speed)
-    assert got.shape == ref.shape == u.shape
-    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    assert got.shape == u.shape
+    inside = _window_mask(u)
+    assert np.array_equal(_bits(got[inside]),
+                          _bits(two_face_reference(u, 0.01, speed)[inside]))
 
 
-def test_constant_field_has_zero_derivative():
+@pytest.mark.parametrize("name", SPEEDS)
+def test_linear_face_outside_the_window(name):
+    u = _field()
+    speed = SPEEDS[name]()
+    got = weno5_upwind_derivative(u, 0.01, speed)
+    outside = ~_window_mask(u)
+    assert np.array_equal(_bits(got[outside]),
+                          _bits(linear_reference(u, 0.01, speed)[outside]))
+
+
+def test_linear_face_is_weno5_at_optimal_weights():
+    d = _slopes(_field(), 0.01)
+    v = [d[k:k + N] for k in range(5)]
+    q1 = v[0] / 3.0 - 7.0 * v[1] / 6.0 + 11.0 * v[2] / 6.0
+    q2 = -v[1] / 6.0 + 5.0 * v[2] / 6.0 + v[3] / 3.0
+    q3 = v[2] / 3.0 + 5.0 * v[3] / 6.0 - v[4] / 6.0
+    optimal = 0.1 * q1 + 0.6 * q2 + 0.3 * q3
+    got = linear_reference(_field(), 0.01, 1.0)
+    assert np.allclose(got, optimal, rtol=0.0, atol=1e-12 * np.max(np.abs(d)))
+
+
+def test_window_centres_on_the_steepest_interval():
+    u = np.zeros(N)
+    u[200:] = 1.0  # one step: interval 199 between nodes 199 and 200
+    assert front_window(u) == (200 - K, 200 + K)
+    u[400:] += 1.0  # a tie at interval 399: the window spans both
+    assert front_window(u) == (200 - K, 400 + K)
+    u[N - 3:] += 1.0  # clipped at the grid end
+    assert front_window(u) == (200 - K, N)
+    assert front_window(np.full(N, 0.8)) == (0, 0)
+
+
+@pytest.mark.parametrize("tie", [False, True])
+def test_mirrored_field_gets_mirrored_window(tie):
+    u = _field()
+    if tie:
+        # integer values, so that the steps of +-1000 at intervals 99 and
+        # 349 tie exactly
+        u = np.round(100.0 * u)
+        u[100], u[350] = u[99], u[349]
+        u[100:] += 1000.0
+        u[350:] -= 1000.0
+    a, b = front_window(u)
+    assert front_window(-u[::-1]) == front_window(u[::-1]) == (N - b, N - a)
+    if tie:
+        assert (a, b) == (100 - K, 350 + K)
+
+
+@pytest.mark.parametrize("name", ["all_positive", "four_runs", "random_signs",
+                                  "scalar_negative"])
+def test_mirrored_field_gets_mirrored_derivative(name):
+    # the scheme itself is mirror-symmetric: no node has speed exactly 0
+    u = _field()
+    speed = np.broadcast_to(SPEEDS[name](), (N,))
+    got = weno5_upwind_derivative(u, 0.01, speed)
+    mirrored = weno5_upwind_derivative(-u[::-1], 0.01, -speed[::-1])
+    assert np.array_equal(_bits(mirrored[::-1]), _bits(got))
+
+
+def test_constant_field_has_zero_derivative(reconstructed_nodes):
     u = np.full(N, 0.8)
     for speed in (_quarters([-1.0, 1.0, -1.0, 1.0]), 1.0, -1.0):
         got = weno5_upwind_derivative(u, 0.01, speed)
-        ref = two_face_reference(u, 0.01, speed)
-        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
         assert np.all(got == 0.0)
+    assert reconstructed_nodes[0] == 0  # no front, no nonlinear face
 
 
 @pytest.fixture
@@ -75,15 +169,14 @@ def reconstructed_nodes(monkeypatch):
 
 @pytest.mark.parametrize("name", SPEEDS)
 def test_faces_reconstructed_only_where_used(name, reconstructed_nodes):
-    speed = SPEEDS[name]()
-    weno5_upwind_derivative(_field(), 0.01, speed)
-    pos = np.broadcast_to(np.asarray(speed) >= 0.0, (N,))
-    if pos.all() or not pos.any():
-        assert reconstructed_nodes[0] == N  # one face, not two
-    else:
-        assert N < reconstructed_nodes[0] <= 2 * N
-    if name == "four_runs":
-        assert reconstructed_nodes[0] == 3 * N // 2
+    # nonlinear faces only on the front window, whatever the grid size
+    for n in (64, 100, 512, 4096, 8192):
+        speed = SPEEDS[name]()
+        if np.ndim(speed):
+            speed = np.resize(speed, n)
+        reconstructed_nodes[0] = 0
+        weno5_upwind_derivative(_field(n), 0.01, speed)
+        assert 0 < reconstructed_nodes[0] <= 2 * (2 * K + 1)
 
 
 def test_fifth_order_on_smooth_field():
@@ -97,3 +190,36 @@ def test_fifth_order_on_smooth_field():
                                    - exact)[3:-3]) for s in (1.0, -1.0)])
     orders = np.log2(np.asarray(errs[:-1]) / np.asarray(errs[1:]))
     assert np.all(orders > 4.7), orders
+
+
+def test_fifth_order_on_smooth_field_outside_the_window():
+    # a jump at x = 12.8 keeps the nonlinear faces there; the smooth nodes
+    # left of x = 8 take the linear face and converge at fifth order
+    errs = []
+    for n in (128, 256, 512):
+        x = np.linspace(0.0, 16.0, n + 1)
+        dx = x[1] - x[0]
+        u = np.sin(x) + np.where(x >= 12.8, 10.0, 0.0)
+        a, _ = front_window(u)
+        assert x[a] > 8.0
+        d = weno5_upwind_derivative(u, dx, 1.0)
+        errs.append(np.max(np.abs(d - np.cos(x))[3:n // 2]))
+    orders = np.log2(np.asarray(errs[:-1]) / np.asarray(errs[1:]))
+    assert np.all(orders > 4.7), orders
+
+
+@pytest.mark.parametrize("n_cells", [1024, 2048])
+def test_blowup_times_agree_with_all_weno_stepping(n_cells, monkeypatch):
+    # the linear faces change the stepping at truncation level only: T*
+    # moves by ~1e-9 relative at 1024 cells (its 1024 -> 2048 change is 6%)
+    path = os.path.join(os.path.dirname(__file__), "..", "configs",
+                        "theorem_a1.json")
+    cfg = ExperimentConfig.load(path).solver.replace(n_cells=n_cells)
+    hybrid = eq.run_until_blowup(cfg)
+    monkeypatch.setattr(eq, "weno5_upwind_derivative", two_face_reference)
+    reference = eq.run_until_blowup(cfg)
+    assert hybrid.status == reference.status == "blew_up"
+    T, T_ref = (dg.blowup_time(r)[0] for r in (hybrid, reference))
+    assert abs(T - T_ref) <= 1e-8 * T_ref
+    Tr, Tr_ref = (dg.blowup_time_refined(r) for r in (hybrid, reference))
+    assert abs(Tr - Tr_ref) <= 1e-11 * Tr_ref
