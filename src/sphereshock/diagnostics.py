@@ -15,6 +15,34 @@ class DiagnosticUndefinedError(ValueError):
     """Not enough usable samples for the requested fit."""
 
 
+# the grid, exponent and denominators of the last holder_seminorm call
+_holder_last = (np.empty(0), None, ())
+
+
+def _holder_denominators(x, exponent):
+    """(sep, good, |x[i+sep] - x[i]|^exponent at good) for the dyadic
+    separations sep = 1, 2, 4, ... < len(x) with any distinct pair, good
+    None when every pair is distinct.  A run samples one fixed grid, so the
+    terms of the last grid are kept, keyed on its content."""
+    global _holder_last
+    last_x, last_exponent, terms = _holder_last
+    if (exponent == last_exponent and last_x.shape == x.shape
+            and np.array_equal(last_x, x)):
+        return terms
+    terms = []
+    sep = 1
+    while sep < len(x):
+        den = np.abs(x[sep:] - x[:-sep]) ** exponent
+        good = den > 0
+        if np.all(good):
+            terms.append((sep, None, den))
+        elif np.any(good):
+            terms.append((sep, good, den[good]))
+        sep *= 2
+    _holder_last = (x.copy(), exponent, terms)
+    return terms
+
+
 def holder_seminorm(x, f, exponent=1.0 / 3.0):
     """Stratified-pair estimate of sup |f(a)-f(b)| / |a-b|^exponent.
 
@@ -23,29 +51,15 @@ def holder_seminorm(x, f, exponent=1.0 / 3.0):
     """
     x = np.asarray(x, dtype=float)
     f = np.asarray(f, dtype=float)
-    n = len(x)
-    if n < 3:
+    if len(x) < 3:
         raise DiagnosticUndefinedError("holder_seminorm needs at least 3 samples")
     best = 0.0
-    sep = 1
-    while sep < n:
+    for sep, good, den in _holder_denominators(x, exponent):
         num = np.abs(f[sep:] - f[:-sep])
-        den = np.abs(x[sep:] - x[:-sep]) ** exponent
-        good = den > 0
-        if np.any(good):
-            best = max(best, float(np.max(num[good] / den[good])))
-        sep *= 2
+        if good is not None:
+            num = num[good]
+        best = max(best, float(np.max(num / den)))
     return best
-
-
-def holder_seminorm_dense(x, f, exponent=1.0 / 3.0):
-    """All-pairs oracle (O(N^2)); for validating the stratified estimator."""
-    x = np.asarray(x, dtype=float)
-    f = np.asarray(f, dtype=float)
-    dx = np.abs(x[:, None] - x[None, :])
-    df = np.abs(f[:, None] - f[None, :])
-    mask = dx > 0
-    return float(np.max(df[mask] / dx[mask] ** exponent))
 
 
 def _growth_window(t, slope, clip_frac=0.02, decade=10.0):

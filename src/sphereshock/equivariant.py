@@ -23,7 +23,8 @@ from .modulation import (DegenerateRhsError, ModulationState,
 from .records import RunRecord
 from .riemann import betas
 from .selfsim import (BootstrapConstants, bootstrap_report, compared_window,
-                      normalization_check, profile_distance, to_selfsimilar)
+                      normalization_check, profile_distance, to_selfsimilar,
+                      window_profile)
 from .util import bump, lagrange_value_and_derivs
 from .weno import deriv1_c4, weno5_upwind_derivative
 
@@ -203,8 +204,7 @@ def rhs(state: EquivariantState, mod: ModulationState, bc, cfg: SolverConfig,
     z = state.z if z is None else z
     t = state.t_tilde if t is None else t
     cw, cz = transport_speeds(w, z, bc, mod.xi_dot)
-    dwx = weno5_upwind_derivative(w, state.dx, cw)
-    dzx = weno5_upwind_derivative(z, state.dx, cz)
+    dwx, dzx = weno5_upwind_derivative((w, z), state.dx, (cw, cz))
     if cfg.flat_mode:
         force = 0.0
     else:
@@ -266,8 +266,9 @@ def _sample_row(state: EquivariantState, fld, mod, slope, smax, dt_next, bc,
                 cfg: SolverConfig, consts):
     """The recorded scalars of one sample: modulation, bootstrap margins,
     profile distances, support extent, exterior gradient, ODE monitor."""
-    ba = bootstrap_report(fld, consts)
-    dist = profile_distance(fld, consts)
+    wbar = window_profile(fld, consts)
+    ba = bootstrap_report(fld, consts, wbar)
+    dist = profile_distance(fld, consts, wbar)
     w0r, dw0r = normalization_check(fld)
     row = dict(t_tilde=state.t_tilde, s=mod.s, kappa=mod.kappa, tau=mod.tau,
                xi=mod.xi, max_slope=smax,

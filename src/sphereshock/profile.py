@@ -76,14 +76,16 @@ def w1d(y):
     return float(w[0]) if scalar else w.reshape(y.shape)
 
 
-def _w1d_derivs(w):
-    """Derivatives d^k W1d / dy^k, k = 1..4, as functions of W = W1d(y)."""
+def _w1d_derivs(w, upto=4):
+    """Derivatives d^k W1d / dy^k, k = 1..upto, as functions of W = W1d(y);
+    the higher ones, whose powers of d dominate the cost, only when asked."""
     d = 1.0 + 3.0 * w * w
-    f1 = -1.0 / d
-    f2 = -6.0 * w / d**3
-    f3 = 6.0 / d**4 - 108.0 * w * w / d**5
-    f4 = 360.0 * w / d**6 - 3240.0 * w**3 / d**7
-    return f1, f2, f3, f4
+    out = [-1.0 / d, -6.0 * w / d**3]
+    if upto >= 3:
+        out.append(6.0 / d**4 - 108.0 * w * w / d**5)
+    if upto >= 4:
+        out.append(360.0 * w / d**6 - 3240.0 * w**3 / d**7)
+    return out[:upto]
 
 
 def w1d_deriv(y, order):
@@ -91,7 +93,7 @@ def w1d_deriv(y, order):
     if not 1 <= order <= 4:
         raise ValueError(f"w1d_deriv supports orders 1..4, got {order}")
     w = np.asarray(w1d(y))
-    out = _w1d_derivs(w)[order - 1]
+    out = _w1d_derivs(w, order)[order - 1]
     return float(out) if np.ndim(y) == 0 else out
 
 
@@ -100,7 +102,7 @@ def w1d_jet(y, upto=2):
     if not 0 <= upto <= 4:
         raise ValueError("w1d_jet supports orders 0..4")
     w = np.asarray(w1d(y))
-    return [w, *_w1d_derivs(w)[:upto]]
+    return [w, *_w1d_derivs(w, upto)]
 
 
 def w2d_jet(y1, y2):

@@ -24,6 +24,8 @@ class BootstrapConstants:
 
     M dominates the initial data and universal constants; tau0 is the
     initial timescale; l = (ln M)^-5 and L = tau0^(-1/10) unless overridden.
+    The inner region |y| <= l is read at fixed points, so the profile there
+    and the inner-family bounds are built once, with the constants.
     """
 
     M: float = 100.0
@@ -31,12 +33,31 @@ class BootstrapConstants:
     sigma_inf: float = 1.0
     l: float = None
     L: float = None
+    inner_y: np.ndarray = field(init=False, repr=False, compare=False)
+    inner_wbar: list = field(init=False, repr=False, compare=False)
+    inner_bounds: list = field(init=False, repr=False, compare=False)
+    distance_y: np.ndarray = field(init=False, repr=False, compare=False)
+    distance_wbar: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.l is None:
             self.l = float(np.log(self.M)) ** -5
         if self.L is None:
             self.L = self.tau0 ** -0.1
+        # ba_wt_inner_k, k = 0..4: 9 points, the profile jet and the bounds
+        ys = np.linspace(-self.l, self.l, 9)
+        M, t0 = self.M, self.tau0
+        self.inner_y = ys
+        self.inner_wbar = profile.w1d_jet(ys, upto=4)
+        self.inner_bounds = []
+        for k in range(0, 5):
+            bound = 10.0 * M**2 * np.sqrt(t0) * np.abs(ys) ** (4 - k)
+            if k <= 3:
+                bound = bound + t0 ** 0.6 * np.abs(ys) ** (3 - k)
+            self.inner_bounds.append(bound)
+        # profile_distance's inner sup: 17 points and the profile
+        self.distance_y = np.linspace(-self.l, self.l, 17)
+        self.distance_wbar = profile.w1d(self.distance_y)
 
 
 @dataclass
@@ -84,13 +105,6 @@ def to_selfsimilar(grid_abs, w, z, mod: ModulationState, nderiv=4) -> SelfSimFie
     return fld
 
 
-def from_selfsimilar(fld: SelfSimField):
-    """Inverse map back to (theta_abs, w, z)."""
-    e32 = np.exp(1.5 * fld.s)
-    e12 = np.exp(0.5 * fld.s)
-    return fld.y / e32 + fld.xi, fld.W / e12 + fld.kappa, fld.Z.copy()
-
-
 def _taylor(jet, y):
     """Taylor polynomial at y of the derivatives `jet` taken at 0."""
     out = 0.0
@@ -129,7 +143,14 @@ def _min_margin(bound, quantity, y):
     return float(margin[i]), float(y[i])
 
 
-def bootstrap_report(fld: SelfSimField, consts: BootstrapConstants) -> BootstrapReport:
+def window_profile(fld: SelfSimField, consts: BootstrapConstants):
+    """[Wbar, Wbar', Wbar''] on the compared window |y| <= L, the profile
+    that bootstrap_report and profile_distance compare W with."""
+    return profile.w1d_jet(fld.y[compared_window(fld.y, consts.L)], upto=2)
+
+
+def bootstrap_report(fld: SelfSimField, consts: BootstrapConstants,
+                     wbar=None) -> BootstrapReport:
     """Pointwise margins of the bootstrap inequalities on the zoom frame.
 
     Families: ba_w_* (profile-scale bounds on W), ba_wt_* (deviation from
@@ -138,6 +159,7 @@ def bootstrap_report(fld: SelfSimField, consts: BootstrapConstants) -> Bootstrap
     Failures are reported, never raised.  The outer three nodes carry
     edge-padded stencils and are excluded; the inner family is
     interpolation-limited once its bounds fall below grid precision.
+    `wbar` is the window_profile of fld, computed when not given.
     """
     trim = slice(3, -3)
     y = fld.y[trim]
@@ -151,61 +173,63 @@ def bootstrap_report(fld: SelfSimField, consts: BootstrapConstants) -> Bootstrap
         if len(yy):
             margins[name], worst[name] = _min_margin(bound, quantity, yy)
 
+    yb23 = yb ** (-2.0 / 3.0)
     put("ba_w_0", (1.0 + t0 ** (1.0 / 23.0)) * yb ** (1.0 / 3.0), fld.W[trim])
-    put("ba_w_1", 15.0 * yb ** (-2.0 / 3.0), fld.dW[1][trim])
-    put("ba_w_2", M ** (1.0 / 6.0) * yb ** (-2.0 / 3.0), fld.dW[2][trim])
-    put("ba_w_3", np.full_like(y, M ** 0.5), fld.dW[3][trim])
-    put("ba_w_4", np.full_like(y, float(M)), fld.dW[4][trim])
+    put("ba_w_1", 15.0 * yb23, fld.dW[1][trim])
+    put("ba_w_2", M ** (1.0 / 6.0) * yb23, fld.dW[2][trim])
+    put("ba_w_3", M ** 0.5, fld.dW[3][trim])
+    put("ba_w_4", float(M), fld.dW[4][trim])
 
     win = compared_window(fld.y, consts.L)
     yw = fld.y[win]
     ybw = np.sqrt(1.0 + yw * yw)
-    wbar, dwbar1, dwbar2 = profile.w1d_jet(yw, upto=2)
-    put("ba_wt_0", t0 ** (1.0 / 3.0) * ybw ** (1.0 / 3.0), fld.W[win] - wbar, yw)
-    put("ba_wt_1", t0 ** 0.25 * ybw ** (-2.0 / 3.0), fld.dW[1][win] - dwbar1, yw)
-    put("ba_wt_2", t0 ** 0.2 * ybw ** (-2.0 / 3.0), fld.dW[2][win] - dwbar2, yw)
+    ybw23 = ybw ** (-2.0 / 3.0)
+    if wbar is None:
+        wbar = window_profile(fld, consts)
+    put("ba_wt_0", t0 ** (1.0 / 3.0) * ybw ** (1.0 / 3.0), fld.W[win] - wbar[0], yw)
+    put("ba_wt_1", t0 ** 0.25 * ybw23, fld.dW[1][win] - wbar[1], yw)
+    put("ba_wt_2", t0 ** 0.2 * ybw23, fld.dW[2][win] - wbar[2], yw)
 
     jet = fld.origin_jet
     margins["ba_wt_3_origin"] = float(t0 ** 0.8 - abs(jet[3] - 6.0))
     worst["ba_wt_3_origin"] = 0.0
 
     # inner region |y| <= l sits below the grid scale: read the origin jet
-    ys = np.linspace(-consts.l, consts.l, 9)
-    wb_inner = profile.w1d_jet(ys, upto=4)
+    ys = consts.inner_y
     for k in range(0, 5):
-        wt_k = _taylor(jet[k:], ys) - wb_inner[k]
-        bound = 10.0 * M**2 * np.sqrt(t0) * np.abs(ys) ** (4 - k)
-        if k <= 3:
-            bound = bound + t0 ** 0.6 * np.abs(ys) ** (3 - k)
-        put(f"ba_wt_inner_{k}", bound, wt_k, ys)
+        wt_k = _taylor(jet[k:], ys) - consts.inner_wbar[k]
+        put(f"ba_wt_inner_{k}", consts.inner_bounds[k], wt_k, ys)
 
-    put("ba_z_0", np.full_like(y, M * t0), fld.Z[trim] + consts.sigma_inf)
+    put("ba_z_0", M * t0, fld.Z[trim] + consts.sigma_inf)
     for k, power in ((1, 1.0), (2, 4.0 / 3.0), (3, 6.0), (4, 7.0)):
-        put(f"ba_z_{k}", np.full_like(y, M**power * e32), fld.dZ[k][trim])
+        put(f"ba_z_{k}", M**power * e32, fld.dZ[k][trim])
 
     return BootstrapReport(margins=margins, worst=worst)
 
 
-def profile_distance(fld: SelfSimField, consts: BootstrapConstants):
+def profile_distance(fld: SelfSimField, consts: BootstrapConstants,
+                     wbar=None):
     """Weighted sup distances between W and the blow-up profile.
 
     Returns {inner_sup, weighted_sup, weighted_grad_sup}: the |y| <= l sup of
     |W - Wbar| through the origin jet, and the <y>^(-1/3)- and
-    <y>^(2/3)-weighted sups on the compared window |y| <= L.
+    <y>^(2/3)-weighted sups on the compared window |y| <= L.  `wbar` is the
+    window_profile of fld, computed when not given.
     """
     win = compared_window(fld.y, consts.L)
     y = fld.y[win]
-    wbar, dwbar = profile.w1d_jet(y, upto=1)
+    if wbar is None:
+        wbar = window_profile(fld, consts)
     yb = np.sqrt(1.0 + y * y)
 
-    ys = np.linspace(-consts.l, consts.l, 17)
-    inner = float(np.max(np.abs(_taylor(fld.origin_jet, ys) - profile.w1d(ys))))
+    inner = float(np.max(np.abs(_taylor(fld.origin_jet, consts.distance_y)
+                                - consts.distance_wbar)))
     return {
         "inner_sup": inner,
         "weighted_sup": float(np.max(yb ** (-1.0 / 3.0)
-                                     * np.abs(fld.W[win] - wbar))),
+                                     * np.abs(fld.W[win] - wbar[0]))),
         "weighted_grad_sup": float(np.max(yb ** (2.0 / 3.0)
-                                          * np.abs(fld.dW[1][win] - dwbar))),
+                                          * np.abs(fld.dW[1][win] - wbar[1]))),
     }
 
 

@@ -62,15 +62,30 @@ def front_window(u):
     FRONT_HALF_WIDTH nodes left of the first interval attaining max|du| to
     FRONT_HALF_WIDTH nodes right of the last one, so the mirrored field gets
     the mirrored window, ties included.  A constant field has no front and
-    gets the empty window (0, 0).
+    gets the empty window (0, 0), as does a field with a NaN interval.
     """
-    du = np.abs(np.diff(u))
-    span = _span(du == du.max())
-    if span is None or du[span[0]] == 0.0:
+    return _window(np.abs(np.diff(u)))
+
+
+def _window(du):
+    """front_window of the field whose interval magnitudes are du."""
+    first = int(du.argmax())  # the first maximum, or the first NaN
+    if not du[first] > 0.0:
         return 0, 0
-    first, stop = span
+    stop = du.size - int(du[::-1].argmax())  # after the last maximum
     return (max(0, first + 1 - FRONT_HALF_WIDTH),
-            min(u.size, stop + FRONT_HALF_WIDTH))
+            min(du.size + 1, stop + FRONT_HALF_WIDTH))
+
+
+def _slopes(u, dx):
+    """(d, du): d[j] = (up[j+1] - up[j]) / dx over u edge-padded with 3
+    ghost nodes, built from du = diff(u) without forming the padding."""
+    du = np.diff(u)
+    d = np.empty(u.size + 5, dtype=np.result_type(du, dx))
+    d[:3] = (u[0] - u[0]) / dx
+    np.divide(du, dx, out=d[3:-3])
+    d[-3:] = (u[-1] - u[-1]) / dx
+    return d, du
 
 
 def _linear_face(d, a, b, left):
@@ -83,50 +98,70 @@ def _linear_face(d, a, b, left):
     return np.correlate(d[a + 1:b + 5][::-1], _LINEAR)[::-1]
 
 
-def _nonlinear_face(d, a, b, left):
-    """The WENO5 face at nodes a..b-1."""
-    ks = (0, 1, 2, 3, 4) if left else (5, 4, 3, 2, 1)
-    return _weno5_face(*(d[k + a:k + b] for k in ks))
-
-
-def _upwind(out, d, pos, a, b, face):
-    """Write the faces of nodes a..b-1 into out[a:b]: the left-leaning one
-    where pos, the right-leaning one elsewhere.  Each is evaluated only over
-    the index span from the first to the last node that uses it; the left
-    face fills its whole span and the right face then overwrites the nodes
-    of its own span whose speed is negative."""
+def _pieces(pos, a, b):
+    """The faces that nodes a..b-1 take, as (lo, hi, left, where): the
+    left-leaning face over the span from the first to the last node with
+    pos, then the right-leaning face over the span of the others, written
+    only where `where` holds.  Applied in this order, each node ends with
+    the face of its own sign."""
+    out = []
     span = _span(pos[a:b])
     if span is not None:
-        lo, hi = span
-        out[a + lo:a + hi] = face(d, a + lo, a + hi, True)
+        out.append((a + span[0], a + span[1], True, None))
     neg = ~pos[a:b]
     span = _span(neg)
     if span is not None:
         lo, hi = span
-        np.copyto(out[a + lo:a + hi], face(d, a + lo, a + hi, False),
-                  where=neg[lo:hi])
+        out.append((a + lo, a + hi, False, neg[lo:hi]))
+    return out
 
 
-def weno5_upwind_derivative(u, dx, speed):
-    """du/dx at the nodes of a 1-D field, biased against the local transport
-    direction.
+def _put(out, lo, hi, where, face):
+    """out[lo:hi] = face, only where `where` holds unless it is None."""
+    if where is None:
+        out[lo:hi] = face
+    else:
+        np.copyto(out[lo:hi], face, where=where)
+
+
+def weno5_upwind_derivative(fields, dx, speeds):
+    """d/dx at the nodes of each 1-D field, biased against its local
+    transport direction; one derivative per field.
 
     speed >= 0 uses the left-leaning stencil, speed < 0 (or NaN) the
     right-leaning one; a scalar speed applies to every node.  Every node
     gets the linear fifth-order face; the nonlinear WENO5 face then
-    overwrites it on the `front_window` of u.  Away from the front the field
-    is smooth, and there the WENO5 weights equal the optimal ones up to
-    O(dx^2) (Jiang & Shu 1996), so the two faces agree to truncation level.
+    overwrites it on the `front_window` of its field.  Away from the front
+    the field is smooth, and there the WENO5 weights equal the optimal ones
+    up to O(dx^2) (Jiang & Shu 1996), so the two faces agree to truncation
+    level.  The nonlinear faces of all fields are evaluated in one call on
+    their concatenated slopes: the face is elementwise, so each derivative
+    is bit-identical to the one of its field alone, and the per-call cost
+    is paid once.
     """
-    u = np.asarray(u)
-    up = _pad_edge(u, 3)
-    d = np.diff(up) / dx  # d[j] = (up[j+1] - up[j]) / dx
-    pos = np.greater_equal(speed, 0.0, out=np.empty(u.shape, dtype=bool))
-    out = np.empty_like(d, shape=u.shape)
-    # node i sits at padded index i + 3; d[i + 2] = (u[i] - u[i-1]) / dx.
-    _upwind(out, d, pos, 0, u.size, _linear_face)
-    _upwind(out, d, pos, *front_window(u), _nonlinear_face)
-    return out
+    outs, slopes, targets = [], [], []
+    for u, speed in zip(fields, speeds):
+        u = np.asarray(u)
+        d, du = _slopes(u, dx)
+        pos = np.greater_equal(speed, 0.0, out=np.empty(u.shape, dtype=bool))
+        out = np.empty_like(d, shape=u.shape)
+        # node i sits at padded index i + 3; d[i + 2] = (u[i] - u[i-1]) / dx.
+        for lo, hi, left, where in _pieces(pos, 0, u.size):
+            _put(out, lo, hi, where, _linear_face(d, lo, hi, left))
+        for lo, hi, left, where in _pieces(pos, *_window(np.abs(du))):
+            ks = (0, 1, 2, 3, 4) if left else (5, 4, 3, 2, 1)
+            slopes.append([d[k + lo:k + hi] for k in ks])
+            targets.append((out, lo, hi, where))
+        outs.append(out)
+    if slopes:
+        if len(slopes) > 1:
+            slopes = [[np.concatenate(vs) for vs in zip(*slopes)]]
+        faces = _weno5_face(*slopes[0])
+        at = 0
+        for out, lo, hi, where in targets:
+            _put(out, lo, hi, where, faces[at:at + hi - lo])
+            at += hi - lo
+    return outs
 
 
 def deriv1_c4(u, dx):

@@ -1,10 +1,14 @@
 """Acceptance suite: every certification criterion as a gated test, each
 printing one PASS/FAIL line.  Heavy blow-up runs are shared session
-fixtures.  Run with:  pytest tests/test_acceptance.py -v -s
+fixtures, run together in a process pool.  Run with:
+pytest tests/test_acceptance.py -v -s
 """
 
 import math
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -42,25 +46,54 @@ def _sweep_config(tau0):
                            monitor_M=MONITOR_M)
 
 
-@pytest.fixture(scope="session")
-def crit5_run():
-    cfg = eq.SolverConfig(n_cells=8192, tau0=TAU0, sigma_inf=SIGMA_INF,
-                          xi0=XI0, record_every=4, blowup_slope_cap=1150.0,
-                          emit_selfsim_ds=0.2, monitor_M=MONITOR_M)
+def _timed_run(cfg):
+    """One blow-up run in a pool worker, with the worker's time for it."""
     t0 = time.perf_counter()
     rec = eq.run_until_blowup(cfg)
-    rec.summary["wall_seconds"] = time.perf_counter() - t0
+    return rec, time.perf_counter() - t0
+
+
+@pytest.fixture(scope="session")
+def pooled_runs(request):
+    """The criterion-6 rows and the criterion-5 run that the selected tests
+    use, as jobs in a fork pool of nproc workers, submitted together."""
+    used = set()
+    for item in request.session.items:
+        used.update(item.fixturenames)
+    jobs = {}
+    if "sweep_runs" in used:
+        jobs.update((tau0, _sweep_config(tau0)) for tau0 in SWEEP_TAU0)
+    if "crit5_run" in used:
+        jobs["crit5"] = eq.SolverConfig(
+            n_cells=8192, tau0=TAU0, sigma_inf=SIGMA_INF, xi0=XI0,
+            record_every=4, blowup_slope_cap=1150.0, emit_selfsim_ds=0.2,
+            monitor_M=MONITOR_M)
+    workers = min(len(jobs), len(os.sched_getaffinity(0)))
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        futs = {key: pool.submit(_timed_run, cfg) for key, cfg in jobs.items()}
+        yield {key: (jobs[key], fut) for key, fut in futs.items()}
+
+
+@pytest.fixture(scope="session")
+def crit5_run(pooled_runs):
+    # the wall of criterion 5 is the run's own time inside its worker
+    cfg, fut = pooled_runs["crit5"]
+    rec, wall = fut.result()
+    rec.summary["wall_seconds"] = wall
     return cfg, rec
 
 
 @pytest.fixture(scope="session")
-def sweep_runs():
-    out = {}
-    t0 = time.perf_counter()
+def sweep_runs(pooled_runs):
+    # the wall of criterion 6 is the sum of its rows' run times, not the
+    # pool's elapsed time
+    out, wall = {}, 0.0
     for tau0 in SWEEP_TAU0:
-        cfg = _sweep_config(tau0)
-        out[tau0] = (cfg, eq.run_until_blowup(cfg))
-    wall = time.perf_counter() - t0
+        cfg, fut = pooled_runs[tau0]
+        rec, row_wall = fut.result()
+        out[tau0] = (cfg, rec)
+        wall += row_wall
     return out, wall
 
 

@@ -73,6 +73,30 @@ def test_blowup_time_sampling_cadence_invariance():
     assert abs(T1 - T2) <= 2e-6  # 2 dt at the stop cadence
 
 
+def holder_seminorm_dense(x, f, exponent=1.0 / 3.0):
+    """All-pairs oracle (O(N^2)); for validating the stratified estimator."""
+    x = np.asarray(x, dtype=float)
+    f = np.asarray(f, dtype=float)
+    dx = np.abs(x[:, None] - x[None, :])
+    df = np.abs(f[:, None] - f[None, :])
+    mask = dx > 0
+    return float(np.max(df[mask] / dx[mask] ** exponent))
+
+
+def holder_seminorm_uncached(x, f, exponent=1.0 / 3.0):
+    """The stratified estimator with its denominators formed on every call."""
+    best = 0.0
+    sep = 1
+    while sep < len(x):
+        num = np.abs(f[sep:] - f[:-sep])
+        den = np.abs(x[sep:] - x[:-sep]) ** exponent
+        good = den > 0
+        if np.any(good):
+            best = max(best, float(np.max(num[good] / den[good])))
+        sep *= 2
+    return best
+
+
 def test_holder_seminorm_cube_root():
     x = np.linspace(-1.0, 1.0, 20001)
     f = np.cbrt(x)
@@ -90,7 +114,7 @@ def test_holder_estimator_vs_dense_oracle():
     x = np.linspace(0.0, 1.0, 257)
     f = np.cumsum(rng.normal(size=257)) * 0.01
     est = dg.holder_seminorm(x, f)
-    dense = dg.holder_seminorm_dense(x, f)
+    dense = holder_seminorm_dense(x, f)
     assert est <= dense + 1e-12
     assert est >= 0.5 * dense  # stratified pairs capture the bulk
 
@@ -99,8 +123,28 @@ def test_holder_monotone_under_refinement():
     x = np.linspace(-1.0, 1.0, 101)
     f = np.cbrt(x)
     v1 = dg.holder_seminorm(x, f)
-    v2 = dg.holder_seminorm_dense(x, f)
+    v2 = holder_seminorm_dense(x, f)
     assert v1 <= v2 + 1e-12
+
+
+def test_holder_denominators_follow_the_grid():
+    # two grids of one length, used alternately: the kept denominators
+    # belong to the grid of the call, whatever array object holds it
+    rng = np.random.default_rng(11)
+    n = 301
+    grids = [np.linspace(0.0, 1.0, n), np.sort(rng.uniform(-2.0, 3.0, n))]
+    grids[1][100] = grids[1][101]  # a repeated node: some pairs coincide
+    buf = np.empty(n)
+    for i in range(8):
+        x = grids[i % 2]
+        f = np.cbrt(x - 0.3) + 0.01 * rng.standard_normal(n)
+        if i < 4:
+            np.copyto(buf, x)  # one array object, refilled with each grid
+            x = buf
+        val = dg.holder_seminorm(x, f)
+        assert val == holder_seminorm_uncached(x, f)
+        assert val <= holder_seminorm_dense(x, f) + 1e-12
+    assert dg.holder_seminorm(x, f, 0.5) == holder_seminorm_uncached(x, f, 0.5)
 
 
 def test_location_report_zero_drift():

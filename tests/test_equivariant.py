@@ -1,12 +1,15 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hs
 
+from sphereshock import diagnostics as dg
 from sphereshock import equivariant as eq
 from sphereshock import geometry as geo
 from sphereshock import riemann as rm
+from sphereshock.config import ExperimentConfig
 from sphereshock.modulation import ModulationState
 from sphereshock.riemann import betas
 from sphereshock.selfsim import BootstrapConstants
@@ -348,3 +351,27 @@ def _run_with_state(cfg, state):
         vmax = eq.max_transport_speed(state, mod, bc)
         dt = cfg.cfl * state.dx / max(vmax, 1e-30)
         state = eq.step(state, mod, dt, bc, cfg, check_support=False)
+
+
+def test_headline_numbers_do_not_depend_on_the_left_edge():
+    # configs/theorem_a1.json at 1024 cells lets its z-deviation reach the
+    # left edge; moving that edge 512 nodes further out at the same dx
+    # removes the contact and leaves T*, the refined T*, status and flags
+    path = os.path.join(os.path.dirname(__file__), "..", "configs",
+                        "theorem_a1.json")
+    exp = ExperimentConfig.load(path)
+    cfg = exp.solver.replace(n_cells=1024)
+    dx = (cfg.theta_max - cfg.theta_min) / (cfg.n_cells - 1)
+    wide = cfg.replace(n_cells=cfg.n_cells + 512,
+                       theta_min=cfg.theta_min - 512 * dx,
+                       theta_max=cfg.theta_max)
+    runs = [eq.run_until_blowup(c) for c in (cfg, wide)]
+    assert dg.edge_contact_time(runs[0]) is not None
+    assert dg.edge_contact_time(runs[1]) is None
+    assert runs[0].status == runs[1].status == "blew_up"
+    (T, _, _), (T_wide, _, _) = (dg.blowup_time(r) for r in runs)
+    assert abs(T - T_wide) <= 1e-6 * T_wide
+    Tr, Tr_wide = (dg.blowup_time_refined(r) for r in runs)
+    assert abs(Tr - Tr_wide) <= 1e-11 * Tr_wide
+    flags = [dg.blowup_report(r, exp.diagnostics.holder_cap).flags for r in runs]
+    assert flags[0] == flags[1]

@@ -81,7 +81,7 @@ def test_bit_identical_to_two_face_formula(name):
     # inside the front window: the WENO5 faces, bit for bit
     u = _field()
     speed = SPEEDS[name]()
-    got = weno5_upwind_derivative(u, 0.01, speed)
+    (got,) = weno5_upwind_derivative([u], 0.01, [speed])
     assert got.shape == u.shape
     inside = _window_mask(u)
     assert np.array_equal(_bits(got[inside]),
@@ -92,7 +92,7 @@ def test_bit_identical_to_two_face_formula(name):
 def test_linear_face_outside_the_window(name):
     u = _field()
     speed = SPEEDS[name]()
-    got = weno5_upwind_derivative(u, 0.01, speed)
+    (got,) = weno5_upwind_derivative([u], 0.01, [speed])
     outside = ~_window_mask(u)
     assert np.array_equal(_bits(got[outside]),
                           _bits(linear_reference(u, 0.01, speed)[outside]))
@@ -118,6 +118,8 @@ def test_window_centres_on_the_steepest_interval():
     u[N - 3:] += 1.0  # clipped at the grid end
     assert front_window(u) == (200 - K, N)
     assert front_window(np.full(N, 0.8)) == (0, 0)
+    u[300] = np.nan
+    assert front_window(u) == (0, 0)
 
 
 @pytest.mark.parametrize("tie", [False, True])
@@ -142,25 +144,26 @@ def test_mirrored_field_gets_mirrored_derivative(name):
     # the scheme itself is mirror-symmetric: no node has speed exactly 0
     u = _field()
     speed = np.broadcast_to(SPEEDS[name](), (N,))
-    got = weno5_upwind_derivative(u, 0.01, speed)
-    mirrored = weno5_upwind_derivative(-u[::-1], 0.01, -speed[::-1])
+    got, mirrored = weno5_upwind_derivative([u, -u[::-1]], 0.01,
+                                            [speed, -speed[::-1]])
     assert np.array_equal(_bits(mirrored[::-1]), _bits(got))
 
 
 def test_constant_field_has_zero_derivative(reconstructed_nodes):
     u = np.full(N, 0.8)
     for speed in (_quarters([-1.0, 1.0, -1.0, 1.0]), 1.0, -1.0):
-        got = weno5_upwind_derivative(u, 0.01, speed)
-        assert np.all(got == 0.0)
-    assert reconstructed_nodes[0] == 0  # no front, no nonlinear face
+        for got in weno5_upwind_derivative([u, 0.5 * u], 0.01, [speed, speed]):
+            assert np.all(got == 0.0)
+    assert reconstructed_nodes == [0, 0]  # no front, no nonlinear face
 
 
 @pytest.fixture
 def reconstructed_nodes(monkeypatch):
-    count = [0]
+    count = [0, 0]  # nodes, calls
 
     def counting_face(v1, v2, v3, v4, v5):
         count[0] += len(v1)
+        count[1] += 1
         return _weno5_face(v1, v2, v3, v4, v5)
 
     monkeypatch.setattr(weno, "_weno5_face", counting_face)
@@ -175,8 +178,36 @@ def test_faces_reconstructed_only_where_used(name, reconstructed_nodes):
         if np.ndim(speed):
             speed = np.resize(speed, n)
         reconstructed_nodes[0] = 0
-        weno5_upwind_derivative(_field(n), 0.01, speed)
+        weno5_upwind_derivative([_field(n)], 0.01, [speed])
         assert 0 < reconstructed_nodes[0] <= 2 * (2 * K + 1)
+
+
+@pytest.mark.parametrize("name", SPEEDS)
+def test_batched_fields_equal_one_field_at_a_time(name):
+    # one nonlinear face call for all fields changes no bit of any of them
+    u = _field()
+    fields = [u, np.full(N, 0.8), -u[::-1], np.cos(3.0 * u)]
+    speeds = [SPEEDS[name](), SPEEDS["four_runs"](), -1.5,
+              SPEEDS["random_signs"]()]
+    got = weno5_upwind_derivative(fields, 0.01, speeds)
+    assert len(got) == len(fields)
+    for g, f, c in zip(got, fields, speeds):
+        (alone,) = weno5_upwind_derivative([f], 0.01, [c])
+        assert np.array_equal(_bits(g), _bits(alone))
+
+
+@pytest.mark.parametrize("name", SPEEDS)
+def test_one_nonlinear_face_call_per_derivative_call(name, reconstructed_nodes):
+    u = _field()
+    speed = SPEEDS[name]()
+    for fields in ([u], [u, np.cos(3.0 * u)], [np.full(N, 0.8), u, -u[::-1]]):
+        reconstructed_nodes[:] = [0, 0]
+        weno5_upwind_derivative(fields, 0.01, [speed] * len(fields))
+        assert reconstructed_nodes[1] == 1
+        assert 0 < reconstructed_nodes[0] <= len(fields) * 2 * (2 * K + 1)
+    reconstructed_nodes[:] = [0, 0]
+    weno5_upwind_derivative([np.full(N, 0.8), np.zeros(N)], 0.01, [speed] * 2)
+    assert reconstructed_nodes == [0, 0]
 
 
 def test_fifth_order_on_smooth_field():
@@ -186,8 +217,8 @@ def test_fifth_order_on_smooth_field():
         dx = x[1] - x[0]
         exact = np.cos(x + 0.5)
         # nodes 3..n-3 reach no ghost node with either stencil
-        errs.append([np.max(np.abs(weno5_upwind_derivative(np.sin(x + 0.5), dx, s)
-                                   - exact)[3:-3]) for s in (1.0, -1.0)])
+        got = weno5_upwind_derivative([np.sin(x + 0.5)] * 2, dx, (1.0, -1.0))
+        errs.append([np.max(np.abs(d - exact)[3:-3]) for d in got])
     orders = np.log2(np.asarray(errs[:-1]) / np.asarray(errs[1:]))
     assert np.all(orders > 4.7), orders
 
@@ -202,7 +233,7 @@ def test_fifth_order_on_smooth_field_outside_the_window():
         u = np.sin(x) + np.where(x >= 12.8, 10.0, 0.0)
         a, _ = front_window(u)
         assert x[a] > 8.0
-        d = weno5_upwind_derivative(u, dx, 1.0)
+        (d,) = weno5_upwind_derivative([u], dx, [1.0])
         errs.append(np.max(np.abs(d - np.cos(x))[3:n // 2]))
     orders = np.log2(np.asarray(errs[:-1]) / np.asarray(errs[1:]))
     assert np.all(orders > 4.7), orders
@@ -216,7 +247,11 @@ def test_blowup_times_agree_with_all_weno_stepping(n_cells, monkeypatch):
                         "theorem_a1.json")
     cfg = ExperimentConfig.load(path).solver.replace(n_cells=n_cells)
     hybrid = eq.run_until_blowup(cfg)
-    monkeypatch.setattr(eq, "weno5_upwind_derivative", two_face_reference)
+
+    def all_weno(fields, dx, speeds):
+        return [two_face_reference(u, dx, c) for u, c in zip(fields, speeds)]
+
+    monkeypatch.setattr(eq, "weno5_upwind_derivative", all_weno)
     reference = eq.run_until_blowup(cfg)
     assert hybrid.status == reference.status == "blew_up"
     T, T_ref = (dg.blowup_time(r)[0] for r in (hybrid, reference))
