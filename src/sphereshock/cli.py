@@ -1,5 +1,5 @@
-"""Command-line interface: simulate, sweep, diagnose, profile table,
-check-geometry, trajectories."""
+"""Command-line interface: simulate, sweep, diagnose, profile table and
+calibrate, check-geometry, trajectories."""
 
 from __future__ import annotations
 
@@ -100,6 +100,14 @@ def cmd_profile_table(args):
     return 0
 
 
+def cmd_profile_calibrate(args):
+    from . import profile
+    print(f"{'gamma':>8} {'C_gamma':>12} {'argmax (y1, y2)':>28}")
+    for (g1, g2), (c, y1, y2) in profile.calibrate_deriv_bounds().items():
+        print(f"  ({g1},{g2}) {c:12.6f}   ({y1:10.3f}, {y2:10.3f})")
+    return 0
+
+
 def cmd_check_geometry(args):
     from .geometry import DerivationMismatchError, origin_derivative_table
     Q = np.array([[0.0, args.q12, args.q13],
@@ -168,6 +176,9 @@ def build_parser():
     pt.add_argument("--n", type=int, required=True)
     pt.add_argument("--out")
     pt.set_defaults(func=cmd_profile_table)
+    pc = psub.add_parser("calibrate", help="measure the derivative-bound "
+                         "constants that profile.DERIV_BOUND_C freezes")
+    pc.set_defaults(func=cmd_profile_calibrate)
 
     p = sub.add_parser("check-geometry", help="certify the origin table")
     p.add_argument("--psi", type=float, default=0.0)

@@ -255,17 +255,17 @@ def step(state: EquivariantState, mod: ModulationState, dt, bc, cfg: SolverConfi
     return new
 
 
-def _z_origin_jet(state: EquivariantState, xi_abs, s):
-    grid_abs = state.theta_abs()
-    vals = lagrange_value_and_derivs(grid_abs, state.z, xi_abs, nderiv=2, npts=8)
+def _z_origin_jet(grid_abs, z, xi_abs, s):
+    vals = lagrange_value_and_derivs(grid_abs, z, xi_abs, nderiv=2, npts=8)
     e32 = math.exp(-1.5 * s)
     return float(vals[0]), float(vals[1]) * e32, float(vals[2]) * e32**2
 
 
-def _sample_row(state: EquivariantState, fld, mod, slope, smax, dt_next, bc,
-                cfg: SolverConfig, consts):
+def _sample_row(state: EquivariantState, grid_abs, fld, mod, slope, smax,
+                dt_next, bc, cfg: SolverConfig, consts):
     """The recorded scalars of one sample: modulation, bootstrap margins,
-    profile distances, support extent, exterior gradient, ODE monitor."""
+    profile distances, support extent, exterior gradient, ODE monitor.
+    grid_abs is state.theta_abs(), formed once by the caller."""
     wbar = window_profile(fld, consts)
     ba = bootstrap_report(fld, consts, wbar)
     dist = profile_distance(fld, consts, wbar)
@@ -287,11 +287,11 @@ def _sample_row(state: EquivariantState, fld, mod, slope, smax, dt_next, bc,
     # sup outside a quarter domain width of xi; under half the width, the
     # far set is never empty
     delta = 0.25 * (cfg.theta_max - cfg.theta_min)
-    far = np.abs(state.theta_abs() - mod.xi) > delta
+    far = np.abs(grid_abs - mod.xi) > delta
     row[f"ext_grad_{delta:g}"] = float(np.max(np.abs(slope[far])))
     try:
-        cons = constraints_from_field(state.theta_abs(), state.w, mod.xi)
-        Z0, dZ0, d2Z0 = _z_origin_jet(state, mod.xi, mod.s)
+        cons = constraints_from_field(grid_abs, state.w, mod.xi)
+        Z0, dZ0, d2Z0 = _z_origin_jet(grid_abs, state.z, mod.xi, mod.s)
         ode = ode_rhs(cons, mod, bc, cfg.sigma_inf, Z0, dZ0, d2Z0,
                       flat_mode=cfg.flat_mode)
     except DegenerateRhsError:
@@ -357,15 +357,16 @@ def run_until_blowup(cfg: SolverConfig) -> RunRecord:
                                   t_tilde=state.t_tilde, xi_dot=drift,
                                   beta_tau=beta_tau)
             prev_tau, prev_t = tau, state.t_tilde
-            fld = to_selfsimilar(state.theta_abs(), state.w, state.z, mod)
+            grid_abs = state.theta_abs()
+            fld = to_selfsimilar(grid_abs, state.w, state.z, mod)
             win = compared_window(fld.y, consts.L)
             if win.start == win.stop:
                 # the zoom frame has stretched the grid spacing past |y| <= L:
                 # no node is left to compare with the profile
                 status = "unresolved"
                 break
-            row = _sample_row(state, fld, mod, slope, abs(smin), dt, bc, cfg,
-                              consts)
+            row = _sample_row(state, grid_abs, fld, mod, slope, abs(smin), dt,
+                              bc, cfg, consts)
             record.add_sample(**row)
             if cfg.emit_selfsim_ds is not None and mod.s >= next_snap_s:
                 # frozen transport uses the instantaneous modulation drift so

@@ -15,6 +15,8 @@ from math import comb
 
 import numpy as np
 
+from .util import r2_points
+
 # Switch point below which the cube-root closed form loses digits to
 # cancellation; a Newton solve of W + W^3 = -y takes over there.
 _NEWTON_CUTOVER = 1e-3
@@ -22,10 +24,11 @@ _NEWTON_CUTOVER = 1e-3
 ETA_EXPONENTS = {"value": 1.0 / 6.0, "d1": -1.0 / 3.0, "d2": 0.0}
 
 # sup over y of |d^g W| * eta^(g1/2 + g2/6 - 1/6), measured by
-# scripts/calibrate_profile_bounds.py (boxes up to [-1e4, 1e4]^2 plus axis
-# and |y1| ~ <y2>^3 ridge samples), frozen with ~3% headroom.  The pure-y2
-# axis suprema converge to the exact values 2, 6, 48, 24; |gamma| <= 1
-# entries are the sharp analytic constants.
+# `sphereshock profile calibrate` (calibrate_deriv_bounds: 2e6 points of
+# [-1e3, 1e3]^2 plus axis, near-origin and |y1| ~ <y2>^3 ridge samples),
+# frozen with at most 4.4% headroom.  The pure-y2 axis suprema converge to
+# the exact values 2, 6, 48, 24; |gamma| <= 1 entries are the sharp
+# analytic constants.
 DERIV_BOUND_C = {
     (0, 0): 1.0,
     (1, 0): 1.0,
@@ -218,9 +221,44 @@ def bound_margins(y1, y2):
             np.sqrt(3.0) / 3.0 - np.abs(T[0][1]))
 
 
+def deriv_bound_exponent(gamma):
+    """The power 1/6 - g1/2 - g2/6 of eta in the bound on |d^gamma W|."""
+    return 1.0 / 6.0 - int(gamma[0]) / 2.0 - int(gamma[1]) / 6.0
+
+
 def deriv_bound_margin(y1, y2, gamma):
     """Margin of |d^gamma W| <= C_gamma eta^{1/6 - g1/2 - g2/6} (frozen C)."""
     g1, g2 = int(gamma[0]), int(gamma[1])
     c = DERIV_BOUND_C[(g1, g2)]
-    power = 1.0 / 6.0 - g1 / 2.0 - g2 / 6.0
-    return c * eta(y1, y2, power) - np.abs(w2d_deriv(y1, y2, (g1, g2)))
+    return (c * eta(y1, y2, deriv_bound_exponent(gamma))
+            - np.abs(w2d_deriv(y1, y2, (g1, g2))))
+
+
+def calibrate_deriv_bounds():
+    """{gamma: (C_gamma, y1, y2)} for |gamma| <= 4: the smallest C_gamma
+    with |d^gamma W| <= C_gamma eta^{1/6 - g1/2 - g2/6} on the calibration
+    sample, and the point attaining it.  DERIV_BOUND_C freezes these values
+    rounded up.
+
+    The sample is 2e6 quasi-random points of [-1e3, 1e3]^2, both axes, a
+    [-3, 3]^2 refinement near the origin and five |y1| ~ <y2>^3 ridges.
+    """
+    pts = [r2_points(2_000_000, (-1e3, -1e3), (1e3, 1e3)),
+           np.column_stack([np.linspace(-1e3, 1e3, 40001), np.zeros(40001)]),
+           np.column_stack([np.zeros(40001), np.linspace(-1e3, 1e3, 40001)]),
+           r2_points(200001, (-3.0, -3.0), (3.0, 3.0))]
+    t = np.linspace(-10, 10, 20001)
+    r = np.linspace(-31, 31, 20001)
+    for c in (0.25, 0.5, 1.0, 2.0, 4.0):
+        pts.append(np.column_stack([c * np.sign(t) * (1 + r * r) ** 1.5, r]))
+    y1, y2 = np.vstack(pts).T
+
+    T = w2d_jet(y1, y2)
+    out = {}
+    for total in range(5):
+        for g1 in range(total, -1, -1):
+            g2 = total - g1
+            vals = np.abs(T[g1][g2]) * eta(y1, y2, -deriv_bound_exponent((g1, g2)))
+            i = int(np.argmax(vals))
+            out[(g1, g2)] = (float(vals[i]), float(y1[i]), float(y2[i]))
+    return out

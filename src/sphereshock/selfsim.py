@@ -150,7 +150,7 @@ def window_profile(fld: SelfSimField, consts: BootstrapConstants):
 
 
 def bootstrap_report(fld: SelfSimField, consts: BootstrapConstants,
-                     wbar=None) -> BootstrapReport:
+                     wbar) -> BootstrapReport:
     """Pointwise margins of the bootstrap inequalities on the zoom frame.
 
     Families: ba_w_* (profile-scale bounds on W), ba_wt_* (deviation from
@@ -159,7 +159,7 @@ def bootstrap_report(fld: SelfSimField, consts: BootstrapConstants,
     Failures are reported, never raised.  The outer three nodes carry
     edge-padded stencils and are excluded; the inner family is
     interpolation-limited once its bounds fall below grid precision.
-    `wbar` is the window_profile of fld, computed when not given.
+    `wbar` is the window_profile of fld.
     """
     trim = slice(3, -3)
     y = fld.y[trim]
@@ -184,8 +184,6 @@ def bootstrap_report(fld: SelfSimField, consts: BootstrapConstants,
     yw = fld.y[win]
     ybw = np.sqrt(1.0 + yw * yw)
     ybw23 = ybw ** (-2.0 / 3.0)
-    if wbar is None:
-        wbar = window_profile(fld, consts)
     put("ba_wt_0", t0 ** (1.0 / 3.0) * ybw ** (1.0 / 3.0), fld.W[win] - wbar[0], yw)
     put("ba_wt_1", t0 ** 0.25 * ybw23, fld.dW[1][win] - wbar[1], yw)
     put("ba_wt_2", t0 ** 0.2 * ybw23, fld.dW[2][win] - wbar[2], yw)
@@ -207,19 +205,16 @@ def bootstrap_report(fld: SelfSimField, consts: BootstrapConstants,
     return BootstrapReport(margins=margins, worst=worst)
 
 
-def profile_distance(fld: SelfSimField, consts: BootstrapConstants,
-                     wbar=None):
+def profile_distance(fld: SelfSimField, consts: BootstrapConstants, wbar):
     """Weighted sup distances between W and the blow-up profile.
 
     Returns {inner_sup, weighted_sup, weighted_grad_sup}: the |y| <= l sup of
     |W - Wbar| through the origin jet, and the <y>^(-1/3)- and
     <y>^(2/3)-weighted sups on the compared window |y| <= L.  `wbar` is the
-    window_profile of fld, computed when not given.
+    window_profile of fld.
     """
     win = compared_window(fld.y, consts.L)
     y = fld.y[win]
-    if wbar is None:
-        wbar = window_profile(fld, consts)
     yb = np.sqrt(1.0 + y * y)
 
     inner = float(np.max(np.abs(_taylor(fld.origin_jet, consts.distance_y)

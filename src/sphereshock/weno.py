@@ -44,16 +44,6 @@ def _pad_edge(u, k):
     return np.concatenate([np.full(k, u[0]), u, np.full(k, u[-1])])
 
 
-def _span(mask):
-    """[first, last + 1) of the True entries of a 1-D mask, or None."""
-    if not mask.size:
-        return None
-    first = int(mask.argmax())
-    if not mask[first]:
-        return None
-    return first, mask.size - int(mask[::-1].argmax())
-
-
 def front_window(u):
     """[a, b): the nodes within FRONT_HALF_WIDTH of the steepest interval of
     a 1-D field, where the nonlinear WENO5 weights are kept.
@@ -88,40 +78,24 @@ def _slopes(u, dx):
     return d, du
 
 
-def _linear_face(d, a, b, left):
+def _linear_face(d, left):
     """The WENO5 face at its optimal weights 0.1/0.6/0.3, i.e. the linear
     fifth-order upwind stencil (2 v1 - 13 v2 + 47 v3 + 27 v4 - 3 v5) / 60,
-    at nodes a..b-1.  The right-leaning face correlates the reversed slopes,
+    at every node.  The right-leaning face correlates the reversed slopes,
     so that it is the exact mirror image of the left-leaning one."""
     if left:
-        return np.correlate(d[a:b + 4], _LINEAR)
-    return np.correlate(d[a + 1:b + 5][::-1], _LINEAR)[::-1]
+        return np.correlate(d[:-1], _LINEAR)
+    return np.correlate(d[:0:-1], _LINEAR)[::-1]
 
 
-def _pieces(pos, a, b):
-    """The faces that nodes a..b-1 take, as (lo, hi, left, where): the
-    left-leaning face over the span from the first to the last node with
-    pos, then the right-leaning face over the span of the others, written
-    only where `where` holds.  Applied in this order, each node ends with
-    the face of its own sign."""
-    out = []
-    span = _span(pos[a:b])
-    if span is not None:
-        out.append((a + span[0], a + span[1], True, None))
-    neg = ~pos[a:b]
-    span = _span(neg)
-    if span is not None:
-        lo, hi = span
-        out.append((a + lo, a + hi, False, neg[lo:hi]))
-    return out
-
-
-def _put(out, lo, hi, where, face):
-    """out[lo:hi] = face, only where `where` holds unless it is None."""
-    if where is None:
-        out[lo:hi] = face
-    else:
-        np.copyto(out[lo:hi], face, where=where)
+def _upwind(left, face):
+    """face(True) where `left` holds and face(False) elsewhere, forming only
+    the faces that some node takes."""
+    if left.all():
+        return face(True)
+    if not left.any():
+        return face(False)
+    return np.where(left, face(True), face(False))
 
 
 def weno5_upwind_derivative(fields, dx, speeds):
@@ -134,33 +108,31 @@ def weno5_upwind_derivative(fields, dx, speeds):
     overwrites it on the `front_window` of its field.  Away from the front
     the field is smooth, and there the WENO5 weights equal the optimal ones
     up to O(dx^2) (Jiang & Shu 1996), so the two faces agree to truncation
-    level.  The nonlinear faces of all fields are evaluated in one call on
-    their concatenated slopes: the face is elementwise, so each derivative
+    level.  Both nonlinear faces of every window are evaluated in one call
+    on the concatenated slopes: the face is elementwise, so each derivative
     is bit-identical to the one of its field alone, and the per-call cost
     is paid once.
     """
-    outs, slopes, targets = [], [], []
+    outs, slopes, windows = [], [], []
     for u, speed in zip(fields, speeds):
         u = np.asarray(u)
         d, du = _slopes(u, dx)
-        pos = np.greater_equal(speed, 0.0, out=np.empty(u.shape, dtype=bool))
-        out = np.empty_like(d, shape=u.shape)
-        # node i sits at padded index i + 3; d[i + 2] = (u[i] - u[i-1]) / dx.
-        for lo, hi, left, where in _pieces(pos, 0, u.size):
-            _put(out, lo, hi, where, _linear_face(d, lo, hi, left))
-        for lo, hi, left, where in _pieces(pos, *_window(np.abs(du))):
-            ks = (0, 1, 2, 3, 4) if left else (5, 4, 3, 2, 1)
-            slopes.append([d[k + lo:k + hi] for k in ks])
-            targets.append((out, lo, hi, where))
+        left = np.greater_equal(speed, 0.0, out=np.empty(u.shape, dtype=bool))
+        out = _upwind(left, lambda lt: _linear_face(d, lt))
+        a, b = _window(np.abs(du))
+        if a < b:
+            # node i sits at padded index i + 3; d[i + 2] = (u[i] - u[i-1]) / dx
+            slopes.append([d[a + k:b + k] for k in (0, 1, 2, 3, 4)])
+            slopes.append([d[a + k:b + k] for k in (5, 4, 3, 2, 1)])
+            windows.append((out, a, b, left[a:b]))
         outs.append(out)
     if slopes:
-        if len(slopes) > 1:
-            slopes = [[np.concatenate(vs) for vs in zip(*slopes)]]
-        faces = _weno5_face(*slopes[0])
+        faces = _weno5_face(*(np.concatenate(vs) for vs in zip(*slopes)))
         at = 0
-        for out, lo, hi, where in targets:
-            _put(out, lo, hi, where, faces[at:at + hi - lo])
-            at += hi - lo
+        for out, a, b, left in windows:
+            m = b - a
+            out[a:b] = np.where(left, faces[at:at + m], faces[at + m:at + 2 * m])
+            at += 2 * m
     return outs
 
 

@@ -2,6 +2,7 @@ import csv
 import glob
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from sphereshock import cli
 from sphereshock.config import ConfigError, ExperimentConfig, print_defaults
 from sphereshock.equivariant import initial_data
 from sphereshock.harness import load_snapshots, run_experiment, sweep
+from sphereshock.profile import DERIV_BOUND_C
 from sphereshock.records import (SCHEMA_VERSION, RunRecord, config_hash,
                                  write_field_csv)
 
@@ -222,6 +224,19 @@ def test_cli_profile_table(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "y1,y2,W,dW1,dW2,residual"
     assert len(out) == 10
+
+
+def test_cli_profile_calibrate(capsys):
+    # the frozen constants bound the measured suprema with at most 5% headroom
+    rc = cli.main(["profile", "calibrate"])
+    assert rc == 0
+    measured = {}
+    for line in capsys.readouterr().out.splitlines()[1:]:
+        g1, g2, c = re.match(r"\s*\((\d),(\d)\)\s+(\S+)", line).groups()
+        measured[(int(g1), int(g2))] = float(c)
+    assert measured.keys() == DERIV_BOUND_C.keys()
+    for gamma, c in measured.items():
+        assert c <= DERIV_BOUND_C[gamma] <= 1.05 * c, gamma
 
 
 def test_cli_check_geometry(capsys):

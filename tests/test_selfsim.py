@@ -27,6 +27,16 @@ def from_selfsimilar(fld):
     return fld.y / e32 + fld.xi, fld.W / e12 + fld.kappa, fld.Z.copy()
 
 
+def bootstrap_report(grid, w, z, mod, consts):
+    fld = ss.to_selfsimilar(grid, w, z, mod)
+    return ss.bootstrap_report(fld, consts, ss.window_profile(fld, consts))
+
+
+def profile_distance(grid, w, z, mod, consts):
+    fld = ss.to_selfsimilar(grid, w, z, mod)
+    return ss.profile_distance(fld, consts, ss.window_profile(fld, consts))
+
+
 def test_round_trip_identity():
     grid, w, z, mod = make_field()
     fld = ss.to_selfsimilar(grid, w, z, mod)
@@ -67,7 +77,7 @@ def test_derivative_chain_rule():
 def test_exact_profile_passes_bootstrap():
     grid, w, z, mod = make_field()
     consts = ss.BootstrapConstants(M=100.0, tau0=1e-2, sigma_inf=1.2)
-    rep = ss.bootstrap_report(ss.to_selfsimilar(grid, w, z, mod), consts)
+    rep = bootstrap_report(grid, w, z, mod, consts)
     assert rep.family_passed("ba_w_")
     assert rep.family_passed("ba_z_")
     assert rep.margins["ba_wt_0"] >= 0.0
@@ -77,7 +87,7 @@ def test_exact_profile_passes_bootstrap():
 def test_scaled_profile_fails_w_bound():
     grid, w, z, mod = make_field(perturb=lambda y: 9.0 * profile.w1d(y))
     consts = ss.BootstrapConstants(M=100.0, tau0=1e-2, sigma_inf=1.2)
-    rep = ss.bootstrap_report(ss.to_selfsimilar(grid, w, z, mod), consts)
+    rep = bootstrap_report(grid, w, z, mod, consts)
     assert rep.margins["ba_w_0"] < 0.0
     assert not rep.passed
 
@@ -86,7 +96,7 @@ def test_z_bound_violation_detected():
     grid, w, z, mod = make_field()
     z = z + 5.0  # |Z + sigma_inf| = 5 >> M tau0 = 1
     consts = ss.BootstrapConstants(M=100.0, tau0=1e-2, sigma_inf=1.2)
-    rep = ss.bootstrap_report(ss.to_selfsimilar(grid, w, z, mod), consts)
+    rep = bootstrap_report(grid, w, z, mod, consts)
     assert rep.margins["ba_z_0"] < 0.0
     assert not rep.family_passed("ba_z_")
 
@@ -94,7 +104,7 @@ def test_z_bound_violation_detected():
 def test_profile_distance_zero_on_profile():
     grid, w, z, mod = make_field()
     consts = ss.BootstrapConstants(M=100.0, tau0=1e-2, sigma_inf=1.2)
-    dist = ss.profile_distance(ss.to_selfsimilar(grid, w, z, mod), consts)
+    dist = profile_distance(grid, w, z, mod, consts)
     assert dist["inner_sup"] < 1e-10
     assert dist["weighted_sup"] < 1e-10
     assert dist["weighted_grad_sup"] < 1e-5
@@ -109,7 +119,7 @@ def test_profile_distance_scales_linearly():
     vals = []
     for eps in (1e-3, 2e-3):
         grid, w, z, mod = make_field(perturb=bump(eps))
-        dist = ss.profile_distance(ss.to_selfsimilar(grid, w, z, mod), consts)
+        dist = profile_distance(grid, w, z, mod, consts)
         vals.append(dist["weighted_sup"])
     assert vals[1] == pytest.approx(2.0 * vals[0], rel=1e-3)
 
@@ -134,7 +144,7 @@ def test_margins_scale_consistency():
     reps = []
     for n in (2048, 4096):
         grid, w, z, mod = make_field(n=n)
-        reps.append(ss.bootstrap_report(ss.to_selfsimilar(grid, w, z, mod), consts))
+        reps.append(bootstrap_report(grid, w, z, mod, consts))
     for key in ("ba_w_0", "ba_z_0"):
         assert abs(reps[0].margins[key] - reps[1].margins[key]) < 1e-6
     # derivative margins minimize at the trimmed edge of the decaying bound,
@@ -176,8 +186,9 @@ def test_profile_evaluated_on_the_compared_window_only(monkeypatch):
         return w1d_jet(y, upto)
 
     monkeypatch.setattr(profile, "w1d_jet", counting)
-    ss.bootstrap_report(fld, consts)
-    assert sum(points) <= np.count_nonzero(inL) + 9
-    points.clear()
-    ss.profile_distance(fld, consts)
+    wbar = ss.window_profile(fld, consts)
     assert sum(points) <= np.count_nonzero(inL)
+    points.clear()
+    ss.bootstrap_report(fld, consts, wbar)
+    ss.profile_distance(fld, consts, wbar)
+    assert points == []

@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from sphereshock import diagnostics as dg
 from sphereshock import equivariant as eq
@@ -208,6 +209,51 @@ def test_one_nonlinear_face_call_per_derivative_call(name, reconstructed_nodes):
     reconstructed_nodes[:] = [0, 0]
     weno5_upwind_derivative([np.full(N, 0.8), np.zeros(N)], 0.01, [speed] * 2)
     assert reconstructed_nodes == [0, 0]
+
+
+def _speed_layout(data, n, window):
+    """Transport speeds of one field: one-signed, a random mix of signs,
+    signed zeros and NaNs, or one sign change at an edge of the window."""
+    layout = data.draw(hs.sampled_from(["positive", "negative", "mixed",
+                                        "edge"]))
+    if layout == "positive":
+        return np.full(n, 0.7)
+    if layout == "negative":
+        return np.full(n, -2.4)
+    if layout == "mixed":
+        values = hs.sampled_from([-1.5, -0.0, 0.0, 0.7, np.nan])
+        return np.array(data.draw(hs.lists(values, min_size=n, max_size=n)))
+    edge = data.draw(hs.sampled_from(window))
+    sign = data.draw(hs.sampled_from([-1.0, 1.0]))
+    return np.where(np.arange(n) < edge, sign, -sign)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hs.data())
+def test_whole_kernel_matches_the_references(data):
+    # every node of every field, with the front anywhere (its window clipped
+    # within K nodes of an end) and any sign layout, in one batched call
+    n = data.draw(hs.integers(4, 400), label="n")
+    x = np.linspace(-1.0, 1.0, n)
+    fields, speeds, windows = [], [], []
+    for _ in range(2):
+        # a step of height >= 2 at interval j outgrows every smooth interval
+        j = data.draw(hs.integers(0, n - 2), label="front")
+        height = data.draw(hs.floats(2.0, 1e3)) * data.draw(
+            hs.sampled_from([-1.0, 1.0]))
+        u = 0.3 * np.sin(5.0 * x) + np.where(np.arange(n) > j, height, 0.0)
+        window = (max(0, j + 1 - K), min(n, j + 1 + K))
+        assert front_window(u) == window
+        fields.append(u)
+        speeds.append(_speed_layout(data, n, window))
+        windows.append(window)
+    got = weno5_upwind_derivative(fields, 0.01, speeds)
+    for g, u, c, (a, b) in zip(got, fields, speeds, windows):
+        inside = np.zeros(n, dtype=bool)
+        inside[a:b] = True
+        want = np.where(inside, two_face_reference(u, 0.01, c),
+                        linear_reference(u, 0.01, c))
+        assert np.array_equal(_bits(g), _bits(want))
 
 
 def test_fifth_order_on_smooth_field():
