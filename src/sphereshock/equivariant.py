@@ -194,24 +194,65 @@ def transport_speeds(w, z, bc, xi_dot):
     return w + bc.beta2 * z - xi_dot, bc.beta2 * w + z - xi_dot
 
 
+# Courant number of the stability bound on the fastest field: below the RK4
+# limit of the linear fifth-order upwind operator, 1.732 (Motamed, Macdonald &
+# Ruuth, J. Sci. Comput. 47, 2011); tests/test_equivariant.py recomputes it
+RK4_COURANT = 1.2
+
+
+@dataclass
+class StepLimit:
+    """The largest legal step of a state and the speeds it was formed from."""
+    dt: float
+    vmax: float           # max(|cw|, |cz|): the support-growth reach speed
+    cw: np.ndarray
+    cz: np.ndarray
+
+
+def step_limit(state: EquivariantState, mod: ModulationState, bc,
+               cfg: SolverConfig) -> StepLimit:
+    """dt_max = min(RK4_COURANT dx / max(|cw|, |cz|), cfl dx / max|cw|):
+    RK4 stability on the fastest field, and the accuracy bound on the steep
+    field w alone.  In flat mode w is the fastest field, so the accuracy
+    bound binds; in curved runs the smooth field z is the fastest, so the
+    stability bound binds."""
+    cw, cz = transport_speeds(state.w, state.z, bc, mod.xi_dot)
+    vw = float(np.max(np.abs(cw)))
+    vmax = max(vw, float(np.max(np.abs(cz))))
+    dx = state.dx
+    dt = min(RK4_COURANT * dx / max(vmax, 1e-30), cfg.cfl * dx / max(vw, 1e-30))
+    return StepLimit(dt=dt, vmax=vmax, cw=cw, cz=cz)
+
+
+def _tan_theta(state: EquivariantState, cfg: SolverConfig, t):
+    """tan of the absolute latitude at time t after the pole check; None in
+    flat mode, which has no curvature forcing."""
+    if cfg.flat_mode:
+        return None
+    theta = state.grid + state.xi0 + state.frame_drift * t
+    if np.max(np.abs(theta)) > 0.5 * math.pi - cfg.pole_margin:
+        raise PoleProximityError("domain within the pole margin of theta = pi/2")
+    return np.tan(theta)
+
+
 def rhs(state: EquivariantState, mod: ModulationState, bc, cfg: SolverConfig,
-        t=None, w=None, z=None):
+        t=None, w=None, z=None, speeds=None, tan=None):
     """Time derivatives (dw/dt, dz/dt) with upwinded transport.
 
     The curvature forcing is (b3/2)(w^2 - z^2) tan(theta); flat mode drops it.
+    speeds = (cw, cz) of (w, z) and tan = _tan_theta(state, cfg, t) may be
+    passed by a caller that has them already.
     """
     w = state.w if w is None else w
     z = state.z if z is None else z
     t = state.t_tilde if t is None else t
-    cw, cz = transport_speeds(w, z, bc, mod.xi_dot)
+    cw, cz = transport_speeds(w, z, bc, mod.xi_dot) if speeds is None else speeds
     dwx, dzx = weno5_upwind_derivative((w, z), state.dx, (cw, cz))
     if cfg.flat_mode:
         force = 0.0
     else:
-        theta = state.grid + state.xi0 + state.frame_drift * t
-        if np.max(np.abs(theta)) > 0.5 * math.pi - cfg.pole_margin:
-            raise PoleProximityError("domain within the pole margin of theta = pi/2")
-        force = 0.5 * bc.beta3 * (w - z) * (w + z) * np.tan(theta)
+        tan = _tan_theta(state, cfg, t) if tan is None else tan
+        force = 0.5 * bc.beta3 * (w - z) * (w + z) * tan
     return -cw * dwx + force, -cz * dzx - force
 
 
@@ -221,23 +262,34 @@ def max_transport_speed(state, mod, bc):
 
 
 def step(state: EquivariantState, mod: ModulationState, dt, bc, cfg: SolverConfig,
-         check_support=True, vmax=None) -> EquivariantState:
-    """One classical RK4 advance; enforces the CFL contract and the finite
-    propagation property of the support."""
+         check_support=True, vmax=None, limit=None, support=None
+         ) -> EquivariantState:
+    """One classical RK4 advance; enforces the step limit and the finite
+    propagation property of the support.
+
+    limit = step_limit(state, mod, bc, cfg) and support = support_bounds of
+    state may be passed by a caller that has them already.  vmax overrides
+    the limit's speed in the support reach; vmax = 0 also drops the check
+    of dt against the limit.
+    """
+    if limit is None:
+        limit = step_limit(state, mod, bc, cfg)
     if vmax is None:
-        vmax = max_transport_speed(state, mod, bc)
-    if vmax > 0 and dt > cfg.cfl * state.dx / vmax * (1.0 + 1e-9):
-        raise CFLViolationError(f"dt={dt} exceeds CFL limit "
-                                f"{cfg.cfl * state.dx / vmax}")
+        vmax = limit.vmax
+    if vmax > 0 and dt > limit.dt * (1.0 + 1e-9):
+        raise CFLViolationError(f"dt={dt} exceeds the step limit {limit.dt}")
     if check_support:
-        lo0, hi0 = support_bounds(state, cfg.sigma_inf, cfg.support_tol)
+        lo0, hi0 = (support_bounds(state, cfg.sigma_inf, cfg.support_tol)
+                    if support is None else support)
 
     t, w, z = state.t_tilde, state.w, state.z
-    k1w, k1z = rhs(state, mod, bc, cfg, t, w, z)
-    k2w, k2z = rhs(state, mod, bc, cfg, t + 0.5 * dt,
-                   w + 0.5 * dt * k1w, z + 0.5 * dt * k1z)
-    k3w, k3z = rhs(state, mod, bc, cfg, t + 0.5 * dt,
-                   w + 0.5 * dt * k2w, z + 0.5 * dt * k2z)
+    t_half = t + 0.5 * dt
+    tan_half = _tan_theta(state, cfg, t_half)
+    k1w, k1z = rhs(state, mod, bc, cfg, t, w, z, speeds=(limit.cw, limit.cz))
+    k2w, k2z = rhs(state, mod, bc, cfg, t_half,
+                   w + 0.5 * dt * k1w, z + 0.5 * dt * k1z, tan=tan_half)
+    k3w, k3z = rhs(state, mod, bc, cfg, t_half,
+                   w + 0.5 * dt * k2w, z + 0.5 * dt * k2z, tan=tan_half)
     k4w, k4z = rhs(state, mod, bc, cfg, t + dt, w + dt * k3w, z + dt * k3z)
     new = EquivariantState(
         grid=state.grid,
@@ -336,9 +388,8 @@ def run_until_blowup(cfg: SolverConfig) -> RunRecord:
 
         slope = deriv1_c4(w, dx)
         smax_grid = float(np.max(np.abs(slope)))
-        vmax = max_transport_speed(state, mod_pde, bc)
-        dt_base = min(cfg.cfl * dx / max(vmax, 1e-30),
-                      cfg.slope_dt_frac / smax_grid)
+        limit = step_limit(state, mod_pde, bc, cfg)
+        dt_base = min(limit.dt, cfg.slope_dt_frac / smax_grid)
         dt = min(dt_base, cfg.t_max - state.t_tilde)
 
         sample_step = (step_i % cfg.record_every == 0)
@@ -391,8 +442,9 @@ def run_until_blowup(cfg: SolverConfig) -> RunRecord:
                       "stalled" if stalled else "max_time")
             break
 
-        state = step(state, mod_pde, dt, bc, cfg,
-                     check_support=sample_step, vmax=vmax)
+        support = (row["support_lo"], row["support_hi"]) if sample_step else None
+        state = step(state, mod_pde, dt, bc, cfg, check_support=sample_step,
+                     limit=limit, support=support)
         step_i += 1
 
     record.status = status

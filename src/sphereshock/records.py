@@ -4,14 +4,13 @@ scalars plus optional field snapshots, with JSON-lines and CSV persistence.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 
 def _jsonable(obj):
@@ -86,19 +85,27 @@ class RunRecord:
         return cls(config=config, samples=samples, status=status)
 
 
-def write_field_csv(path, theta_tilde, w, z):
-    sigma = 0.5 * (np.asarray(w) - np.asarray(z))
-    v = 0.5 * (np.asarray(w) + np.asarray(z))
+def _write_rows(path, header, template, columns):
+    """Write the header and one `template % row` line per row of columns.
+
+    Rows end in the csv module's default \r\n, and no %.17g string needs
+    quoting, so the files are byte-equal to csv.writer rows of f"{x:.17g}"
+    strings.  The rows are streamed, not joined into one string."""
     with open(path, "w", newline="") as f:
-        out = csv.writer(f)
-        out.writerow(["theta_tilde", "w", "z", "sigma", "v"])
-        for row in zip(theta_tilde, w, z, sigma, v):
-            out.writerow([f"{x:.17g}" for x in row])
+        f.write(",".join(header) + "\r\n")
+        f.writelines(template % row
+                     for row in zip(*(np.asarray(c).tolist() for c in columns)))
+
+
+def write_field_csv(path, theta_tilde, w, z):
+    w, z = np.asarray(w), np.asarray(z)
+    _write_rows(path, ["theta_tilde", "w", "z", "sigma", "v"],
+                ",".join(["%.17g"] * 5) + "\r\n",
+                (theta_tilde, w, z, 0.5 * (w - z), 0.5 * (w + z)))
 
 
 def write_selfsim_csv(path, s, y, W, Z, wbar):
-    with open(path, "w", newline="") as f:
-        out = csv.writer(f)
-        out.writerow(["s", "y", "W", "Z", "Wbar", "W_minus_Wbar"])
-        for yi, Wi, Zi, wb in zip(y, W, Z, wbar):
-            out.writerow([f"{x:.17g}" for x in (s, yi, Wi, Zi, wb, Wi - wb)])
+    W, wbar = np.asarray(W), np.asarray(wbar)
+    _write_rows(path, ["s", "y", "W", "Z", "Wbar", "W_minus_Wbar"],
+                f"{s:.17g}," + ",".join(["%.17g"] * 5) + "\r\n",
+                (y, W, Z, wbar, W - wbar))

@@ -9,6 +9,7 @@ from sphereshock import diagnostics as dg
 from sphereshock import equivariant as eq
 from sphereshock import geometry as geo
 from sphereshock import riemann as rm
+from sphereshock import weno
 from sphereshock.config import ExperimentConfig
 from sphereshock.modulation import ModulationState
 from sphereshock.riemann import betas
@@ -145,6 +146,87 @@ def test_step_cfl_contract():
     vmax = eq.max_transport_speed(st, mod, bc)
     with pytest.raises(eq.CFLViolationError):
         eq.step(st, mod, 10 * cfg.cfl * st.dx / vmax, bc, cfg)
+
+
+def _upwind5_symbol(theta):
+    """dx times the symbol of the linear fifth-order upwind derivative at
+    positive speed: weno._LINEAR weights the backward differences at node
+    offsets -2..2."""
+    back = 1.0 - np.exp(-1j * theta)
+    return sum(c * back * np.exp(1j * m * theta)
+               for m, c in zip(range(-2, 3), weno._LINEAR))
+
+
+def _rk4_courant_limit():
+    """Largest Courant number c with |R(-c dx D(theta))| <= 1 on every
+    mode, R(z) = sum_{k<=4} z^k / k! the RK4 stability polynomial."""
+    lam = -_upwind5_symbol(np.linspace(0.0, 2.0 * np.pi, 4001))
+
+    def stable(c):
+        z = c * lam
+        return np.max(np.abs(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24)) <= 1 + 1e-12
+
+    lo, hi = 0.1, 3.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if stable(mid) else (lo, mid)
+    return lo
+
+
+def test_rk4_courant_lies_below_the_stability_limit():
+    # the symbol is the kernel's: on the nodes the linear face serves, a
+    # positive-speed derivative is the stencil applied to the backward
+    # differences
+    n = 400
+    x = np.linspace(0.0, 1.0, n)
+    dx = x[1] - x[0]
+    u = np.sin(7.0 * x) + 0.3 * np.cos(23.0 * x) + np.where(x > 0.95, 1.0, 0.0)
+    (du,) = weno.weno5_upwind_derivative((u,), dx, (np.ones(n),))
+    back = np.diff(u) / dx
+    i = np.arange(3, 300)
+    ref = sum(c * back[i + m - 1] for m, c in zip(range(-2, 3), weno._LINEAR))
+    assert np.allclose(du[i], ref, rtol=0.0, atol=1e-12 * np.max(np.abs(ref)))
+    limit = _rk4_courant_limit()
+    assert limit == pytest.approx(1.732, abs=1e-3)
+    assert eq.RK4_COURANT < 0.9 * limit
+
+
+def test_step_limit_takes_the_smaller_bound():
+    cfg = eq.SolverConfig(n_cells=512)
+    st = eq.initial_data(cfg)
+    bc = betas(cfg.gamma)
+    mod = make_mod(cfg)
+    cw, cz = eq.transport_speeds(st.w, st.z, bc, mod.xi_dot)
+    vmax = eq.max_transport_speed(st, mod, bc)
+    stability = eq.RK4_COURANT * st.dx / vmax
+    accuracy = cfg.cfl * st.dx / np.max(np.abs(cw))
+    lim = eq.step_limit(st, mod, bc, cfg)
+    assert lim.dt == min(stability, accuracy) == stability  # z is fastest
+    assert lim.vmax == vmax
+    assert np.array_equal(lim.cw, cw) and np.array_equal(lim.cz, cz)
+    # the old single bound stays legal, so callers that step at it still can
+    assert cfg.cfl * st.dx / vmax < lim.dt
+    eq.step(st, mod, lim.dt, bc, cfg)
+    with pytest.raises(eq.CFLViolationError):
+        eq.step(st, mod, lim.dt * (1.0 + 1e-6), bc, cfg)
+    # flat mode: w is the fastest field and the accuracy bound binds,
+    # bit-equal to the single bound on max(|cw|, |cz|)
+    flat = eq.SolverConfig(n_cells=512, flat_mode=True)
+    st = eq.initial_data(flat)
+    mod = make_mod(flat)
+    assert eq.step_limit(st, mod, bc, flat).dt == \
+        flat.cfl * st.dx / eq.max_transport_speed(st, mod, bc)
+
+
+def test_curved_run_at_the_step_limit_keeps_its_support():
+    cfg = eq.SolverConfig(n_cells=1024)
+    st = eq.initial_data(cfg)
+    bc = betas(cfg.gamma)
+    mod = make_mod(cfg)
+    for _ in range(200):
+        lim = eq.step_limit(st, mod, bc, cfg)
+        st = eq.step(st, mod, lim.dt, bc, cfg, check_support=True, limit=lim)
+    assert np.all(np.isfinite(st.w)) and np.all(np.isfinite(st.z))
 
 
 def test_step_matches_rhs_to_first_order():

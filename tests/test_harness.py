@@ -13,7 +13,7 @@ from sphereshock.equivariant import initial_data
 from sphereshock.harness import load_snapshots, run_experiment, sweep
 from sphereshock.profile import DERIV_BOUND_C
 from sphereshock.records import (SCHEMA_VERSION, RunRecord, config_hash,
-                                 write_field_csv)
+                                 write_field_csv, write_selfsim_csv)
 
 CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..",
                                         "configs", "*.json")))
@@ -54,6 +54,37 @@ def test_field_csv_columns(tmp_path):
     rows = list(csv.DictReader(open(path)))
     assert list(rows[0].keys()) == ["theta_tilde", "w", "z", "sigma", "v"]
     assert float(rows[1]["sigma"]) == pytest.approx(1.15)
+
+
+def _reference_csv(path, header, rows):
+    # the csv.writer / f-string writer the fast writers must reproduce
+    with open(path, "w", newline="") as f:
+        out = csv.writer(f)
+        out.writerow(header)
+        for row in rows:
+            out.writerow([f"{x:.17g}" for x in row])
+
+
+@pytest.mark.parametrize("s", [0.25, np.float64(-np.log(1e-2)), -0.0])
+def test_csv_writers_match_the_csv_module(tmp_path, s):
+    a = np.array([0.0, -0.0, 1.0 / 3.0, -2.5e-300, 1e300, np.inf, -np.inf,
+                  np.nan, 7.0, 123456789.125])
+    b = np.roll(a, 3)[::-1].copy()
+    c = np.array([1.5, -0.0, 0.0, np.nan, -1e-310, 2.0, 0.1, np.inf, -3.0,
+                  0.7])
+    write_field_csv(tmp_path / "f.csv", a, b, c)
+    _reference_csv(tmp_path / "f_ref.csv",
+                   ["theta_tilde", "w", "z", "sigma", "v"],
+                   zip(a, b, c, 0.5 * (b - c), 0.5 * (b + c)))
+    write_selfsim_csv(tmp_path / "s.csv", s, a, b, c, a[::-1])
+    _reference_csv(tmp_path / "s_ref.csv",
+                   ["s", "y", "W", "Z", "Wbar", "W_minus_Wbar"],
+                   ((s, yi, Wi, Zi, wb, Wi - wb)
+                    for yi, Wi, Zi, wb in zip(a, b, c, a[::-1])))
+    for name in ("f", "s"):
+        got = (tmp_path / f"{name}.csv").read_bytes()
+        assert got == (tmp_path / f"{name}_ref.csv").read_bytes()
+        assert got.count(b"\r\n") == len(a) + 1
 
 
 def test_config_hash_stable():
@@ -100,7 +131,7 @@ def test_run_experiment_artifacts(tmp_path):
         assert required in names
     summary = json.load(open(tmp_path / "summary.json"))
     assert summary["status"] == "blew_up"
-    assert summary["schema_version"] == SCHEMA_VERSION == 6
+    assert summary["schema_version"] == SCHEMA_VERSION == 7
     assert "T_star" in summary and "seed" not in summary
     assert "edge_contact_t" in summary
     # the exterior gradient is taken outside a quarter of the domain width
