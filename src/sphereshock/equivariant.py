@@ -11,6 +11,7 @@ feed back into the discretization, keeping runs deterministic.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -143,6 +144,10 @@ class EquivariantState:
     t_tilde: float
     xi0: float
     frame_drift: float
+    # tan of the absolute latitude at t_tilde after the pole check, left by
+    # the step that made this state (its stage 4) for the next step's stage 1
+    tan: np.ndarray = dataclasses.field(default=None, init=False, repr=False,
+                                        compare=False)
 
     @property
     def dx(self):
@@ -235,25 +240,48 @@ def _tan_theta(state: EquivariantState, cfg: SolverConfig, t):
     return np.tan(theta)
 
 
+def _z_still(z, cfg: SolverConfig):
+    """Whether dz/dt = -cz dz/dx is exactly zero: flat mode has no forcing,
+    and z has no nonzero interval difference.  z must also be finite, and
+    nonzero so that z + 0 is z whatever the sign of the zero."""
+    return cfg.flat_mode and z[0] != 0.0 and np.ptp(z) == 0.0
+
+
 def rhs(state: EquivariantState, mod: ModulationState, bc, cfg: SolverConfig,
-        t=None, w=None, z=None, speeds=None, tan=None):
+        t=None, w=None, z=None, speeds=None, tan=None, z_still=False):
     """Time derivatives (dw/dt, dz/dt) with upwinded transport.
 
     The curvature forcing is (b3/2)(w^2 - z^2) tan(theta); flat mode drops it.
     speeds = (cw, cz) of (w, z) and tan = _tan_theta(state, cfg, t) may be
-    passed by a caller that has them already.
+    passed by a caller that has them already.  z_still = _z_still(z, cfg)
+    differences w alone and returns dz/dt as the scalar 0.0.
     """
     w = state.w if w is None else w
     z = state.z if z is None else z
     t = state.t_tilde if t is None else t
     cw, cz = transport_speeds(w, z, bc, mod.xi_dot) if speeds is None else speeds
-    dwx, dzx = weno5_upwind_derivative((w, z), state.dx, (cw, cz))
+    if z_still:
+        (dwx,) = weno5_upwind_derivative((w,), state.dx, (cw,))
+    else:
+        dwx, dzx = weno5_upwind_derivative((w, z), state.dx, (cw, cz))
     if cfg.flat_mode:
         force = 0.0
     else:
         tan = _tan_theta(state, cfg, t) if tan is None else tan
-        force = 0.5 * bc.beta3 * (w - z) * (w + z) * tan
-    return -cw * dwx + force, -cz * dzx - force
+        force = np.subtract(w, z)
+        force *= 0.5 * bc.beta3
+        force *= w + z
+        force *= tan
+    # force - cw dwx and -(cz dzx) - force in the kernel's output arrays: the
+    # bits of -cw dwx + force and -cz dzx - force, signed zeros included
+    dwdt = np.multiply(cw, dwx, out=dwx)
+    np.subtract(force, dwdt, out=dwdt)
+    if z_still:
+        return dwdt, 0.0
+    dzdt = np.multiply(cz, dzx, out=dzx)
+    np.negative(dzdt, out=dzdt)
+    dzdt -= force
+    return dwdt, dzdt
 
 
 def max_transport_speed(state, mod, bc):
@@ -266,6 +294,10 @@ def step(state: EquivariantState, mod: ModulationState, dt, bc, cfg: SolverConfi
          ) -> EquivariantState:
     """One classical RK4 advance; enforces the step limit and the finite
     propagation property of the support.
+
+    While _z_still holds, z is carried unchanged and the kernel differences w
+    alone.  That gives the bits of stepping z while every stage speed is
+    finite; a step whose w leaves the finite numbers is taken again with z.
 
     limit = step_limit(state, mod, bc, cfg) and support = support_bounds of
     state may be passed by a caller that has them already.  vmax overrides
@@ -285,17 +317,25 @@ def step(state: EquivariantState, mod: ModulationState, dt, bc, cfg: SolverConfi
     t, w, z = state.t_tilde, state.w, state.z
     t_half = t + 0.5 * dt
     tan_half = _tan_theta(state, cfg, t_half)
-    k1w, k1z = rhs(state, mod, bc, cfg, t, w, z, speeds=(limit.cw, limit.cz))
-    k2w, k2z = rhs(state, mod, bc, cfg, t_half,
-                   w + 0.5 * dt * k1w, z + 0.5 * dt * k1z, tan=tan_half)
-    k3w, k3z = rhs(state, mod, bc, cfg, t_half,
-                   w + 0.5 * dt * k2w, z + 0.5 * dt * k2z, tan=tan_half)
-    k4w, k4z = rhs(state, mod, bc, cfg, t + dt, w + dt * k3w, z + dt * k3z)
-    new = EquivariantState(
-        grid=state.grid,
-        w=w + dt / 6.0 * (k1w + 2 * k2w + 2 * k3w + k4w),
-        z=z + dt / 6.0 * (k1z + 2 * k2z + 2 * k3z + k4z),
-        t_tilde=t + dt, xi0=state.xi0, frame_drift=state.frame_drift)
+    tan_end = _tan_theta(state, cfg, t + dt)
+
+    def rk4(z_still):
+        f = functools.partial(rhs, state, mod, bc, cfg, z_still=z_still)
+        k1w, k1z = f(t, w, z, speeds=(limit.cw, limit.cz), tan=state.tan)
+        k2w, k2z = f(t_half, w + 0.5 * dt * k1w, z + 0.5 * dt * k1z, tan=tan_half)
+        k3w, k3z = f(t_half, w + 0.5 * dt * k2w, z + 0.5 * dt * k2z, tan=tan_half)
+        k4w, k4z = f(t + dt, w + dt * k3w, z + dt * k3z, tan=tan_end)
+        return (w + dt / 6.0 * (k1w + 2 * k2w + 2 * k3w + k4w),
+                z + dt / 6.0 * (k1z + 2 * k2z + 2 * k3z + k4z))
+
+    z_still = _z_still(z, cfg)
+    w1, z1 = rk4(z_still)
+    if z_still and not np.all(np.isfinite(w1)):
+        # a non-finite stage speed makes dz/dt NaN where z is stepped
+        w1, z1 = rk4(False)
+    new = EquivariantState(grid=state.grid, w=w1, z=z1, t_tilde=t + dt,
+                           xi0=state.xi0, frame_drift=state.frame_drift)
+    new.tan = tan_end
 
     if check_support and lo0 is not None:
         lo1, hi1 = support_bounds(new, cfg.sigma_inf, cfg.support_tol)

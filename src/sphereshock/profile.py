@@ -73,7 +73,7 @@ def w1d(y):
     # Newton polish; near zero the closed form cancels, so restart from -y.
     w = np.where(ya < _NEWTON_CUTOVER, -ya, w)
     for _ in range(3):
-        w = w - (w + w**3 + ya) / (1.0 + 3.0 * w * w)
+        w = w - (w + w * w * w + ya) / (1.0 + 3.0 * w * w)
 
     w = np.where(np.atleast_1d(y) < 0, -w, w)
     return float(w[0]) if scalar else w.reshape(y.shape)
@@ -253,12 +253,19 @@ def calibrate_deriv_bounds():
         pts.append(np.column_stack([c * np.sign(t) * (1 + r * r) ** 1.5, r]))
     y1, y2 = np.vstack(pts).T
 
-    T = w2d_jet(y1, y2)
-    out = {}
-    for total in range(5):
-        for g1 in range(total, -1, -1):
-            g2 = total - g1
-            vals = np.abs(T[g1][g2]) * eta(y1, y2, -deriv_bound_exponent((g1, g2)))
-            i = int(np.argmax(vals))
-            out[(g1, g2)] = (float(vals[i]), float(y1[i]), float(y2[i]))
+    # a running max over chunks of 2^17 points: the jet of the whole sample
+    # would take about 0.5 GB; a later chunk wins only a strictly larger
+    # value, so a tie keeps the first maximum, as argmax over the whole
+    # sample does
+    out, chunk = {}, 1 << 17
+    for lo in range(0, y1.size, chunk):
+        c1, c2 = y1[lo:lo + chunk], y2[lo:lo + chunk]
+        T = w2d_jet(c1, c2)
+        for total in range(5):
+            for g1 in range(total, -1, -1):
+                g = (g1, total - g1)
+                vals = np.abs(T[g[0]][g[1]]) * eta(c1, c2, -deriv_bound_exponent(g))
+                i = int(np.argmax(vals))
+                if g not in out or vals[i] > out[g][0]:
+                    out[g] = (float(vals[i]), float(c1[i]), float(c2[i]))
     return out

@@ -22,21 +22,49 @@ _LINEAR = np.array([2.0, -13.0, 47.0, 27.0, -3.0]) / 60.0
 FRONT_HALF_WIDTH = 32
 
 
-def _weno5_face(v1, v2, v3, v4, v5):
-    """Classic WENO5 reconstruction from five upwind-ordered slopes."""
-    q1 = v1 / 3.0 - 7.0 * v2 / 6.0 + 11.0 * v3 / 6.0
-    q2 = -v2 / 6.0 + 5.0 * v3 / 6.0 + v4 / 3.0
-    q3 = v3 / 3.0 + 5.0 * v4 / 6.0 - v5 / 6.0
+# The WENO5 face (Jiang & Shu 1996) on the row triples (v_r, v_r+1, v_r+2),
+# r = 0, 1, 2, of the five upwind-ordered slopes v1..v5: row r of each block
+# of three is ((n0 v_r) / d0 + (n1 v_r+1) / d1) + (n2 v_r+2) / d2, the
+# textbook's operations in the textbook's order, so that every bit matches it.
+# Rows 0-2 are c_r = v_r - 2 v_r+1 + v_r+2, rows 3-5 the one-sided differences
+# p_r (v1 - 4 v2 + 3 v3, v2 - v4, 3 v3 - 4 v4 + v5), rows 6-8 the candidate
+# faces q_r; beta_r = 13/12 c_r^2 + 1/4 p_r^2.  p_1 carries 0 v3, which differs
+# from the textbook only for v3 = +-inf, where both faces are NaN.
+_TRIPLES = np.arange(9) % 3 + np.arange(3)[:, None]
+_NUM = np.array([[1, 1, 1, 1, 1, 3, 1, -1, 1],
+                 [-2, -2, -2, -4, 0, -4, -7, 5, 5],
+                 [1, 1, 1, 3, -1, 1, 11, 1, -1]], dtype=float)[:, :, None]
+_DEN = np.array([[3, 6, 3], [6, 6, 6], [6, 3, 6]], dtype=float)[:, :, None]
+_BETA = np.repeat([13.0 / 12.0, 0.25], 3)[:, None]
+_WEIGHTS = np.array(_GAMMAS)[:, None]
+# offsets of node i's upwind stencil in the slopes d, from d[i]: the
+# left-leaning face reads d[i], ..., d[i + 4], the right-leaning one
+# d[i + 5], ..., d[i + 1], each upwind slope first
+_LEFT = np.arange(5)[:, None]
+_RIGHT = 5 - _LEFT
 
-    b1 = 13.0 / 12.0 * (v1 - 2 * v2 + v3) ** 2 + 0.25 * (v1 - 4 * v2 + 3 * v3) ** 2
-    b2 = 13.0 / 12.0 * (v2 - 2 * v3 + v4) ** 2 + 0.25 * (v2 - v4) ** 2
-    b3 = 13.0 / 12.0 * (v3 - 2 * v4 + v5) ** 2 + 0.25 * (3 * v3 - 4 * v4 + v5) ** 2
 
-    a1 = _GAMMAS[0] / (_WENO_EPS + b1) ** 2
-    a2 = _GAMMAS[1] / (_WENO_EPS + b2) ** 2
-    a3 = _GAMMAS[2] / (_WENO_EPS + b3) ** 2
-    s = a1 + a2 + a3
-    return (a1 * q1 + a2 * q2 + a3 * q3) / s
+def _weno5_face(v):
+    """WENO5 reconstruction from a (5, m) array of upwind-ordered slopes,
+    one node per column: the textbook formula's value bit for bit, NaN where
+    it is NaN, and each column's face independent of the others."""
+    x = v[_TRIPLES]
+    x *= _NUM
+    x[:, 6:] /= _DEN
+    rows = x[0] + x[1]
+    rows += x[2]
+    cp = rows[:6]
+    cp *= cp
+    cp *= _BETA
+    a = cp[:3] + cp[3:]
+    a += _WENO_EPS
+    a *= a
+    np.divide(_WEIGHTS, a, out=a)
+    q = rows[6:]
+    q *= a
+    # row sums in the textbook's order; np.add.reduce would start from +0
+    # and turn a face of -0 into +0
+    return (q[0] + q[1] + q[2]) / (a[0] + a[1] + a[2])
 
 
 def _pad_edge(u, k):
@@ -108,10 +136,10 @@ def weno5_upwind_derivative(fields, dx, speeds):
     overwrites it on the `front_window` of its field.  Away from the front
     the field is smooth, and there the WENO5 weights equal the optimal ones
     up to O(dx^2) (Jiang & Shu 1996), so the two faces agree to truncation
-    level.  Both nonlinear faces of every window are evaluated in one call
-    on the concatenated slopes: the face is elementwise, so each derivative
-    is bit-identical to the one of its field alone, and the per-call cost
-    is paid once.
+    level.  Inside a window each node gathers the five slopes of its upwind
+    stencil only, and the nodes of every window share one face call: the
+    face is columnwise, so each derivative is bit-identical to the one of
+    its field alone, and the per-call cost is paid once.
     """
     outs, slopes, windows = [], [], []
     for u, speed in zip(fields, speeds):
@@ -121,18 +149,16 @@ def weno5_upwind_derivative(fields, dx, speeds):
         out = _upwind(left, lambda lt: _linear_face(d, lt))
         a, b = _window(np.abs(du))
         if a < b:
-            # node i sits at padded index i + 3; d[i + 2] = (u[i] - u[i-1]) / dx
-            slopes.append([d[a + k:b + k] for k in (0, 1, 2, 3, 4)])
-            slopes.append([d[a + k:b + k] for k in (5, 4, 3, 2, 1)])
-            windows.append((out, a, b, left[a:b]))
+            # node i sits at padded index i + 3 and takes its upwind face only
+            slopes.append(d[np.where(left[a:b], _LEFT, _RIGHT) + np.arange(a, b)])
+            windows.append((out, a, b))
         outs.append(out)
     if slopes:
-        faces = _weno5_face(*(np.concatenate(vs) for vs in zip(*slopes)))
+        faces = _weno5_face(np.concatenate(slopes, axis=1))
         at = 0
-        for out, a, b, left in windows:
-            m = b - a
-            out[a:b] = np.where(left, faces[at:at + m], faces[at + m:at + 2 * m])
-            at += 2 * m
+        for out, a, b in windows:
+            out[a:b] = faces[at:at + b - a]
+            at += b - a
     return outs
 
 

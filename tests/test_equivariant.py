@@ -138,6 +138,148 @@ def test_flat_mode_is_exact_burgers():
     assert np.allclose(dz[interior], 0.0, atol=1e-12)
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def _rhs_states():
+    """A curved and a flat pulse, the steady state (every derivative a signed
+    zero) and a curved state with w = -z and zero speeds on some nodes."""
+    curved = eq.SolverConfig(n_cells=512)
+    flat = eq.SolverConfig(n_cells=512, flat_mode=True)
+    out = [(eq.initial_data(c), c) for c in (curved, flat)]
+    st = eq.initial_data(curved)
+    st.w[:], st.z[:] = curved.sigma_inf, -curved.sigma_inf
+    out.append((st, curved))
+    st = eq.initial_data(curved)
+    st.z[::7] = -st.w[::7]
+    st.w[::5] = -0.0
+    st.z[::5] = curved.frame_drift()
+    out.append((st, curved))
+    return out
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_rhs_keeps_the_bits_of_the_textbook_combination(case):
+    st, cfg = _rhs_states()[case]
+    bc = betas(cfg.gamma)
+    mod = make_mod(cfg)
+    cw, cz = eq.transport_speeds(st.w, st.z, bc, mod.xi_dot)
+    dwx, dzx = weno.weno5_upwind_derivative((st.w, st.z), st.dx, (cw, cz))
+    force = 0.0
+    if not cfg.flat_mode:
+        force = (0.5 * bc.beta3 * (st.w - st.z) * (st.w + st.z)
+                 * np.tan(st.theta_abs()))
+    dw, dz = eq.rhs(st, mod, bc, cfg)
+    assert np.array_equal(_bits(dw), _bits(-cw * dwx + force))
+    assert np.array_equal(_bits(dz), _bits(-cz * dzx - force))
+
+
+def _flat_run(cfg, st, steps, carry=True):
+    """States after each of `steps` steps at the step limit; carry=False
+    steps z as well."""
+    bc = betas(cfg.gamma)
+    mod = make_mod(cfg, xi_dot=0.0)
+    z_still = eq._z_still if carry else (lambda z, cfg: False)
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eq, "_z_still", z_still)
+        for _ in range(steps):
+            lim = eq.step_limit(st, mod, bc, cfg)
+            st = eq.step(st, mod, lim.dt, bc, cfg, check_support=False,
+                         limit=lim)
+            out.append(st)
+    return out
+
+
+def test_flat_z_carry_equals_stepping_z(monkeypatch):
+    # flat mode with a constant z: the kernel differences w alone, and 200
+    # steps give the bits of stepping z too
+    cfg = eq.SolverConfig(n_cells=1024, tau0=1e-2, flat_mode=True)
+    st0 = eq.initial_data(cfg)
+    assert eq._z_still(st0.z, cfg)
+    fields = []
+    kernel = eq.weno5_upwind_derivative
+
+    def counting_kernel(f, dx, c):
+        fields.append(len(f))
+        return kernel(f, dx, c)
+
+    monkeypatch.setattr(eq, "weno5_upwind_derivative", counting_kernel)
+    carried = _flat_run(cfg, st0, 200)
+    assert fields == [1] * 800
+    stepped = _flat_run(cfg, st0, 200, carry=False)
+    assert fields[800:] == [2] * 800
+    for a, b in zip(carried, stepped):
+        assert a.t_tilde == b.t_tilde
+        assert np.array_equal(_bits(a.w), _bits(b.w))
+        assert np.array_equal(_bits(a.z), _bits(b.z))
+    assert np.array_equal(_bits(carried[-1].z), _bits(st0.z))
+
+
+@pytest.mark.parametrize("z_at_5", [np.nan, np.inf, -1.2 + 1e-9])
+def test_flat_z_with_a_slope_or_a_nan_is_stepped(z_at_5):
+    cfg = eq.SolverConfig(n_cells=256, tau0=1e-2, flat_mode=True)
+    st = eq.initial_data(cfg)
+    assert not eq._z_still(st.z, cfg.replace(flat_mode=False))
+    assert not eq._z_still(np.zeros(8), cfg)
+    st.z[5] = z_at_5
+    assert not eq._z_still(st.z, cfg)
+    if np.isfinite(z_at_5):
+        # the slope is transported: z moves
+        (after,) = _flat_run(cfg, st, 1)
+        assert not np.array_equal(after.z, st.z)
+
+
+def test_flat_step_whose_w_overflows_steps_z():
+    # a stage speed leaves the finite numbers: the step is taken again with
+    # z, so z takes the NaNs of stepping it
+    cfg = eq.SolverConfig(n_cells=256, tau0=1e-2, flat_mode=True)
+    st = eq.initial_data(cfg)
+    st.w[100] = 1e308
+    bc = betas(cfg.gamma)
+    mod = make_mod(cfg, xi_dot=0.0)
+    dt = 0.5 * cfg.cfl * st.dx
+    with np.errstate(all="ignore"):
+        got = eq.step(st, mod, dt, bc, cfg, check_support=False, vmax=0.0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(eq, "_z_still", lambda z, cfg: False)
+            want = eq.step(st, mod, dt, bc, cfg, check_support=False, vmax=0.0)
+    assert np.any(np.isnan(want.z))
+    for a, b in ((got.w, want.w), (got.z, want.z)):
+        assert np.array_equal(np.isnan(a), np.isnan(b))
+        assert np.array_equal(a[~np.isnan(a)], b[~np.isnan(b)])
+
+
+def test_stage_one_reuses_the_last_stage_tan(monkeypatch):
+    # two tan(theta) per curved step, and the bits of forming three
+    cfg = eq.SolverConfig(n_cells=512)
+    bc = betas(cfg.gamma)
+    mod = make_mod(cfg)
+    calls = []
+    tan_theta = eq._tan_theta
+
+    def counting_tan(st, c, t):
+        calls.append(t)
+        return tan_theta(st, c, t)
+
+    monkeypatch.setattr(eq, "_tan_theta", counting_tan)
+    reused = [eq.initial_data(cfg)]
+    for _ in range(30):
+        lim = eq.step_limit(reused[-1], mod, bc, cfg)
+        reused.append(eq.step(reused[-1], mod, lim.dt, bc, cfg, limit=lim))
+    # the first step has no stage-4 tan to take
+    assert len(calls) == 3 + 2 * 29
+    for a, b in zip(reused, reused[1:]):
+        # a state built from the fields alone carries no tan
+        fresh = eq.EquivariantState(a.grid, a.w, a.z, a.t_tilde, a.xi0,
+                                    a.frame_drift)
+        lim = eq.step_limit(fresh, mod, bc, cfg)
+        fresh = eq.step(fresh, mod, lim.dt, bc, cfg, limit=lim)
+        assert np.array_equal(_bits(fresh.w), _bits(b.w))
+        assert np.array_equal(_bits(fresh.z), _bits(b.z))
+
+
 def test_step_cfl_contract():
     cfg = eq.SolverConfig(n_cells=512)
     st = eq.initial_data(cfg)

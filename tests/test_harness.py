@@ -131,7 +131,7 @@ def test_run_experiment_artifacts(tmp_path):
         assert required in names
     summary = json.load(open(tmp_path / "summary.json"))
     assert summary["status"] == "blew_up"
-    assert summary["schema_version"] == SCHEMA_VERSION == 7
+    assert summary["schema_version"] == SCHEMA_VERSION == 8
     assert "T_star" in summary and "seed" not in summary
     assert "edge_contact_t" in summary
     # the exterior gradient is taken outside a quarter of the domain width

@@ -3,13 +3,15 @@ import os
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hs
+from hypothesis.extra import numpy as hnp
 
 from sphereshock import diagnostics as dg
 from sphereshock import equivariant as eq
 from sphereshock import weno
 from sphereshock.config import ExperimentConfig
-from sphereshock.weno import (FRONT_HALF_WIDTH, _pad_edge, _weno5_face,
-                              front_window, weno5_upwind_derivative)
+from sphereshock.weno import (_GAMMAS, _WENO_EPS, FRONT_HALF_WIDTH, _pad_edge,
+                              _weno5_face, front_window,
+                              weno5_upwind_derivative)
 
 N = 512
 K = FRONT_HALF_WIDTH
@@ -19,13 +21,32 @@ def _slopes(u, dx):
     return np.diff(_pad_edge(np.asarray(u, dtype=float), 3)) / dx
 
 
+def textbook_face(v1, v2, v3, v4, v5):
+    """Classic WENO5 reconstruction (Jiang & Shu 1996) from five
+    upwind-ordered slopes."""
+    q1 = v1 / 3.0 - 7.0 * v2 / 6.0 + 11.0 * v3 / 6.0
+    q2 = -v2 / 6.0 + 5.0 * v3 / 6.0 + v4 / 3.0
+    q3 = v3 / 3.0 + 5.0 * v4 / 6.0 - v5 / 6.0
+
+    b1 = 13.0 / 12.0 * (v1 - 2 * v2 + v3) ** 2 + 0.25 * (v1 - 4 * v2 + 3 * v3) ** 2
+    b2 = 13.0 / 12.0 * (v2 - 2 * v3 + v4) ** 2 + 0.25 * (v2 - v4) ** 2
+    b3 = 13.0 / 12.0 * (v3 - 2 * v4 + v5) ** 2 + 0.25 * (3 * v3 - 4 * v4 + v5) ** 2
+
+    a1 = _GAMMAS[0] / (_WENO_EPS + b1) ** 2
+    a2 = _GAMMAS[1] / (_WENO_EPS + b2) ** 2
+    a3 = _GAMMAS[2] / (_WENO_EPS + b3) ** 2
+    s = a1 + a2 + a3
+    return (a1 * q1 + a2 * q2 + a3 * q3) / s
+
+
 def two_face_reference(u, dx, speed):
     """Both WENO5 faces on every node, then one picked per node by the sign."""
     d = _slopes(u, dx)
     n = len(u)
-    left = _weno5_face(d[0:n], d[1:n + 1], d[2:n + 2], d[3:n + 3], d[4:n + 4])
-    right = _weno5_face(d[5:n + 5], d[4:n + 4], d[3:n + 3], d[2:n + 2],
-                        d[1:n + 1])
+    left = textbook_face(d[0:n], d[1:n + 1], d[2:n + 2], d[3:n + 3],
+                         d[4:n + 4])
+    right = textbook_face(d[5:n + 5], d[4:n + 4], d[3:n + 3], d[2:n + 2],
+                          d[1:n + 1])
     return np.where(np.asarray(speed) >= 0.0, left, right)
 
 
@@ -162,10 +183,10 @@ def test_constant_field_has_zero_derivative(reconstructed_nodes):
 def reconstructed_nodes(monkeypatch):
     count = [0, 0]  # nodes, calls
 
-    def counting_face(v1, v2, v3, v4, v5):
-        count[0] += len(v1)
+    def counting_face(v):
+        count[0] += v.shape[1]
         count[1] += 1
-        return _weno5_face(v1, v2, v3, v4, v5)
+        return _weno5_face(v)
 
     monkeypatch.setattr(weno, "_weno5_face", counting_face)
     return count
@@ -209,6 +230,35 @@ def test_one_nonlinear_face_call_per_derivative_call(name, reconstructed_nodes):
     reconstructed_nodes[:] = [0, 0]
     weno5_upwind_derivative([np.full(N, 0.8), np.zeros(N)], 0.01, [speed] * 2)
     assert reconstructed_nodes == [0, 0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(hs.data())
+def test_face_is_the_textbook_formula(data):
+    # every column bit for bit, for slopes of any size (zeros, constant
+    # columns, NaN, +-inf, 1e+-300), and a column's face does not depend on
+    # the other columns of the batch
+    m = data.draw(hs.integers(1, 130), label="m")
+    values = hs.floats(allow_nan=True, allow_infinity=True) | hs.sampled_from(
+        [0.0, -0.0, 1.0, 1e-300, -1e300])
+    v = data.draw(hnp.arrays(np.float64, (5, m), elements=values))
+    const = data.draw(hs.lists(hs.integers(0, m - 1), max_size=m))
+    v[:, const] = v[0, const]
+    # faces of -0 and +0
+    v = np.column_stack([v, np.full(5, -0.0), [-0.0, 0.0, -0.0, -0.0, 0.0]])
+    m += 2
+    scale = data.draw(hs.sampled_from([1.0, 1e-300, 1e300]))
+    sub = data.draw(hs.permutations(range(m)))[:data.draw(hs.integers(1, m))]
+    with np.errstate(all="ignore"):
+        v *= scale
+        want = textbook_face(*v)
+        got = _weno5_face(v)
+        alone = _weno5_face(v[:, sub])
+    # a NaN's sign bit may depend on the vector loop numpy picks
+    for a, b in ((got, want), (alone, got[sub])):
+        nan = np.isnan(b)
+        assert np.array_equal(np.isnan(a), nan)
+        assert np.array_equal(_bits(a[~nan]), _bits(b[~nan]))
 
 
 def _speed_layout(data, n, window):
