@@ -4,6 +4,7 @@ calibrate, check-geometry, trajectories."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import sys
 
@@ -15,6 +16,12 @@ def _add_common(p):
     p.add_argument("--out", help="output directory")
     p.add_argument("--print-defaults", action="store_true",
                    help="print the fully resolved default config and exit")
+
+
+def _out_file(path):
+    """The file at path, opened for csv.writer, or stdout; for a with block."""
+    return (open(path, "w", newline="") if path
+            else contextlib.nullcontext(sys.stdout))
 
 
 def _load_config(args):
@@ -89,14 +96,15 @@ def cmd_profile_table(args):
     from . import profile
     y1 = np.linspace(args.y1min, args.y1max, args.n)
     y2 = np.linspace(args.y2min, args.y2max, args.n)
-    out = csv.writer(open(args.out, "w", newline="") if args.out else sys.stdout)
-    out.writerow(["y1", "y2", "W", "dW1", "dW2", "residual"])
-    for b in y2:
-        T = profile.w2d_jet(y1, np.full_like(y1, b))
-        res = profile.selfsimilar_burgers_residual(y1, np.full_like(y1, b))
-        for j in range(len(y1)):
-            out.writerow([f"{v:.17g}" for v in
-                          (y1[j], b, T[0][0][j], T[1][0][j], T[0][1][j], res[j])])
+    with _out_file(args.out) as f:
+        out = csv.writer(f)
+        out.writerow(["y1", "y2", "W", "dW1", "dW2", "residual"])
+        for b in y2:
+            T = profile.w2d_jet(y1, np.full_like(y1, b))
+            res = profile.selfsimilar_burgers_residual(y1, np.full_like(y1, b))
+            for j in range(len(y1)):
+                out.writerow([f"{v:.17g}" for v in
+                              (y1[j], b, T[0][0][j], T[1][0][j], T[0][1][j], res[j])])
     return 0
 
 
@@ -132,16 +140,18 @@ def cmd_trajectories(args):
     snaps = load_snapshots(args.from_run)
     field = FrozenTransportField.from_snapshots(snaps)
     s_lo, s_hi = field.s_span
-    seeds = [float(line) for line in open(args.seeds)
-             if line.strip() and not line.startswith("#")]
-    out = csv.writer(open(args.out, "w", newline="") if args.out else sys.stdout)
+    with open(args.seeds) as f:
+        seeds = [float(line) for line in f
+                 if line.strip() and not line.startswith("#")]
     ps = (0.5, 1.0, 2.0)
-    out.writerow(["y0", "s_end", "Phi_end"] + [f"wint_p{p:g}" for p in ps])
-    for y0 in seeds:
-        path = integrate_trajectory(field, s_lo, y0, s_hi)
-        out.writerow([f"{v:.12g}" for v in
-                      (y0, path.s_end, path(path.s_end),
-                       *(weighted_integral(path, p) for p in ps))])
+    with _out_file(args.out) as f:
+        out = csv.writer(f)
+        out.writerow(["y0", "s_end", "Phi_end"] + [f"wint_p{p:g}" for p in ps])
+        for y0 in seeds:
+            path = integrate_trajectory(field, s_lo, y0, s_hi)
+            out.writerow([f"{v:.12g}" for v in
+                          (y0, path.s_end, path(path.s_end),
+                           *(weighted_integral(path, p) for p in ps))])
     return 0
 
 

@@ -15,36 +15,36 @@ class DiagnosticUndefinedError(ValueError):
     """Not enough usable samples for the requested fit."""
 
 
-# the grid, exponent and denominators of the last holder_seminorm call
-_holder_last = (np.empty(0), None, ())
+# the grid and denominators of the last holder_seminorm call
+_holder_last = (np.empty(0), ())
 
 
-def _holder_denominators(x, exponent):
-    """(sep, good, |x[i+sep] - x[i]|^exponent at good) for the dyadic
+def _holder_denominators(x):
+    """(sep, good, |x[i+sep] - x[i]|^(1/3) at good) for the dyadic
     separations sep = 1, 2, 4, ... < len(x) with any distinct pair, good
     None when every pair is distinct.  A run samples one fixed grid, so the
     terms of the last grid are kept, keyed on its content."""
     global _holder_last
-    last_x, last_exponent, terms = _holder_last
-    if (exponent == last_exponent and last_x.shape == x.shape
-            and np.array_equal(last_x, x)):
+    last_x, terms = _holder_last
+    if last_x.shape == x.shape and np.array_equal(last_x, x):
         return terms
     terms = []
     sep = 1
     while sep < len(x):
-        den = np.abs(x[sep:] - x[:-sep]) ** exponent
+        den = np.abs(x[sep:] - x[:-sep]) ** (1.0 / 3.0)
         good = den > 0
         if np.all(good):
             terms.append((sep, None, den))
         elif np.any(good):
             terms.append((sep, good, den[good]))
         sep *= 2
-    _holder_last = (x.copy(), exponent, terms)
+    _holder_last = (x.copy(), terms)
     return terms
 
 
-def holder_seminorm(x, f, exponent=1.0 / 3.0):
-    """Stratified-pair estimate of sup |f(a)-f(b)| / |a-b|^exponent.
+def holder_seminorm(x, f):
+    """Stratified-pair estimate of the C^{1/3} seminorm
+    sup |f(a)-f(b)| / |a-b|^(1/3).
 
     Uses all adjacent pairs plus dyadic separations (O(N log N) pairs); the
     dense all-pairs oracle validates this at small N.
@@ -54,7 +54,7 @@ def holder_seminorm(x, f, exponent=1.0 / 3.0):
     if len(x) < 3:
         raise DiagnosticUndefinedError("holder_seminorm needs at least 3 samples")
     best = 0.0
-    for sep, good, den in _holder_denominators(x, exponent):
+    for sep, good, den in _holder_denominators(x):
         num = np.abs(f[sep:] - f[:-sep])
         if good is not None:
             num = num[good]
@@ -62,7 +62,7 @@ def holder_seminorm(x, f, exponent=1.0 / 3.0):
     return best
 
 
-def _growth_window(t, slope, clip_frac=0.02, decade=10.0):
+def _growth_window(t, slope, clip_frac=0.02):
     """Indices of the final decade of slope growth, excluding the last
     clip_frac of samples before the stop (scheme-diffusion zone)."""
     n = len(t)
@@ -70,7 +70,7 @@ def _growth_window(t, slope, clip_frac=0.02, decade=10.0):
         raise DiagnosticUndefinedError("need at least 10 samples")
     keep = max(10, int(np.floor(n * (1.0 - clip_frac))))
     peak = slope[keep - 1]
-    lo = peak / decade
+    lo = peak / 10.0
     idx = np.flatnonzero(slope[:keep] >= lo)
     if len(idx) < 10:
         raise DiagnosticUndefinedError("fewer than 10 samples in the fit window")
@@ -107,7 +107,7 @@ def resolution_window(tau0, dx):
     return (0.02 * tau0**2 / (150.0 * dx**4)) ** 0.2
 
 
-def blowup_time_refined(record, slope_lo=None, slope_hi=None):
+def blowup_time_refined(record):
     """Sharper T* from the tracker: fit tau = T* + a (tau - t)^2.
 
     The predicted-time series tau(t) approaches T* quadratically in the
@@ -120,12 +120,10 @@ def blowup_time_refined(record, slope_lo=None, slope_hi=None):
     slope = record.series("max_slope")
     solver = record.config["solver"]
     tau0 = solver["tau0"]
-    if slope_lo is None:
-        slope_lo = 1.5 / tau0
-    if slope_hi is None:
-        dx = (solver["theta_max"] - solver["theta_min"]) / (solver["n_cells"] - 1)
-        slope_hi = min(resolution_window(tau0, dx), 0.35 * dx ** (-2.0 / 3.0))
-        slope_hi = max(slope_hi, 2.2 * slope_lo)
+    slope_lo = 1.5 / tau0
+    dx = (solver["theta_max"] - solver["theta_min"]) / (solver["n_cells"] - 1)
+    slope_hi = min(resolution_window(tau0, dx), 0.35 * dx ** (-2.0 / 3.0))
+    slope_hi = max(slope_hi, 2.2 * slope_lo)
     sel = (slope >= slope_lo) & (slope <= slope_hi)
     if np.count_nonzero(sel) < 10:
         raise DiagnosticUndefinedError("fewer than 10 samples in the tau-fit window")
@@ -215,10 +213,11 @@ class BlowupReport:
         return all(self.flags.values())
 
 
-def blowup_report(record, holder_cap, rate_tol=0.05, time_budget=None,
+def blowup_report(record, holder_cap, rate_tol=0.05,
                   clip_frac=0.02) -> BlowupReport:
     """Assemble the full verdict for a completed blow-up run; clip_frac is
-    passed on to the T* and rate fits."""
+    passed on to the T* and rate fits.  T* must lie within the 2 M tau0^2
+    time budget of tau0."""
     solver = record.config["solver"]
     sigma_inf = solver["sigma_inf"]
     tau0 = solver["tau0"]
@@ -232,11 +231,9 @@ def blowup_report(record, holder_cap, rate_tol=0.05, time_budget=None,
     loc = location_report(record, xi0, kappa0, beta3, M, tau0)
     vac = vacuum_check(record, sigma_inf)
     holder_max = float(np.max(record.series("holder_w")))
-    if time_budget is None:
-        time_budget = 2.0 * M * tau0**2
 
     flags = {
-        "blow_up_time": abs(T_star - tau0) <= time_budget,
+        "blow_up_time": abs(T_star - tau0) <= 2.0 * M * tau0**2,
         "rate": abs(rate + 1.0) <= rate_tol,
         "rate_span_decade": span >= 10.0,
         "location": loc["pass"],

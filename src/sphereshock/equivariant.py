@@ -50,6 +50,18 @@ class OracleDomainError(ValueError):
     pass
 
 
+# Courant number of the stability bound on the fastest field: below the RK4
+# limit of the linear fifth-order upwind operator, 1.732 (Motamed, Macdonald &
+# Ruuth, J. Sci. Comput. 47, 2011); tests/test_equivariant.py recomputes it
+RK4_COURANT = 1.2
+SLOPE_DT_FRAC = 0.05             # dt <= SLOPE_DT_FRAC / max|slope|
+DT_FLOOR = 1e-12                 # a smaller step bound stops the run: stalled
+CUT_INNER, CUT_OUTER = 0.4, 1.0  # initial profile cutoff radii, units tau0^-1/2
+POLE_MARGIN = math.pi / 16.0     # least distance of the domain from the pole
+SUPPORT_TOL = 1e-11              # deviation from the background in the support
+STENCIL_REACH_CELLS = 12.5       # support growth beyond transport (see step)
+
+
 @dataclass
 class SolverConfig:
     gamma: float = 3.0
@@ -60,16 +72,10 @@ class SolverConfig:
     cfl: float = 0.6
     flat_mode: bool = False
     blowup_slope_cap: float = None       # default 1e4 / tau0
-    dt_floor: float = 1e-12
     t_max: float = None                  # default 2 * tau0
     theta_min: float = None              # co-moving frame extent
     theta_max: float = None
-    cut_inner: float = 0.4               # profile cutoff radii, units tau0^-1/2
-    cut_outer: float = 1.0
-    slope_dt_frac: float = 0.05          # dt <= frac / max|slope|
     record_every: int = 4
-    pole_margin: float = math.pi / 16.0
-    support_tol: float = 1e-11
     enforce_regime: bool = True
     monitor_M: float = 100.0
     emit_selfsim_ds: float = None         # snapshot cadence in s; None = off
@@ -83,22 +89,12 @@ class SolverConfig:
             raise ConfigError("n_cells too small")
         if not self.tau0 > 0:
             raise ConfigError("tau0 must be positive")
-        if not 0 < self.cut_inner < self.cut_outer:
-            raise ConfigError("need 0 < cut_inner < cut_outer")
         if not self.record_every >= 1:
             raise ConfigError("record_every must be >= 1")
         if not 1.0 < self.monitor_M < math.inf:
             raise ConfigError("monitor_M must be finite and exceed 1")
-        if not self.slope_dt_frac > 0:
-            raise ConfigError("slope_dt_frac must be positive")
         if self.emit_selfsim_ds is not None and not self.emit_selfsim_ds > 0:
             raise ConfigError("emit_selfsim_ds must be positive when set")
-        if not self.dt_floor > 0:
-            raise ConfigError("dt_floor must be positive")
-        if not self.support_tol > 0:
-            raise ConfigError("support_tol must be positive")
-        if not 0 < self.pole_margin < 0.5 * math.pi:
-            raise ConfigError("pole_margin must lie in (0, pi/2)")
         bc = betas(self.gamma)
         if self.enforce_regime:
             if not math.pi / 16.0 <= self.xi0 <= math.pi / 8.0:
@@ -119,6 +115,8 @@ class SolverConfig:
             setattr(self, k, defaults[k])
         if not self.theta_min < 0 < self.theta_max:
             raise ConfigError("the co-moving domain must contain theta_hat = 0")
+        if not (self.blowup_slope_cap > 0 and self.t_max > 0):
+            raise ConfigError("blowup_slope_cap and t_max must be positive")
 
     def replace(self, **changes):
         """Copy with changes; the fields left unset at construction are
@@ -161,10 +159,10 @@ class EquivariantState:
         return 0.5 * (self.w - self.z)
 
 
-def support_bounds(state: EquivariantState, sigma_inf, tol):
+def support_bounds(state: EquivariantState, sigma_inf):
     """Co-moving extent of the deviation from the background steady state."""
     dev = np.maximum(np.abs(state.w - sigma_inf), np.abs(state.z + sigma_inf))
-    idx = np.flatnonzero(dev > tol)
+    idx = np.flatnonzero(dev > SUPPORT_TOL)
     if len(idx) == 0:
         return None, None
     return float(state.grid[idx[0]]), float(state.grid[idx[-1]])
@@ -177,8 +175,8 @@ def initial_data(cfg: SolverConfig) -> EquivariantState:
     grid = np.linspace(cfg.theta_min, cfg.theta_max, cfg.n_cells)
     s0 = -math.log(cfg.tau0)
     y = grid * math.exp(1.5 * s0)
-    inner = cfg.cut_inner * cfg.tau0 ** -0.5
-    outer = cfg.cut_outer * cfg.tau0 ** -0.5
+    inner = CUT_INNER * cfg.tau0 ** -0.5
+    outer = CUT_OUTER * cfg.tau0 ** -0.5
     support_half_width = outer * cfg.tau0 ** 1.5
     if support_half_width > cfg.xi0 / 10.0:
         raise ConfigError("initial support exceeds the xi0/10 window")
@@ -188,6 +186,8 @@ def initial_data(cfg: SolverConfig) -> EquivariantState:
         raise ConfigError("initial support does not fit inside the grid")
     w0 = profile.w1d(y) * bump(y, inner, outer)
     w = cfg.kappa0 + math.exp(-0.5 * s0) * w0
+    if np.max(np.abs(deriv1_c4(w, dx))) >= cfg.blowup_slope_cap:
+        raise ConfigError("the initial max slope reaches blowup_slope_cap")
     z = np.full_like(w, -cfg.sigma_inf)
     return EquivariantState(grid=grid, w=w, z=z, t_tilde=0.0, xi0=cfg.xi0,
                             frame_drift=cfg.frame_drift())
@@ -197,12 +197,6 @@ def transport_speeds(w, z, bc, xi_dot):
     """Characteristic speeds of the w- and z-equations in a frame drifting
     at xi_dot: the diagonal (w + b2 z, b2 w + z) of the Riemann system."""
     return w + bc.beta2 * z - xi_dot, bc.beta2 * w + z - xi_dot
-
-
-# Courant number of the stability bound on the fastest field: below the RK4
-# limit of the linear fifth-order upwind operator, 1.732 (Motamed, Macdonald &
-# Ruuth, J. Sci. Comput. 47, 2011); tests/test_equivariant.py recomputes it
-RK4_COURANT = 1.2
 
 
 @dataclass
@@ -235,7 +229,7 @@ def _tan_theta(state: EquivariantState, cfg: SolverConfig, t):
     if cfg.flat_mode:
         return None
     theta = state.grid + state.xi0 + state.frame_drift * t
-    if np.max(np.abs(theta)) > 0.5 * math.pi - cfg.pole_margin:
+    if np.max(np.abs(theta)) > 0.5 * math.pi - POLE_MARGIN:
         raise PoleProximityError("domain within the pole margin of theta = pi/2")
     return np.tan(theta)
 
@@ -290,8 +284,7 @@ def max_transport_speed(state, mod, bc):
 
 
 def step(state: EquivariantState, mod: ModulationState, dt, bc, cfg: SolverConfig,
-         check_support=True, vmax=None, limit=None, support=None
-         ) -> EquivariantState:
+         check_support=True, limit=None, support=None) -> EquivariantState:
     """One classical RK4 advance; enforces the step limit and the finite
     propagation property of the support.
 
@@ -300,18 +293,14 @@ def step(state: EquivariantState, mod: ModulationState, dt, bc, cfg: SolverConfi
     finite; a step whose w leaves the finite numbers is taken again with z.
 
     limit = step_limit(state, mod, bc, cfg) and support = support_bounds of
-    state may be passed by a caller that has them already.  vmax overrides
-    the limit's speed in the support reach; vmax = 0 also drops the check
-    of dt against the limit.
+    state may be passed by a caller that has them already.
     """
     if limit is None:
         limit = step_limit(state, mod, bc, cfg)
-    if vmax is None:
-        vmax = limit.vmax
-    if vmax > 0 and dt > limit.dt * (1.0 + 1e-9):
+    if dt > limit.dt * (1.0 + 1e-9):
         raise CFLViolationError(f"dt={dt} exceeds the step limit {limit.dt}")
     if check_support:
-        lo0, hi0 = (support_bounds(state, cfg.sigma_inf, cfg.support_tol)
+        lo0, hi0 = (support_bounds(state, cfg.sigma_inf)
                     if support is None else support)
 
     t, w, z = state.t_tilde, state.w, state.z
@@ -338,10 +327,11 @@ def step(state: EquivariantState, mod: ModulationState, dt, bc, cfg: SolverConfi
     new.tan = tan_end
 
     if check_support and lo0 is not None:
-        lo1, hi1 = support_bounds(new, cfg.sigma_inf, cfg.support_tol)
-        # the 7-point stencil can seed truncation-level noise up to 3 cells
-        # beyond the tol-support; at physical amplitude growth is one cell
-        reach = vmax * dt + 3.5 * state.dx
+        lo1, hi1 = support_bounds(new, cfg.sigma_inf)
+        # one RK4 step applies the six-node stencil (u[i-3..i+2] or
+        # u[i-2..i+3]) four times, so truncation-level noise can land up to
+        # 4 x 3 nodes beyond the transported tol-support
+        reach = limit.vmax * dt + STENCIL_REACH_CELLS * state.dx
         if lo1 is not None and (lo1 < lo0 - reach or hi1 > hi0 + reach):
             raise SupportGrowthError("support grew faster than transport + stencil")
     return new
@@ -374,7 +364,7 @@ def _sample_row(state: EquivariantState, grid_abs, fld, mod, slope, smax,
                ba_margins=ba.margins,
                ba_w_pass=ba.family_passed("ba_w_"),
                ba_z_pass=ba.family_passed("ba_z_"))
-    lo, hi = support_bounds(state, cfg.sigma_inf, cfg.support_tol)
+    lo, hi = support_bounds(state, cfg.sigma_inf)
     row["support_lo"], row["support_hi"] = lo, hi
     # sup outside a quarter domain width of xi; under half the width, the
     # far set is never empty
@@ -429,12 +419,12 @@ def run_until_blowup(cfg: SolverConfig) -> RunRecord:
         slope = deriv1_c4(w, dx)
         smax_grid = float(np.max(np.abs(slope)))
         limit = step_limit(state, mod_pde, bc, cfg)
-        dt_base = min(limit.dt, cfg.slope_dt_frac / smax_grid)
+        dt_base = min(limit.dt, SLOPE_DT_FRAC / smax_grid)
         dt = min(dt_base, cfg.t_max - state.t_tilde)
 
         sample_step = (step_i % cfg.record_every == 0)
         hit_cap = smax_grid >= cfg.blowup_slope_cap
-        stalled = dt_base < cfg.dt_floor
+        stalled = dt_base < DT_FLOOR
         hit_tmax = state.t_tilde >= cfg.t_max * (1.0 - 1e-12)
         stopping = hit_cap or stalled or hit_tmax
         if sample_step or stopping:

@@ -75,7 +75,7 @@ class SelfSimField:
     origin_jet: np.ndarray = None  # d^k_y W at y = 0, k = 0..7
 
 
-def to_selfsimilar(grid_abs, w, z, mod: ModulationState, nderiv=4) -> SelfSimField:
+def to_selfsimilar(grid_abs, w, z, mod: ModulationState) -> SelfSimField:
     """Map physical fields on an absolute-theta grid into the zoom frame.
 
     y = (theta - xi) e^{3s/2}, W = e^{s/2}(w - kappa), Z = z.  Derivative
@@ -96,8 +96,7 @@ def to_selfsimilar(grid_abs, w, z, mod: ModulationState, nderiv=4) -> SelfSimFie
                        kappa=mod.kappa, tau=mod.tau, xi=mod.xi,
                        t_tilde=mod.t_tilde)
     dx = grid_abs[1] - grid_abs[0]
-    for k in range(1, nderiv + 1):
-        dke = DERIVS_C4[k - 1]
+    for k, dke in enumerate(DERIVS_C4, start=1):
         fld.dW[k] = e12 * e32 ** -k * dke(w, dx)
         fld.dZ[k] = e32 ** -k * dke(z, dx)
     fld.origin_jet = lagrange_value_and_derivs(fld.y, fld.W, 0.0, nderiv=7,

@@ -51,7 +51,7 @@ def test_field_csv_columns(tmp_path):
     path = tmp_path / "fields.csv"
     write_field_csv(path, np.array([0.0, 0.1]), np.array([1.0, 1.2]),
                     np.array([-1.0, -1.1]))
-    rows = list(csv.DictReader(open(path)))
+    rows = list(csv.DictReader(path.read_text().splitlines()))
     assert list(rows[0].keys()) == ["theta_tilde", "w", "z", "sigma", "v"]
     assert float(rows[1]["sigma"]) == pytest.approx(1.15)
 
@@ -104,6 +104,12 @@ def test_experiment_config_validation():
         ExperimentConfig.from_dict({"seed": 0})  # removed: fed no randomness
     with pytest.raises(ConfigError):  # removed: one derived delta remains
         ExperimentConfig.from_dict({"solver": {"ext_grad_deltas": [0.1]}})
+    retired = ("slope_dt_frac", "dt_floor", "cut_inner", "cut_outer",
+               "pole_margin", "support_tol")  # removed: module constants
+    for key in retired:
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_dict({"solver": {key: 1.0}})
+    assert not set(retired) & set(json.loads(print_defaults())["solver"])
     cfg = ExperimentConfig.from_dict({"solver": {"tau0": 5e-3}})
     assert cfg.solver.tau0 == 5e-3
     assert cfg.solver.blowup_slope_cap == pytest.approx(1e4 / 5e-3)
@@ -129,9 +135,9 @@ def test_run_experiment_artifacts(tmp_path):
     for required in ("run.jsonl", "summary.json", "meta.json",
                      "final_fields.csv", "snapshots.npz"):
         assert required in names
-    summary = json.load(open(tmp_path / "summary.json"))
+    summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["status"] == "blew_up"
-    assert summary["schema_version"] == SCHEMA_VERSION == 8
+    assert summary["schema_version"] == SCHEMA_VERSION == 9
     assert "T_star" in summary and "seed" not in summary
     assert "edge_contact_t" in summary
     # the exterior gradient is taken outside a quarter of the domain width
@@ -147,20 +153,21 @@ def test_run_experiment_deterministic(tmp_path):
     # identical config (including out_dir) => byte-identical outputs
     cfg = small_config(tmp_path / "a")
     run_experiment(cfg, str(tmp_path / "a"))
-    jl1 = open(tmp_path / "a" / "run.jsonl", "rb").read()
-    s1 = open(tmp_path / "a" / "summary.json", "rb").read()
+    jl1 = (tmp_path / "a" / "run.jsonl").read_bytes()
+    s1 = (tmp_path / "a" / "summary.json").read_bytes()
     run_experiment(small_config(tmp_path / "a"), str(tmp_path / "a"))
-    assert open(tmp_path / "a" / "run.jsonl", "rb").read() == jl1
-    assert open(tmp_path / "a" / "summary.json", "rb").read() == s1
+    assert (tmp_path / "a" / "run.jsonl").read_bytes() == jl1
+    assert (tmp_path / "a" / "summary.json").read_bytes() == s1
 
 
 def test_summary_does_not_depend_on_out_dir(tmp_path):
     # same physics written to two directories => one hash, one summary
     for name in ("a", "b"):
         run_experiment(small_config(tmp_path / name))
-    s_a = open(tmp_path / "a" / "summary.json", "rb").read()
-    assert open(tmp_path / "b" / "summary.json", "rb").read() == s_a
-    header = json.loads(open(tmp_path / "b" / "run.jsonl").readline())
+    s_a = (tmp_path / "a" / "summary.json").read_bytes()
+    assert (tmp_path / "b" / "summary.json").read_bytes() == s_a
+    with open(tmp_path / "b" / "run.jsonl") as f:
+        header = json.loads(f.readline())
     assert header["config"]["out_dir"] == str(tmp_path / "b")
 
 
@@ -175,7 +182,8 @@ def test_edge_contact_recorded_and_diagnosed(tmp_path, capsys):
     # the curved run's z-deviation reaches the left grid edge before blow-up
     curved = run_experiment(small_config(tmp_path / "curved"))
     lo_edge, hi_edge = _support_edges(curved)
-    t_contact = json.load(open(tmp_path / "curved" / "summary.json"))["edge_contact_t"]
+    summary = json.loads((tmp_path / "curved" / "summary.json").read_text())
+    t_contact = summary["edge_contact_t"]
     assert t_contact is not None
     touching = [s["t_tilde"] for s in curved.samples
                 if s["support_lo"] <= lo_edge or s["support_hi"] >= hi_edge]
@@ -186,7 +194,8 @@ def test_edge_contact_recorded_and_diagnosed(tmp_path, capsys):
     # in flat mode z stays at the background and w stays interior
     flat = run_experiment(small_config(tmp_path / "flat", flat_mode=True))
     lo_edge, hi_edge = _support_edges(flat)
-    assert json.load(open(tmp_path / "flat" / "summary.json"))["edge_contact_t"] is None
+    summary = json.loads((tmp_path / "flat" / "summary.json").read_text())
+    assert summary["edge_contact_t"] is None
     assert all(lo_edge < s["support_lo"] and s["support_hi"] < hi_edge
                for s in flat.samples)
     cli.main(["diagnose", str(tmp_path / "flat" / "run.jsonl")])
@@ -234,16 +243,17 @@ def test_sweep_rows_derive_unset_fields_from_their_tau0(tmp_path):
 
 def test_cli_simulate_and_diagnose(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    json.dump({"solver": {"n_cells": 1024, "tau0": 1e-2, "record_every": 4,
-                          "blowup_slope_cap": 1100.0},
-               "diagnostics": {"clip_frac": 0.2},
-               "out_dir": str(tmp_path / "run")}, open(cfg_path, "w"))
+    cfg_path.write_text(json.dumps(
+        {"solver": {"n_cells": 1024, "tau0": 1e-2, "record_every": 4,
+                    "blowup_slope_cap": 1100.0},
+         "diagnostics": {"clip_frac": 0.2},
+         "out_dir": str(tmp_path / "run")}))
     rc = cli.main(["simulate", "--config", str(cfg_path)])
     assert rc == 0
     rc = cli.main(["diagnose", str(tmp_path / "run" / "run.jsonl")])
     assert rc in (0, 1)  # verdict exit code, not a crash
     # diagnose fits with the run's own clip_frac, so its T* is the summary's
-    summary = json.load(open(tmp_path / "run" / "summary.json"))
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
     out = capsys.readouterr().out
     assert f"T*                : {summary['T_star']:.8g}\n" in out
 
