@@ -11,7 +11,7 @@ import numpy as np
 from . import profile
 from .modulation import ModulationState
 from .util import lagrange_value_and_derivs
-from .weno import DERIVS_C4
+from .weno import derivs_c4
 
 
 class PastBlowupError(ValueError):
@@ -34,8 +34,8 @@ class BootstrapConstants:
     l: float = None
     L: float = None
     inner_y: np.ndarray = field(init=False, repr=False, compare=False)
-    inner_wbar: list = field(init=False, repr=False, compare=False)
-    inner_bounds: list = field(init=False, repr=False, compare=False)
+    inner_wbar: np.ndarray = field(init=False, repr=False, compare=False)
+    inner_bounds: np.ndarray = field(init=False, repr=False, compare=False)
     distance_y: np.ndarray = field(init=False, repr=False, compare=False)
     distance_wbar: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -48,13 +48,13 @@ class BootstrapConstants:
         ys = np.linspace(-self.l, self.l, 9)
         M, t0 = self.M, self.tau0
         self.inner_y = ys
-        self.inner_wbar = profile.w1d_jet(ys, upto=4)
-        self.inner_bounds = []
+        self.inner_wbar = np.array(profile.w1d_jet(ys, upto=4))
+        self.inner_bounds = np.empty((5, len(ys)))
         for k in range(0, 5):
             bound = 10.0 * M**2 * np.sqrt(t0) * np.abs(ys) ** (4 - k)
             if k <= 3:
                 bound = bound + t0 ** 0.6 * np.abs(ys) ** (3 - k)
-            self.inner_bounds.append(bound)
+            self.inner_bounds[k] = bound
         # profile_distance's inner sup: 17 points and the profile
         self.distance_y = np.linspace(-self.l, self.l, 17)
         self.distance_wbar = profile.w1d(self.distance_y)
@@ -96,9 +96,11 @@ def to_selfsimilar(grid_abs, w, z, mod: ModulationState) -> SelfSimField:
                        kappa=mod.kappa, tau=mod.tau, xi=mod.xi,
                        t_tilde=mod.t_tilde)
     dx = grid_abs[1] - grid_abs[0]
-    for k, dke in enumerate(DERIVS_C4, start=1):
-        fld.dW[k] = e12 * e32 ** -k * dke(w, dx)
-        fld.dZ[k] = e32 ** -k * dke(z, dx)
+    for k, (dw, dz) in enumerate(zip(derivs_c4(w, dx), derivs_c4(z, dx)),
+                                 start=1):
+        dw *= e12 * e32 ** -k
+        dz *= e32 ** -k
+        fld.dW[k], fld.dZ[k] = dw, dz
     fld.origin_jet = lagrange_value_and_derivs(fld.y, fld.W, 0.0, nderiv=7,
                                                npts=8)
     return fld
@@ -142,6 +144,19 @@ def _min_margin(bound, quantity, y):
     return float(margin[i]), float(y[i])
 
 
+def _max_margin(bound, quantity, y):
+    """_min_margin for a constant bound: bound - max|q| is min(bound - |q|),
+    since rounding is monotone, and its y is that of the first max of |q|."""
+    aq = np.abs(quantity)
+    i = int(np.argmax(aq))
+    return float(bound - aq[i]), float(y[i])
+
+
+# jet index k + m of term m of the Taylor polynomial of d^k W, k = 0..4, from
+# the 8-term origin jet; indices past the jet read the 0.0 it is padded with
+_INNER_TERMS = np.arange(5)[:, None] + np.arange(8)
+
+
 def window_profile(fld: SelfSimField, consts: BootstrapConstants):
     """[Wbar, Wbar', Wbar''] on the compared window |y| <= L, the profile
     that bootstrap_report and profile_distance compare W with."""
@@ -168,16 +183,16 @@ def bootstrap_report(fld: SelfSimField, consts: BootstrapConstants,
 
     margins, worst = {}, {}
 
-    def put(name, bound, quantity, yy=y):
+    def put(name, bound, quantity, yy=y, margin=_min_margin):
         if len(yy):
-            margins[name], worst[name] = _min_margin(bound, quantity, yy)
+            margins[name], worst[name] = margin(bound, quantity, yy)
 
     yb23 = yb ** (-2.0 / 3.0)
     put("ba_w_0", (1.0 + t0 ** (1.0 / 23.0)) * yb ** (1.0 / 3.0), fld.W[trim])
     put("ba_w_1", 15.0 * yb23, fld.dW[1][trim])
     put("ba_w_2", M ** (1.0 / 6.0) * yb23, fld.dW[2][trim])
-    put("ba_w_3", M ** 0.5, fld.dW[3][trim])
-    put("ba_w_4", float(M), fld.dW[4][trim])
+    put("ba_w_3", M ** 0.5, fld.dW[3][trim], margin=_max_margin)
+    put("ba_w_4", float(M), fld.dW[4][trim], margin=_max_margin)
 
     win = compared_window(fld.y, consts.L)
     yw = fld.y[win]
@@ -191,15 +206,22 @@ def bootstrap_report(fld: SelfSimField, consts: BootstrapConstants,
     margins["ba_wt_3_origin"] = float(t0 ** 0.8 - abs(jet[3] - 6.0))
     worst["ba_wt_3_origin"] = 0.0
 
-    # inner region |y| <= l sits below the grid scale: read the origin jet
+    # inner region |y| <= l sits below the grid scale: read the origin jet.
+    # Row k is _taylor(jet[k:], ys); a row whose terms have not begun stays
+    # 0.0 + (+-0.0) = +0.0, so each row keeps _taylor's bits.
     ys = consts.inner_y
-    for k in range(0, 5):
-        wt_k = _taylor(jet[k:], ys) - consts.inner_wbar[k]
-        put(f"ba_wt_inner_{k}", consts.inner_bounds[k], wt_k, ys)
+    terms = np.append(jet, np.zeros(4))[_INNER_TERMS]
+    taylor = 0.0
+    for m in range(terms.shape[1] - 1, -1, -1):
+        taylor = terms[:, m:m + 1] + taylor * ys / (m + 1)
+    margin = consts.inner_bounds - np.abs(taylor - consts.inner_wbar)
+    for k, i in enumerate(np.argmin(margin, axis=1)):
+        margins[f"ba_wt_inner_{k}"] = float(margin[k, i])
+        worst[f"ba_wt_inner_{k}"] = float(ys[i])
 
-    put("ba_z_0", M * t0, fld.Z[trim] + consts.sigma_inf)
+    put("ba_z_0", M * t0, fld.Z[trim] + consts.sigma_inf, margin=_max_margin)
     for k, power in ((1, 1.0), (2, 4.0 / 3.0), (3, 6.0), (4, 7.0)):
-        put(f"ba_z_{k}", M**power * e32, fld.dZ[k][trim])
+        put(f"ba_z_{k}", M**power * e32, fld.dZ[k][trim], margin=_max_margin)
 
     return BootstrapReport(margins=margins, worst=worst)
 

@@ -8,6 +8,7 @@ from the solver loop.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,12 +74,20 @@ def integrate_trajectory(V, s1, y0, s_end, tol=1e-10, escape_box=None,
     """Adaptive RKF45 integration of dPhi/ds = V(s, Phi) from (s1, y0).
 
     Local error is controlled to tol per step; leaving escape_box (lo, hi)
-    terminates early with status 'escaped' (not an error).
+    terminates early with status 'escaped' (not an error).  A start outside
+    the box is refused.
     """
     if not s_end > s1:
         raise ValueError("s_end must exceed s1")
     y0 = float(y0)
-    ss, ys, fs = [s1], [y0], [float(np.asarray(V(s1, y0)))]
+    if escape_box is not None and not escape_box[0] <= y0 <= escape_box[1]:
+        raise ValueError(f"y0 = {y0!r} starts outside escape_box {escape_box!r}")
+    a0, a1, a2, a3, a4, a5 = _RKF_A
+    (b10,), (b20, b21), (b30, b31, b32), (b40, b41, b42, b43), \
+        (b50, b51, b52, b53, b54) = _RKF_B[1:]
+    c0, c1, c2, c3, c4, c5 = _RKF_C5
+    d0, d1, d2, d3, d4, d5 = _RKF_C4
+    ss, ys, fs = [s1], [y0], [float(V(s1, y0))]
     h = min(1e-2, s_end - s1)
     s, y = s1, y0
     status = EscapeStatus.INSIDE
@@ -89,12 +98,21 @@ def integrate_trajectory(V, s1, y0, s_end, tol=1e-10, escape_box=None,
             status = EscapeStatus.ESCAPED
             break
         h = min(h, s_end - s)
-        k = []
-        for stage in range(6):
-            ys_stage = y + h * sum(b * kk for b, kk in zip(_RKF_B[stage], k))
-            k.append(float(np.asarray(V(s + _RKF_A[stage] * h, ys_stage))))
-        y5 = y + h * sum(c * kk for c, kk in zip(_RKF_C5, k))
-        y4 = y + h * sum(c * kk for c, kk in zip(_RKF_C4, k))
+        # each stage sum starts from the integer 0, as sum() over the
+        # tableau row does: 0 + (-0.0) is +0.0, and the empty first row
+        # makes the first stage's argument y + h * 0
+        k0 = float(V(s + a0 * h, y + h * 0))
+        k1 = float(V(s + a1 * h, y + h * (0 + b10 * k0)))
+        k2 = float(V(s + a2 * h, y + h * (0 + b20 * k0 + b21 * k1)))
+        k3 = float(V(s + a3 * h, y + h * (0 + b30 * k0 + b31 * k1 + b32 * k2)))
+        k4 = float(V(s + a4 * h, y + h * (0 + b40 * k0 + b41 * k1 + b42 * k2
+                                          + b43 * k3)))
+        k5 = float(V(s + a5 * h, y + h * (0 + b50 * k0 + b51 * k1 + b52 * k2
+                                          + b53 * k3 + b54 * k4)))
+        y5 = y + h * (0 + c0 * k0 + c1 * k1 + c2 * k2 + c3 * k3 + c4 * k4
+                      + c5 * k5)
+        y4 = y + h * (0 + d0 * k0 + d1 * k1 + d2 * k2 + d3 * k3 + d4 * k4
+                      + d5 * k5)
         err = abs(y5 - y4)
         scale = tol * max(1.0, abs(y), abs(y5))
         if err <= scale or h <= 1e-12:
@@ -102,7 +120,7 @@ def integrate_trajectory(V, s1, y0, s_end, tol=1e-10, escape_box=None,
             y = y5
             ss.append(s)
             ys.append(y)
-            fs.append(float(np.asarray(V(s, y))))
+            fs.append(float(V(s, y)))
         ratio = (scale / err) ** 0.2 if err > 0 else 2.0
         h = max(1e-12, h * min(2.0, max(0.2, 0.9 * ratio)))
     else:
@@ -164,18 +182,46 @@ def z_drift_certificate(V_Z, path: TrajectoryPath, beta3, kappa0, n_dense=400):
     return float(np.min(-0.5 * beta3 * kappa0 * np.exp(0.5 * s[mask]) - drifts))
 
 
+def _interp(x, xp, fp):
+    """np.interp(x, xp, fp) for one float x on Python lists, written out as
+    numpy computes it, NaN fallbacks included."""
+    if x != x:
+        return x
+    if x > xp[-1]:
+        return fp[-1]
+    if x < xp[0]:
+        return fp[0]
+    j = bisect_right(xp, x) - 1
+    if j == len(xp) - 1 or xp[j] == x:
+        return fp[j]
+    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+    out = slope * (x - xp[j]) + fp[j]
+    if out != out:
+        out = slope * (x - xp[j + 1]) + fp[j + 1]
+        if out != out and fp[j] == fp[j + 1]:
+            out = fp[j]
+    return out
+
+
 @dataclass
 class FrozenTransportField:
     """Time-sliced interpolant of g_R snapshots: V(s, y) = 3/2 y + g_R(s, y).
 
     Built from run snapshots; linear in s between slices, linear in y along
-    each slice, constant-extrapolated outside.
+    each slice, constant-extrapolated outside.  A scalar call runs in plain
+    Python on list copies of the slices, bit for bit the vectorised g.
     """
 
     s_slices: np.ndarray
     y_slices: list
     g_slices: list
     tag: str = "g_w"
+    _lists: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._lists = ([float(t) for t in self.s_slices],
+                       [np.asarray(y, dtype=float).tolist() for y in self.y_slices],
+                       [np.asarray(g, dtype=float).tolist() for g in self.g_slices])
 
     @classmethod
     def from_snapshots(cls, snapshots, key="g_w"):
@@ -197,7 +243,25 @@ class FrozenTransportField:
         return (1.0 - frac) * g0 + frac * g1
 
     def __call__(self, s, y):
-        return 1.5 * y + self.g(s, y)
+        if not (isinstance(y, float) and isinstance(s, (float, int))) or s != s:
+            return 1.5 * y + self.g(s, y)
+        # g written out for one point: bisect_left is np.searchsorted, the
+        # clamps are np.clip's (NaN and -0.0 pass through)
+        y = float(y)
+        ts, yl, gl = self._lists
+        i = min(max(bisect_left(ts, s) - 1, 0), len(ts) - 2)
+        s0, s1 = ts[i], ts[i + 1]
+        if s1 == s0:
+            frac = 0.0
+        else:
+            frac = (s - s0) / (s1 - s0)
+            if frac < 0.0:
+                frac = 0.0
+            elif frac > 1.0:
+                frac = 1.0
+        g0 = _interp(y, yl[i], gl[i])
+        g1 = _interp(y, yl[i + 1], gl[i + 1])
+        return 1.5 * y + ((1.0 - frac) * g0 + frac * g1)
 
     @property
     def s_span(self):

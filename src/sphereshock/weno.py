@@ -162,29 +162,46 @@ def weno5_upwind_derivative(fields, dx, speeds):
     return outs
 
 
+# Centred fourth-order stencils d^k u / dx^k, k = 1..4: the taps and the
+# denominator (over dx^k) of one np.correlate over the field edge-padded by
+# 3 nodes.  np.correlate sums its products left to right from +0.0, so the
+# tap order fixes the rounding: k = 1, 2 sum from the right end of the
+# stencil (over the reversed field), k = 3, 4 from the left end, as the
+# explicit sums in tests/test_weno.py do.  An output whose every product is
+# -0.0 comes out +0.0.  The zero taps of k = 1, 3 multiply the centre node,
+# so a non-finite node makes its own derivative NaN too; a run stops with
+# `numerical_failure` before it differences a non-finite field.
+_C4 = {1: (np.array([-1.0, 8.0, 0.0, -8.0, 1.0]), 12.0),
+       2: (np.array([-1.0, 16.0, -30.0, 16.0, -1.0]), 12.0),
+       3: (np.array([1.0, -8.0, 13.0, 0.0, -13.0, 8.0, -1.0]), 8.0),
+       4: (np.array([-1.0, 12.0, -39.0, 56.0, -39.0, 12.0, -1.0]), 6.0)}
+
+
+def _c4(up, k, dx):
+    """d^k/dx^k of the field that `up` edge-pads by 3 nodes at each end."""
+    taps, den = _C4[k]
+    if k <= 2:
+        return np.correlate(up[-2:0:-1], taps)[::-1] / (den * dx**k)
+    return np.correlate(up, taps) / (den * dx**k)
+
+
 def deriv1_c4(u, dx):
-    up = _pad_edge(np.asarray(u), 2)
-    return (-up[4:] + 8 * up[3:-1] - 8 * up[1:-3]
-            + up[:-4]) / (12.0 * dx)
+    return _c4(_pad_edge(np.asarray(u), 3), 1, dx)
 
 
 def deriv2_c4(u, dx):
-    up = _pad_edge(np.asarray(u), 2)
-    return (-up[4:] + 16 * up[3:-1] - 30 * up[2:-2]
-            + 16 * up[1:-3] - up[:-4]) / (12.0 * dx**2)
+    return _c4(_pad_edge(np.asarray(u), 3), 2, dx)
 
 
 def deriv3_c4(u, dx):
-    up = _pad_edge(np.asarray(u), 3)
-    return (up[:-6] - 8 * up[1:-5] + 13 * up[2:-4]
-            - 13 * up[4:-2] + 8 * up[5:-1] - up[6:]) / (8.0 * dx**3)
+    return _c4(_pad_edge(np.asarray(u), 3), 3, dx)
 
 
 def deriv4_c4(u, dx):
+    return _c4(_pad_edge(np.asarray(u), 3), 4, dx)
+
+
+def derivs_c4(u, dx):
+    """[deriv1_c4(u, dx), ..., deriv4_c4(u, dx)] from one padded copy of u."""
     up = _pad_edge(np.asarray(u), 3)
-    return (-up[:-6] + 12 * up[1:-5] - 39 * up[2:-4]
-            + 56 * up[3:-3] - 39 * up[4:-2] + 12 * up[5:-1]
-            - up[6:]) / (6.0 * dx**4)
-
-
-DERIVS_C4 = (deriv1_c4, deriv2_c4, deriv3_c4, deriv4_c4)
+    return [_c4(up, k, dx) for k in (1, 2, 3, 4)]

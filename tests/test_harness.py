@@ -295,3 +295,26 @@ def test_cli_print_defaults(capsys):
     assert "seed" not in doc and "seed" not in doc["solver"]
     with pytest.raises(SystemExit):
         cli.main(["simulate", "--seed", "1"])
+
+
+def test_cli_trajectories_rows_are_the_library_paths(tmp_path):
+    from sphereshock import trajectories as tr
+    run_experiment(small_config(tmp_path / "run"))
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("# starting points\n0.05\n\n   \n-0.3\n# 0.7\n1e-3\n")
+    out = tmp_path / "paths.csv"
+    assert cli.main(["trajectories", "--from-run", str(tmp_path / "run"),
+                     "--seeds", str(seeds), "--out", str(out)]) == 0
+    with open(out, newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["y0", "s_end", "Phi_end", "wint_p0.5", "wint_p1",
+                       "wint_p2"]
+    field = tr.FrozenTransportField.from_snapshots(
+        load_snapshots(tmp_path / "run"))
+    s_lo, s_hi = field.s_span
+    assert len(rows) == 4
+    for row, y0 in zip(rows[1:], (0.05, -0.3, 1e-3)):
+        path = tr.integrate_trajectory(field, s_lo, y0, s_hi)
+        want = (y0, path.s_end, path(path.s_end),
+                *(tr.weighted_integral(path, p) for p in (0.5, 1.0, 2.0)))
+        assert row == [f"{v:.12g}" for v in want]

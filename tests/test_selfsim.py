@@ -192,3 +192,100 @@ def test_profile_evaluated_on_the_compared_window_only(monkeypatch):
     ss.bootstrap_report(fld, consts, wbar)
     ss.profile_distance(fld, consts, wbar)
     assert points == []
+
+
+CONSTANT_BOUNDS = ("ba_w_3", "ba_w_4", "ba_z_0", "ba_z_1", "ba_z_2", "ba_z_3",
+                   "ba_z_4")
+
+
+def reference_bootstrap(fld, consts, wbar):
+    """bootstrap_report written member by member: _min_margin on every
+    member and one _taylor per inner-family k; also each member's quantity
+    and points."""
+    trim = slice(3, -3)
+    y = fld.y[trim]
+    yb = np.sqrt(1.0 + y * y)
+    M, t0 = consts.M, consts.tau0
+    e32 = np.exp(-1.5 * fld.s)
+    margins, worst, quantities = {}, {}, {}
+
+    def put(name, bound, quantity, yy=y):
+        margins[name], worst[name] = ss._min_margin(bound, quantity, yy)
+        quantities[name] = (quantity, yy)
+
+    yb23 = yb ** (-2.0 / 3.0)
+    put("ba_w_0", (1.0 + t0 ** (1.0 / 23.0)) * yb ** (1.0 / 3.0), fld.W[trim])
+    put("ba_w_1", 15.0 * yb23, fld.dW[1][trim])
+    put("ba_w_2", M ** (1.0 / 6.0) * yb23, fld.dW[2][trim])
+    put("ba_w_3", M ** 0.5, fld.dW[3][trim])
+    put("ba_w_4", float(M), fld.dW[4][trim])
+    win = ss.compared_window(fld.y, consts.L)
+    yw = fld.y[win]
+    ybw = np.sqrt(1.0 + yw * yw)
+    ybw23 = ybw ** (-2.0 / 3.0)
+    put("ba_wt_0", t0 ** (1.0 / 3.0) * ybw ** (1.0 / 3.0), fld.W[win] - wbar[0], yw)
+    put("ba_wt_1", t0 ** 0.25 * ybw23, fld.dW[1][win] - wbar[1], yw)
+    put("ba_wt_2", t0 ** 0.2 * ybw23, fld.dW[2][win] - wbar[2], yw)
+    jet = fld.origin_jet
+    margins["ba_wt_3_origin"] = float(t0 ** 0.8 - abs(jet[3] - 6.0))
+    worst["ba_wt_3_origin"] = 0.0
+    ys = consts.inner_y
+    for k in range(0, 5):
+        wt_k = ss._taylor(jet[k:], ys) - consts.inner_wbar[k]
+        put(f"ba_wt_inner_{k}", consts.inner_bounds[k], wt_k, ys)
+    put("ba_z_0", M * t0, fld.Z[trim] + consts.sigma_inf)
+    for k, power in ((1, 1.0), (2, 4.0 / 3.0), (3, 6.0), (4, 7.0)):
+        put(f"ba_z_{k}", M**power * e32, fld.dZ[k][trim])
+    return margins, worst, quantities
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _random_fields():
+    rng = np.random.default_rng(11)
+    consts = ss.BootstrapConstants(M=100.0, tau0=1e-2, sigma_inf=1.2)
+    for case in range(60):
+        amp = 10.0 ** rng.uniform(-9, -1)
+        c, width = rng.uniform(-3, 3), 10.0 ** rng.uniform(-1, 1)
+        grid, w, z, mod = make_field(
+            n=int(rng.integers(64, 1025)), t=float(rng.uniform(0, 9e-3)),
+            perturb=lambda y: amp * np.exp(-((y - c) / width) ** 2))
+        z = z + 10.0 ** rng.uniform(-12, -1) * rng.standard_normal(len(z))
+        if case == 5:
+            w[len(w) // 2 + 3] = np.nan      # a NaN in W, dW and the jet
+        fld = ss.to_selfsimilar(grid, w, z, mod)
+        if case % 3 == 1:
+            # terms of one size on |y| <= l, some of them signed zeros, so
+            # that every Horner step's rounding reaches the margins
+            scale = np.cumprod([1.0, 1, 2, 3, 4, 5, 6, 7]) * consts.l ** -np.arange(8.0)
+            jet = scale * rng.uniform(-1.0, 1.0, size=8)
+            jet[rng.random(8) < 0.2] = rng.choice([0.0, -0.0])
+            fld.origin_jet = jet
+        if case == 7:
+            fld.origin_jet = fld.origin_jet.copy()
+            fld.origin_jet[5] = np.nan
+        yield fld, consts
+
+
+def test_bootstrap_report_keeps_the_per_member_bits():
+    """Inner family: one Horner pass on a (5, 9) array against one _taylor
+    per k; the seven constant bounds: bound - max|q| against
+    min(bound - |q|), equal since rounding is monotone.  A constant-bound
+    member's worst y is that of the first max of |q|."""
+    nan_seen = 0
+    for fld, consts in _random_fields():
+        wbar = ss.window_profile(fld, consts)
+        rep = ss.bootstrap_report(fld, consts, wbar)
+        margins, worst, quantities = reference_bootstrap(fld, consts, wbar)
+        assert list(rep.margins) == list(margins) == list(rep.worst)
+        for name, m in margins.items():
+            assert _bits(rep.margins[name]) == _bits(m), name
+            if name in CONSTANT_BOUNDS:
+                q, yy = quantities[name]
+                assert rep.worst[name] == yy[np.argmax(np.abs(q))], name
+            else:
+                assert rep.worst[name] == worst[name], name
+        nan_seen += any(np.isnan(m) for m in margins.values())
+    assert nan_seen >= 2

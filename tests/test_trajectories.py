@@ -121,3 +121,139 @@ def test_frozen_field_interpolation():
     expect = 0.5 * (np.sin(0.5) * 4.0 + np.sin(0.5) * 4.5)
     assert got == pytest.approx(expect, abs=1e-12)
     assert f(4.25, 0.5) == pytest.approx(1.5 * 0.5 + expect, abs=1e-12)
+
+
+def test_start_outside_escape_box_is_refused():
+    with pytest.raises(ValueError, match=r"y0 = 1\.0 .*\(-1\.0, 0\.5\)"):
+        tr.integrate_trajectory(lambda s, y: 1.5 * y, 0.0, 1.0, 5.0,
+                                escape_box=(-1.0, 0.5))
+
+
+def test_path_that_leaves_the_box_later_escapes():
+    p = tr.integrate_trajectory(lambda s, y: 1.5 * y, 0.0, 0.5, 5.0,
+                                escape_box=(-1.0, 1.0))
+    assert p.status == tr.EscapeStatus.ESCAPED
+    assert len(p.s) > 2 and abs(p.y[-1]) > 1.0 >= np.max(np.abs(p.y[:-1]))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _two_grid_field():
+    """Four slices on two y grids, two of them at equal s."""
+    y_a = np.linspace(-3.0, 3.0, 61)
+    y_b = np.linspace(-2.5, 3.5, 41) ** 3 / 9.0
+    snaps = [{"s": s, "y": y, "g_w": np.sin(y * (1.0 + s)) * s - 0.1 * y}
+             for s, y in ((4.0, y_a), (4.5, y_b), (4.5, y_a), (5.25, y_b))]
+    return tr.FrozenTransportField.from_snapshots(snaps)
+
+
+def test_scalar_field_call_is_the_vectorised_formula():
+    f = _two_grid_field()
+    ys = np.unique(np.concatenate(f.y_slices))  # every node of both grids
+    mid = 0.5 * (ys[1:] + ys[:-1])  # between nodes
+    beyond = np.array([-1e3, -3.0 - 1e-9, 3.5 + 1e-9, 1e3, -0.0, 0.0])
+    points = np.concatenate([ys, mid, beyond])
+    times = [3.0, 4.0, 4.2, 4.5, 4.5 + 1e-12, 4.9, 5.25, 6.0]
+    for s in times:
+        for y in points:
+            want = 1.5 * y + f.g(s, y)
+            for yy, ss in ((float(y), float(s)), (np.float64(y), np.float64(s))):
+                got = f(ss, yy)
+                assert isinstance(got, float)
+                assert _bits(got) == _bits(want), (s, y)
+    arr = np.array([-1.0, 0.25, 2.0])
+    got = f(4.2, arr)
+    assert isinstance(got, np.ndarray)
+    assert np.array_equal(_bits(got), _bits(1.5 * arr + f.g(4.2, arr)))
+
+
+def test_scalar_field_call_keeps_signed_zeros():
+    # a slice at s = 0 queried at s = -0.0: np.clip keeps the fraction -0.0
+    f = tr.FrozenTransportField.from_snapshots([
+        {"s": 0.0, "y": np.array([-1.0, 0.0, 1.0]),
+         "g_w": np.array([1.0, -0.0, 1.0])},
+        {"s": 1.0, "y": np.array([-1.0, 0.0, 1.0]),
+         "g_w": np.array([2.0, 3.0, 2.0])}])
+    for s in (-0.0, 0.0, 1.0):
+        for y in (-0.0, 0.0):
+            assert _bits(f(s, y)) == _bits(1.5 * y + f.g(s, y)), (s, y)
+    assert np.signbit(f(-0.0, -0.0))
+
+
+def test_scalar_interp_keeps_numpy_nan_fallbacks():
+    xp = [0.0, 1.0, 2.0]
+    for fp in ([np.inf, np.inf, 1.0], [-np.inf, np.inf, 0.0],
+               [1.0, np.nan, 2.0], [0.0, 1e308, -1e308]):
+        for x in (0.25, 0.5, 1.0, 1.5, np.nan, -np.inf, np.inf):
+            want = np.interp(x, xp, fp)
+            got = tr._interp(x, xp, fp)
+            assert _bits(got) == _bits(want) or (np.isnan(got) and np.isnan(want))
+
+
+def _reference_integrate(V, s1, y0, s_end, tol=1e-10, escape_box=None,
+                         max_steps=200000):
+    """The generator-sum RKF45 loop that integrate_trajectory unrolls."""
+    y0 = float(y0)
+    ss, ys, fs = [s1], [y0], [float(np.asarray(V(s1, y0)))]
+    h = min(1e-2, s_end - s1)
+    s, y = s1, y0
+    status = tr.EscapeStatus.INSIDE
+    for _ in range(max_steps):
+        if s >= s_end - 1e-14:
+            break
+        if escape_box is not None and not escape_box[0] <= y <= escape_box[1]:
+            status = tr.EscapeStatus.ESCAPED
+            break
+        h = min(h, s_end - s)
+        k = []
+        for stage in range(6):
+            ys_stage = y + h * sum(b * kk for b, kk in zip(tr._RKF_B[stage], k))
+            k.append(float(np.asarray(V(s + tr._RKF_A[stage] * h, ys_stage))))
+        y5 = y + h * sum(c * kk for c, kk in zip(tr._RKF_C5, k))
+        y4 = y + h * sum(c * kk for c, kk in zip(tr._RKF_C4, k))
+        err = abs(y5 - y4)
+        scale = tol * max(1.0, abs(y), abs(y5))
+        if err <= scale or h <= 1e-12:
+            s += h
+            y = y5
+            ss.append(s)
+            ys.append(y)
+            fs.append(float(np.asarray(V(s, y))))
+        ratio = (scale / err) ** 0.2 if err > 0 else 2.0
+        h = max(1e-12, h * min(2.0, max(0.2, 0.9 * ratio)))
+    return np.array(ss), np.array(ys), np.array(fs), status
+
+
+def _nonlinear(s, y):
+    return 1.5 * y + 0.3 * np.sin(2.0 * s) * y - 0.1 * y ** 3
+
+
+_CASES = {
+    "y0 +0": (_nonlinear, 0.0, 0.0, 2.0, {}),
+    "y0 -0": (lambda s, y: 1.5 * y - 0.2 * y * y, 0.0, -0.0, 1.0, {}),
+    "V -0": (lambda s, y: -0.0 * (1.0 + y * y), 0.5, -0.0, 1.5, {}),
+    "sign-aware V at y0 -0": (
+        lambda s, y: 7.0 if np.signbit(y) else -0.0, 0.0, -0.0, 0.5, {}),
+    "h floor": (lambda s, y: 1e6 * np.sin(1e13 * s) + y, 0.0, 0.3, 4e-11, {}),
+    "escape": (_nonlinear, 0.0, 0.3, 10.0, {"escape_box": (-2.0, 2.0)}),
+    "frozen": (_two_grid_field(), 4.0, 0.7, 5.25, {"tol": 1e-9}),
+    "frozen past the span": (_two_grid_field(), 3.5, -0.4, 6.0, {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_unrolled_stages_match_the_generator_sums(case):
+    V, s1, y0, s_end, kw = _CASES[case]
+    p = tr.integrate_trajectory(V, s1, y0, s_end, **kw)
+    s, y, f, status = _reference_integrate(V, s1, y0, s_end, **kw)
+    for got, want in ((p.s, s), (p.y, y), (p.f, f)):
+        assert np.array_equal(_bits(got), _bits(want))
+    assert p.status == status
+    if case == "h floor":
+        assert np.max(np.diff(p.s)) < 1.001e-12 and len(p.s) > 20
+    if case == "escape":
+        assert status == tr.EscapeStatus.ESCAPED
+    if case in ("y0 -0", "V -0"):
+        assert np.signbit(p.f[0])

@@ -306,6 +306,49 @@ def test_whole_kernel_matches_the_references(data):
         assert np.array_equal(_bits(g), _bits(want))
 
 
+def explicit_c4(u, dx):
+    """The four centred stencils as explicit sums of shifted slices."""
+    u2, u3 = _pad_edge(u, 2), _pad_edge(u, 3)
+    return [(-u2[4:] + 8 * u2[3:-1] - 8 * u2[1:-3] + u2[:-4]) / (12.0 * dx),
+            (-u2[4:] + 16 * u2[3:-1] - 30 * u2[2:-2] + 16 * u2[1:-3]
+             - u2[:-4]) / (12.0 * dx**2),
+            (u3[:-6] - 8 * u3[1:-5] + 13 * u3[2:-4] - 13 * u3[4:-2]
+             + 8 * u3[5:-1] - u3[6:]) / (8.0 * dx**3),
+            (-u3[:-6] + 12 * u3[1:-5] - 39 * u3[2:-4] + 56 * u3[3:-3]
+             - 39 * u3[4:-2] + 12 * u3[5:-1] - u3[6:]) / (6.0 * dx**4)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(hs.data())
+def test_centred_stencils_are_the_explicit_sums(data):
+    """Each np.correlate stencil sums the explicit form's products in its
+    order, so every bit matches, except that its sum starts from +0.0: an
+    output whose every product is -0.0 is +0.0 where the explicit sum was
+    -0.0.  On a non-finite node the zero taps of deriv1_c4/deriv3_c4 also
+    make that node's own derivative NaN, where the explicit sums skipped
+    it; a run never differences a non-finite field, since it stops with
+    `numerical_failure` first, so only finite fields are drawn."""
+    n = data.draw(hs.integers(5, 80), label="n")
+    values = hs.floats(-1e290, 1e290) | hs.sampled_from([0.0, -0.0, 1.0, -3.0])
+    u = data.draw(hnp.arrays(np.float64, n, elements=values))
+    dx = data.draw(hs.sampled_from([1.0, 0.01, 3.0 / 4096]))
+    got = [d(u, dx) for d in (weno.deriv1_c4, weno.deriv2_c4, weno.deriv3_c4,
+                              weno.deriv4_c4)]
+    for a, b, c in zip(got, explicit_c4(u, dx), weno.derivs_c4(u, dx)):
+        assert np.array_equal(_bits(c), _bits(a))
+        differ = _bits(a) != _bits(b)
+        assert np.all((a[differ] == 0.0) & ~np.signbit(a[differ])
+                      & np.signbit(b[differ]))
+
+
+def test_centred_stencils_bit_for_bit_without_zeros():
+    rng = np.random.default_rng(5)
+    for scale in (1e-8, 1.0, 1e8):
+        u = scale * rng.standard_normal(300)
+        for a, b in zip(weno.derivs_c4(u, 0.003), explicit_c4(u, 0.003)):
+            assert np.array_equal(_bits(a), _bits(b))
+
+
 def test_fifth_order_on_smooth_field():
     errs = []
     for n in (32, 64, 128):
