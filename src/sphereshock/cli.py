@@ -65,18 +65,24 @@ def cmd_sweep(args):
 
 
 def cmd_diagnose(args):
-    from .config import DiagnosticsConfig
+    from .config import ConfigError, DiagnosticsConfig, build_block
     from .diagnostics import (DiagnosticUndefinedError, blowup_report,
                               edge_contact_time)
     from .records import RunRecord
     rec = RunRecord.read_jsonl(args.record)
-    diag = DiagnosticsConfig(**rec.config.get("diagnostics", {}))
+    try:
+        diag = build_block(DiagnosticsConfig, rec.config.get("diagnostics"),
+                           "diagnostics")
+    except ConfigError as err:
+        # schema 10 made clip_frac a constant of the diagnostics module
+        print(f"header config refused: {err}; the run predates schema 10")
+        return 2
     contact = edge_contact_time(rec)
     print("edge contact      : "
           + ("none" if contact is None else f"t~ = {contact:.8g}"))
     try:
         rep = blowup_report(rec, holder_cap=diag.holder_cap,
-                            rate_tol=diag.rate_tol, clip_frac=diag.clip_frac)
+                            rate_tol=diag.rate_tol)
     except DiagnosticUndefinedError as err:
         print(f"diagnostics undefined: {err}")
         return 2
@@ -141,8 +147,8 @@ def cmd_trajectories(args):
     field = FrozenTransportField.from_snapshots(snaps)
     s_lo, s_hi = field.s_span
     with open(args.seeds) as f:
-        seeds = [float(line) for line in f
-                 if line.strip() and not line.startswith("#")]
+        lines = (line.split("#", 1)[0].strip() for line in f)
+        seeds = [float(line) for line in lines if line]
     ps = (0.5, 1.0, 2.0)
     with _out_file(args.out) as f:
         out = csv.writer(f)

@@ -15,7 +15,15 @@ from .equivariant import ConfigError, SolverConfig
 class DiagnosticsConfig:
     holder_cap: float = 2.5        # frozen C^{1/3} seminorm bound
     rate_tol: float = 0.05
-    clip_frac: float = 0.02
+
+
+def build_block(klass, block, name):
+    """klass(**block), refusing a key that klass has no field for."""
+    block = dict(block or {})
+    bad = set(block) - {f.name for f in fields(klass)}
+    if bad:
+        raise ConfigError(f"unknown keys in {name!r} block: {sorted(bad)}")
+    return klass(**block)
 
 
 @dataclass
@@ -53,18 +61,10 @@ class ExperimentConfig:
         unknown = set(doc) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-        def build(klass, block, name):
-            block = dict(block or {})
-            valid = {f.name for f in fields(klass)}
-            bad = set(block) - valid
-            if bad:
-                raise ConfigError(f"unknown keys in {name!r} block: {sorted(bad)}")
-            return klass(**block)
-
-        return cls(solver=build(SolverConfig, doc.get("solver"), "solver"),
-                   diagnostics=build(DiagnosticsConfig, doc.get("diagnostics"), "diagnostics"),
-                   sweep=build(SweepConfig, doc.get("sweep"), "sweep"),
+        return cls(solver=build_block(SolverConfig, doc.get("solver"), "solver"),
+                   diagnostics=build_block(DiagnosticsConfig,
+                                           doc.get("diagnostics"), "diagnostics"),
+                   sweep=build_block(SweepConfig, doc.get("sweep"), "sweep"),
                    out_dir=doc.get("out_dir", "runs"),
                    snapshots_csv=bool(doc.get("snapshots_csv", False)))
 
@@ -72,11 +72,6 @@ class ExperimentConfig:
     def load(cls, path):
         with open(path) as f:
             return cls.from_dict(json.load(f))
-
-    def dump(self, path):
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, sort_keys=True, indent=1)
-            f.write("\n")
 
 
 def print_defaults():

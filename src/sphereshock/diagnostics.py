@@ -15,19 +15,19 @@ class DiagnosticUndefinedError(ValueError):
     """Not enough usable samples for the requested fit."""
 
 
-# the grid and denominators of the last holder_seminorm call
-_holder_last = (np.empty(0), ())
+# the last fraction of the samples before the stop that the T* and rate
+# fits drop (scheme-diffusion zone)
+CLIP_FRAC = 0.02
 
 
-def _holder_denominators(x):
-    """(sep, good, |x[i+sep] - x[i]|^(1/3) at good) for the dyadic
+def holder_denominators(x):
+    """[(sep, good, |x[i+sep] - x[i]|^(1/3) at good)] for the dyadic
     separations sep = 1, 2, 4, ... < len(x) with any distinct pair, good
-    None when every pair is distinct.  A run samples one fixed grid, so the
-    terms of the last grid are kept, keyed on its content."""
-    global _holder_last
-    last_x, terms = _holder_last
-    if last_x.shape == x.shape and np.array_equal(last_x, x):
-        return terms
+    None when every pair is distinct: the part of holder_seminorm that
+    depends on the grid alone, formed once per grid."""
+    x = np.asarray(x, dtype=float)
+    if len(x) < 3:
+        raise DiagnosticUndefinedError("holder_seminorm needs at least 3 samples")
     terms = []
     sep = 1
     while sep < len(x):
@@ -38,23 +38,20 @@ def _holder_denominators(x):
         elif np.any(good):
             terms.append((sep, good, den[good]))
         sep *= 2
-    _holder_last = (x.copy(), terms)
     return terms
 
 
-def holder_seminorm(x, f):
+def holder_seminorm(denominators, f):
     """Stratified-pair estimate of the C^{1/3} seminorm
-    sup |f(a)-f(b)| / |a-b|^(1/3).
+    sup |f(a)-f(b)| / |a-b|^(1/3) of f sampled on the grid x, given
+    denominators = holder_denominators(x).
 
     Uses all adjacent pairs plus dyadic separations (O(N log N) pairs); the
     dense all-pairs oracle validates this at small N.
     """
-    x = np.asarray(x, dtype=float)
     f = np.asarray(f, dtype=float)
-    if len(x) < 3:
-        raise DiagnosticUndefinedError("holder_seminorm needs at least 3 samples")
     best = 0.0
-    for sep, good, den in _holder_denominators(x):
+    for sep, good, den in denominators:
         num = np.abs(f[sep:] - f[:-sep])
         if good is not None:
             num = num[good]
@@ -62,13 +59,13 @@ def holder_seminorm(x, f):
     return best
 
 
-def _growth_window(t, slope, clip_frac=0.02):
+def _growth_window(t, slope):
     """Indices of the final decade of slope growth, excluding the last
-    clip_frac of samples before the stop (scheme-diffusion zone)."""
+    CLIP_FRAC of the samples."""
     n = len(t)
     if n < 10:
         raise DiagnosticUndefinedError("need at least 10 samples")
-    keep = max(10, int(np.floor(n * (1.0 - clip_frac))))
+    keep = max(10, int(np.floor(n * (1.0 - CLIP_FRAC))))
     peak = slope[keep - 1]
     lo = peak / 10.0
     idx = np.flatnonzero(slope[:keep] >= lo)
@@ -77,7 +74,7 @@ def _growth_window(t, slope, clip_frac=0.02):
     return idx
 
 
-def blowup_time(record, clip_frac=0.02):
+def blowup_time(record):
     """Extrapolated blow-up time from the slope history.
 
     Fits 1/max-slope against t over the final decade of growth and returns
@@ -88,7 +85,7 @@ def blowup_time(record, clip_frac=0.02):
         raise DiagnosticUndefinedError(f"run ended with status {record.status!r}")
     t = record.series("t_tilde")
     slope = record.series("max_slope")
-    idx = _growth_window(t, slope, clip_frac)
+    idx = _growth_window(t, slope)
     y = 1.0 / slope[idx]
     A = np.vstack([t[idx], np.ones_like(y)]).T
     coef, res, *_ = np.linalg.lstsq(A, y, rcond=None)
@@ -133,7 +130,7 @@ def blowup_time_refined(record):
     return float(coef[0])
 
 
-def rate_fit(record, T_star=None, clip_frac=0.02):
+def rate_fit(record, T_star=None):
     """Least-squares exponent of max-slope ~ (T* - t)^p; expect p = -1.
 
     Requires the recorded slope history to span at least a decade of growth;
@@ -145,8 +142,8 @@ def rate_fit(record, T_star=None, clip_frac=0.02):
     if span < 10.0 * (1.0 - 1e-9):
         raise DiagnosticUndefinedError(f"slope growth spans {span:.2f}x < one decade")
     if T_star is None:
-        T_star, _, _ = blowup_time(record, clip_frac)
-    idx = _growth_window(t, slope, clip_frac)
+        T_star, _, _ = blowup_time(record)
+    idx = _growth_window(t, slope)
     idx = idx[T_star - t[idx] > 0]
     X = np.log(T_star - t[idx])
     Y = np.log(slope[idx])
@@ -213,11 +210,9 @@ class BlowupReport:
         return all(self.flags.values())
 
 
-def blowup_report(record, holder_cap, rate_tol=0.05,
-                  clip_frac=0.02) -> BlowupReport:
-    """Assemble the full verdict for a completed blow-up run; clip_frac is
-    passed on to the T* and rate fits.  T* must lie within the 2 M tau0^2
-    time budget of tau0."""
+def blowup_report(record, holder_cap, rate_tol=0.05) -> BlowupReport:
+    """Assemble the full verdict for a completed blow-up run.  T* must lie
+    within the 2 M tau0^2 time budget of tau0."""
     solver = record.config["solver"]
     sigma_inf = solver["sigma_inf"]
     tau0 = solver["tau0"]
@@ -226,8 +221,8 @@ def blowup_report(record, holder_cap, rate_tol=0.05,
     xi0 = solver["xi0"]
     kappa0 = sigma_inf
 
-    T_star, tau_end, _ = blowup_time(record, clip_frac)
-    rate, span = rate_fit(record, T_star, clip_frac)
+    T_star, tau_end, _ = blowup_time(record)
+    rate, span = rate_fit(record, T_star)
     loc = location_report(record, xi0, kappa0, beta3, M, tau0)
     vac = vacuum_check(record, sigma_inf)
     holder_max = float(np.max(record.series("holder_w")))

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import profile
-from .diagnostics import holder_seminorm
+from .diagnostics import holder_denominators, holder_seminorm
 from .modulation import (DegenerateRhsError, ModulationState,
                          constraints_from_field, ode_rhs, track_extremal)
 from .records import RunRecord
@@ -76,7 +76,6 @@ class SolverConfig:
     theta_min: float = None              # co-moving frame extent
     theta_max: float = None
     record_every: int = 4
-    enforce_regime: bool = True
     monitor_M: float = 100.0
     emit_selfsim_ds: float = None         # snapshot cadence in s; None = off
 
@@ -95,14 +94,12 @@ class SolverConfig:
             raise ConfigError("monitor_M must be finite and exceed 1")
         if self.emit_selfsim_ds is not None and not self.emit_selfsim_ds > 0:
             raise ConfigError("emit_selfsim_ds must be positive when set")
-        bc = betas(self.gamma)
-        if self.enforce_regime:
-            if not math.pi / 16.0 <= self.xi0 <= math.pi / 8.0:
-                raise ConfigError(f"xi0={self.xi0} outside [pi/16, pi/8]")
-            floor = self.xi0 ** (1.0 / 3.0) / (2.0 * bc.beta3)
-            if not self.sigma_inf > floor:
-                raise ConfigError(f"sigma_inf={self.sigma_inf} <= {floor:.4f} "
-                                  "(background too weak for the regime)")
+        if not math.pi / 16.0 <= self.xi0 <= math.pi / 8.0:
+            raise ConfigError(f"xi0={self.xi0} outside [pi/16, pi/8]")
+        floor = self.xi0 ** (1.0 / 3.0) / (2.0 * betas(self.gamma).beta3)
+        if not self.sigma_inf > floor:
+            raise ConfigError(f"sigma_inf={self.sigma_inf} <= {floor:.4f} "
+                              "(background too weak for the regime)")
         defaults = {
             "blowup_slope_cap": 1e4 / self.tau0,
             "t_max": 2.0 * self.tau0,
@@ -228,7 +225,7 @@ def _tan_theta(state: EquivariantState, cfg: SolverConfig, t):
     flat mode, which has no curvature forcing."""
     if cfg.flat_mode:
         return None
-    theta = state.grid + state.xi0 + state.frame_drift * t
+    theta = state.theta_abs(t)
     if np.max(np.abs(theta)) > 0.5 * math.pi - POLE_MARGIN:
         raise PoleProximityError("domain within the pole margin of theta = pi/2")
     return np.tan(theta)
@@ -344,10 +341,11 @@ def _z_origin_jet(grid_abs, z, xi_abs, s):
 
 
 def _sample_row(state: EquivariantState, grid_abs, fld, mod, slope, smax,
-                dt_next, bc, cfg: SolverConfig, consts):
+                dt_next, bc, cfg: SolverConfig, consts, holder_den):
     """The recorded scalars of one sample: modulation, bootstrap margins,
     profile distances, support extent, exterior gradient, ODE monitor.
-    grid_abs is state.theta_abs(), formed once by the caller."""
+    grid_abs is state.theta_abs(), formed once by the caller, and holder_den
+    is holder_denominators(state.grid), formed once per run."""
     wbar = window_profile(fld, consts)
     ba = bootstrap_report(fld, consts, wbar)
     dist = profile_distance(fld, consts, wbar)
@@ -355,7 +353,7 @@ def _sample_row(state: EquivariantState, grid_abs, fld, mod, slope, smax,
     row = dict(t_tilde=state.t_tilde, s=mod.s, kappa=mod.kappa, tau=mod.tau,
                xi=mod.xi, max_slope=smax,
                min_sigma=float(np.min(state.sigma())),
-               holder_w=holder_seminorm(state.grid, state.w),
+               holder_w=holder_seminorm(holder_den, state.w),
                dt=dt_next, beta_tau=mod.beta_tau,
                w0_resid=w0r, dw0_resid=dw0r,
                prof_inner=dist["inner_sup"],
@@ -396,6 +394,7 @@ def run_until_blowup(cfg: SolverConfig) -> RunRecord:
     record = RunRecord(config={"solver": asdict(cfg)})
     consts = BootstrapConstants(M=cfg.monitor_M, tau0=cfg.tau0,
                                 sigma_inf=cfg.sigma_inf)
+    holder_den = holder_denominators(state.grid)
 
     dx = state.grid[1] - state.grid[0]
     status = None
@@ -447,7 +446,7 @@ def run_until_blowup(cfg: SolverConfig) -> RunRecord:
                 status = "unresolved"
                 break
             row = _sample_row(state, grid_abs, fld, mod, slope, abs(smin), dt,
-                              bc, cfg, consts)
+                              bc, cfg, consts, holder_den)
             record.add_sample(**row)
             if cfg.emit_selfsim_ds is not None and mod.s >= next_snap_s:
                 # frozen transport uses the instantaneous modulation drift so

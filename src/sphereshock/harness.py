@@ -65,8 +65,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunRecord:
     record.config = config.to_dict()
     record.summary["edge_contact_t"] = dg.edge_contact_time(record)
     try:
-        T_aff, tau_end, resid = dg.blowup_time(record,
-                                               config.diagnostics.clip_frac)
+        T_aff, tau_end, resid = dg.blowup_time(record)
         record.summary["T_star"] = T_aff
         record.summary["T_star_refined"] = dg.blowup_time_refined(record)
         record.summary["tau_tracker_end"] = tau_end
@@ -119,8 +118,7 @@ def _sweep_row(config: ExperimentConfig, overrides, out_root):
         row["T_star"] = rec.summary.get("T_star")
         row["T_star_refined"] = rec.summary.get("T_star_refined")
         try:
-            row["rate"] = dg.rate_fit(rec, rec.summary.get("T_star"),
-                                      config.diagnostics.clip_frac)[0]
+            row["rate"] = dg.rate_fit(rec, rec.summary.get("T_star"))[0]
         except dg.DiagnosticUndefinedError:
             row["rate"] = ""
         row["min_sigma"] = float(np.min(rec.series("min_sigma")))

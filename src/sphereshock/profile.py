@@ -21,8 +21,6 @@ from .util import r2_points
 # cancellation; a Newton solve of W + W^3 = -y takes over there.
 _NEWTON_CUTOVER = 1e-3
 
-ETA_EXPONENTS = {"value": 1.0 / 6.0, "d1": -1.0 / 3.0, "d2": 0.0}
-
 # sup over y of |d^g W| * eta^(g1/2 + g2/6 - 1/6), measured by
 # `sphereshock profile calibrate` (calibrate_deriv_bounds: 2e6 points of
 # [-1e3, 1e3]^2 plus axis, near-origin and |y1| ~ <y2>^3 ridge samples),

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
 
 def _jsonable(obj):

@@ -175,12 +175,11 @@ def f_r_direct(P: PhysVars, frame: GeometryFrame, bc: BetaConstants):
     return base + curv * psi / lb**2 + rot * ut2 * psi_dot / lb**2
 
 
-def f_r_from_fp(P: PhysVars, frame: GeometryFrame, bc: BetaConstants, A_R_u2t=None):
+def f_r_from_fp(P: PhysVars, frame: GeometryFrame, bc: BetaConstants):
     """Independent F_R path: B F_P + (dB/dt + A_{R,u2~} d2~ B) P."""
     lam = frame.lam
     dB = b_matrix_dlam(lam)
-    if A_R_u2t is None:
-        A_R_u2t = assemble_matrices(P, frame, bc).A_R_u2t
+    A_R_u2t = assemble_matrices(P, frame, bc).A_R_u2t
     dt_B = dB * frame.u_tilde[1] * frame.psi_dot
     d2_B = dB * frame.psi
     return b_matrix(lam) @ f_p(P, frame, bc) + (dt_B + A_R_u2t @ d2_B) @ P.as_vector()

@@ -8,6 +8,7 @@ from the solver loop.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
@@ -29,7 +30,6 @@ class TrajectoryPath:
     s1: float
     y0: float
     status: str = EscapeStatus.INSIDE
-    field_tag: str = ""
 
     def __post_init__(self):
         if len(self.s) < 2 or np.any(np.diff(self.s) <= 0):
@@ -67,15 +67,17 @@ _RKF_B = (
 )
 _RKF_C5 = (16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0)
 _RKF_C4 = (25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0)
+MAX_STEPS = 200000
 
 
-def integrate_trajectory(V, s1, y0, s_end, tol=1e-10, escape_box=None,
-                         max_steps=200000, field_tag="") -> TrajectoryPath:
+def integrate_trajectory(V, s1, y0, s_end, tol=1e-10,
+                         escape_box=None) -> TrajectoryPath:
     """Adaptive RKF45 integration of dPhi/ds = V(s, Phi) from (s1, y0).
 
     Local error is controlled to tol per step; leaving escape_box (lo, hi)
     terminates early with status 'escaped' (not an error).  A start outside
-    the box is refused.
+    the box is refused, and so is a step whose error estimate is not finite:
+    no step size would be accepted there.
     """
     if not s_end > s1:
         raise ValueError("s_end must exceed s1")
@@ -91,7 +93,7 @@ def integrate_trajectory(V, s1, y0, s_end, tol=1e-10, escape_box=None,
     h = min(1e-2, s_end - s1)
     s, y = s1, y0
     status = EscapeStatus.INSIDE
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         if s >= s_end - 1e-14:
             break
         if escape_box is not None and not escape_box[0] <= y <= escape_box[1]:
@@ -114,6 +116,9 @@ def integrate_trajectory(V, s1, y0, s_end, tol=1e-10, escape_box=None,
         y4 = y + h * (0 + d0 * k0 + d1 * k1 + d2 * k2 + d3 * k3 + d4 * k4
                       + d5 * k5)
         err = abs(y5 - y4)
+        if not math.isfinite(err):
+            raise ValueError(f"non-finite error estimate {err!r} in the step "
+                             f"from s = {s!r}, y = {y!r}")
         scale = tol * max(1.0, abs(y), abs(y5))
         if err <= scale or h <= 1e-12:
             s += h
@@ -124,25 +129,28 @@ def integrate_trajectory(V, s1, y0, s_end, tol=1e-10, escape_box=None,
         ratio = (scale / err) ** 0.2 if err > 0 else 2.0
         h = max(1e-12, h * min(2.0, max(0.2, 0.9 * ratio)))
     else:
-        raise RuntimeError("trajectory integration exceeded max_steps")
+        raise RuntimeError("trajectory integration exceeded MAX_STEPS")
     return TrajectoryPath(s=np.array(ss), y=np.array(ys), f=np.array(fs),
-                          s1=s1, y0=y0, status=status, field_tag=field_tag)
+                          s1=s1, y0=y0, status=status)
 
 
-def growth_certificate(path: TrajectoryPath, rate, n_dense=800):
-    """Signed margin of |Phi(s)| >= |y0| e^{rate (s - s1)} along the path.
+def growth_certificate(path: TrajectoryPath, rate):
+    """Signed margin of |Phi(s)| >= |y0| e^{rate (s - s1)} at 800 evenly
+    spaced s after s1.
 
     Nonnegative certifies the exponential lower bound; quantitative slack
     is the margin itself.
     """
-    s = np.linspace(path.s1, path.s_end, n_dense + 1)[1:]
+    s = np.linspace(path.s1, path.s_end, 801)[1:]
     phi = np.abs(path(s))
     bound = abs(path.y0) * np.exp(rate * (s - path.s1))
     return float(np.min(phi - bound))
 
 
-def weighted_integral(path: TrajectoryPath, p, rtol=1e-10, max_doublings=18):
-    """Integral of <Phi(s')>^-p along the path by Richardson-refined Simpson."""
+def weighted_integral(path: TrajectoryPath, p):
+    """Integral of <Phi(s')>^-p along the path by Simpson's rule, doubling
+    from 64 intervals until two estimates agree to 1e-10 relative (at most
+    18 doublings)."""
     if not 0.1 < p < 10.0:
         raise ValueError("p must lie in (1/10, 10)")
 
@@ -154,24 +162,24 @@ def weighted_integral(path: TrajectoryPath, p, rtol=1e-10, max_doublings=18):
 
     n = 64
     prev = quad(n)
-    for _ in range(max_doublings):
+    for _ in range(18):
         n *= 2
         cur = quad(n)
-        if abs(cur - prev) <= rtol * max(1.0, abs(cur)):
+        if abs(cur - prev) <= 1e-10 * max(1.0, abs(cur)):
             return float(cur)
         prev = cur
     return float(prev)
 
 
-def z_drift_certificate(V_Z, path: TrajectoryPath, beta3, kappa0, n_dense=400):
+def z_drift_certificate(V_Z, path: TrajectoryPath, beta3, kappa0):
     """Margin of the leftward-drift property of the Z-transport field.
 
     Wherever Phi(s) <= beta3 kappa0 e^{s/2}, the drift must satisfy
     dPhi/ds <= -(1/2) beta3 kappa0 e^{s/2}; returns the minimum of
-    (-(1/2) beta3 kappa0 e^{s/2} - V_Z) over qualifying samples (None if
-    the region is never entered).
+    (-(1/2) beta3 kappa0 e^{s/2} - V_Z) over the qualifying ones of 400
+    evenly spaced samples (None if the region is never entered).
     """
-    s = np.linspace(path.s1, path.s_end, n_dense)
+    s = np.linspace(path.s1, path.s_end, 400)
     phi = path(s)
     gate = beta3 * kappa0 * np.exp(0.5 * s)
     mask = phi <= gate
@@ -215,7 +223,6 @@ class FrozenTransportField:
     s_slices: np.ndarray
     y_slices: list
     g_slices: list
-    tag: str = "g_w"
     _lists: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -230,8 +237,7 @@ class FrozenTransportField:
         snaps = sorted(snapshots, key=lambda r: r["s"])
         return cls(s_slices=np.array([r["s"] for r in snaps]),
                    y_slices=[np.asarray(r["y"]) for r in snaps],
-                   g_slices=[np.asarray(r[key]) for r in snaps],
-                   tag=key)
+                   g_slices=[np.asarray(r[key]) for r in snaps])
 
     def g(self, s, y):
         i = int(np.clip(np.searchsorted(self.s_slices, s) - 1, 0,

@@ -189,19 +189,8 @@ def deriv1_c4(u, dx):
     return _c4(_pad_edge(np.asarray(u), 3), 1, dx)
 
 
-def deriv2_c4(u, dx):
-    return _c4(_pad_edge(np.asarray(u), 3), 2, dx)
-
-
-def deriv3_c4(u, dx):
-    return _c4(_pad_edge(np.asarray(u), 3), 3, dx)
-
-
-def deriv4_c4(u, dx):
-    return _c4(_pad_edge(np.asarray(u), 3), 4, dx)
-
-
 def derivs_c4(u, dx):
-    """[deriv1_c4(u, dx), ..., deriv4_c4(u, dx)] from one padded copy of u."""
+    """[d^k u / dx^k for k = 1, 2, 3, 4] from one padded copy of u; the
+    first is deriv1_c4(u, dx)."""
     up = _pad_edge(np.asarray(u), 3)
     return [_c4(up, k, dx) for k in (1, 2, 3, 4)]

@@ -100,20 +100,21 @@ def holder_seminorm_uncached(x, f):
 def test_holder_seminorm_cube_root():
     x = np.linspace(-1.0, 1.0, 20001)
     f = np.cbrt(x)
-    val = dg.holder_seminorm(x, f)
+    val = dg.holder_seminorm(dg.holder_denominators(x), f)
     assert val == pytest.approx(2.0 ** (2.0 / 3.0), rel=1e-3)
 
 
 def test_holder_seminorm_constant_zero():
     x = np.linspace(0.0, 1.0, 100)
-    assert dg.holder_seminorm(x, np.ones_like(x)) == 0.0
+    den = dg.holder_denominators(x)
+    assert dg.holder_seminorm(den, np.ones_like(x)) == 0.0
 
 
 def test_holder_estimator_vs_dense_oracle():
     rng = np.random.default_rng(3)
     x = np.linspace(0.0, 1.0, 257)
     f = np.cumsum(rng.normal(size=257)) * 0.01
-    est = dg.holder_seminorm(x, f)
+    est = dg.holder_seminorm(dg.holder_denominators(x), f)
     dense = holder_seminorm_dense(x, f)
     assert est <= dense + 1e-12
     assert est >= 0.5 * dense  # stratified pairs capture the bulk
@@ -122,28 +123,28 @@ def test_holder_estimator_vs_dense_oracle():
 def test_holder_monotone_under_refinement():
     x = np.linspace(-1.0, 1.0, 101)
     f = np.cbrt(x)
-    v1 = dg.holder_seminorm(x, f)
+    v1 = dg.holder_seminorm(dg.holder_denominators(x), f)
     v2 = holder_seminorm_dense(x, f)
     assert v1 <= v2 + 1e-12
 
 
 def test_holder_denominators_follow_the_grid():
-    # two grids of one length, used alternately: the kept denominators
-    # belong to the grid of the call, whatever array object holds it
+    # denominators formed once per grid give the estimator of the loop that
+    # forms them on every call, on a uniform grid and on one with a
+    # repeated node
     rng = np.random.default_rng(11)
     n = 301
     grids = [np.linspace(0.0, 1.0, n), np.sort(rng.uniform(-2.0, 3.0, n))]
     grids[1][100] = grids[1][101]  # a repeated node: some pairs coincide
-    buf = np.empty(n)
+    dens = [dg.holder_denominators(x) for x in grids]
     for i in range(8):
         x = grids[i % 2]
         f = np.cbrt(x - 0.3) + 0.01 * rng.standard_normal(n)
-        if i < 4:
-            np.copyto(buf, x)  # one array object, refilled with each grid
-            x = buf
-        val = dg.holder_seminorm(x, f)
+        val = dg.holder_seminorm(dens[i % 2], f)
         assert val == holder_seminorm_uncached(x, f)
         assert val <= holder_seminorm_dense(x, f) + 1e-12
+    with pytest.raises(dg.DiagnosticUndefinedError):
+        dg.holder_denominators(np.arange(2.0))
 
 
 def test_location_report_zero_drift():

@@ -30,8 +30,7 @@ def test_config_validation():
         eq.SolverConfig(xi0=0.1)  # below pi/16 with regime enforcement
     with pytest.raises(eq.ConfigError):
         eq.SolverConfig(sigma_inf=0.3)  # below the kappa0 floor
-    cfg = eq.SolverConfig(xi0=0.1, enforce_regime=False, theta_min=-0.05,
-                          theta_max=0.05)
+    cfg = eq.SolverConfig(theta_min=-0.05, theta_max=0.05)
     assert cfg.blowup_slope_cap == pytest.approx(1e4 / cfg.tau0)
     for bad in (dict(record_every=0), dict(monitor_M=1.0),
                 dict(monitor_M=math.inf), dict(emit_selfsim_ds=0.0),
@@ -100,14 +99,14 @@ def test_steady_state_is_exact():
 
 
 def test_forcing_sign():
-    # w=2, z=0, beta3=1/2, tan=1 -> forcing contribution = +1 on dw/dt
-    cfg = eq.SolverConfig(n_cells=512, enforce_regime=False,
-                          xi0=math.pi / 4, theta_min=-1e-4, theta_max=1e-4,
+    # w=2, z=0, beta3=1/2, tan=1 -> forcing contribution = +1 on dw/dt;
+    # the state sits at xi0 = pi/4, outside the regime a config accepts
+    cfg = eq.SolverConfig(n_cells=512, theta_min=-1e-4, theta_max=1e-4,
                           tau0=1e-6)
     grid = np.linspace(cfg.theta_min, cfg.theta_max, cfg.n_cells)
     st = eq.EquivariantState(grid=grid, w=np.full_like(grid, 2.0),
                              z=np.zeros_like(grid), t_tilde=0.0,
-                             xi0=cfg.xi0, frame_drift=0.0)
+                             xi0=math.pi / 4, frame_drift=0.0)
     bc = betas(3.0)
     mod = make_mod(cfg, xi_dot=0.0)
     dw, dz = eq.rhs(st, mod, bc, cfg)
@@ -443,12 +442,13 @@ def test_transport_speeds_match_certified_diagonal():
 
 
 def test_pole_abort():
-    cfg = eq.SolverConfig(n_cells=512, enforce_regime=False, xi0=1.55,
-                          theta_min=-1e-3, theta_max=1e-3, tau0=1e-5)
+    # the state sits at xi0 = 1.55, within the pole margin
+    cfg = eq.SolverConfig(n_cells=512, theta_min=-1e-3, theta_max=1e-3,
+                          tau0=1e-5)
     grid = np.linspace(cfg.theta_min, cfg.theta_max, cfg.n_cells)
     st = eq.EquivariantState(grid=grid, w=np.full_like(grid, cfg.sigma_inf),
                              z=np.full_like(grid, -cfg.sigma_inf), t_tilde=0.0,
-                             xi0=cfg.xi0, frame_drift=0.0)
+                             xi0=1.55, frame_drift=0.0)
     bc = betas(cfg.gamma)
     mod = make_mod(cfg, xi_dot=0.0)
     with pytest.raises(eq.PoleProximityError):
@@ -564,38 +564,36 @@ def test_empty_compared_window_stops_unresolved():
     assert np.isfinite(last["prof_weighted"])
 
 
-def test_run_vacuum_detection():
-    # adversarial rarefaction data: w pulled below z locally -> vacuum status
-    cfg = eq.SolverConfig(n_cells=512, tau0=1e-2, enforce_regime=False,
-                          sigma_inf=0.05, xi0=math.pi / 12, t_max=5e-2,
-                          blowup_slope_cap=1e9, record_every=64)
+def _run_from(monkeypatch, w, z):
+    """run_until_blowup from the state (w, z) on the 512-cell grid."""
+    cfg = eq.SolverConfig(n_cells=512)
     grid = np.linspace(cfg.theta_min, cfg.theta_max, cfg.n_cells)
-    bump = np.exp(-(grid / (0.2 * cfg.tau0)) ** 2)
-    state = eq.EquivariantState(grid=grid,
-                                w=cfg.sigma_inf - 2.2 * cfg.sigma_inf * bump,
-                                z=np.full_like(grid, -cfg.sigma_inf),
-                                t_tilde=0.0, xi0=cfg.xi0, frame_drift=0.0)
-    rec = _run_with_state(cfg, state)
-    assert rec.status == "vacuum"
+    state = eq.EquivariantState(grid=grid, w=w(grid, cfg), z=z(grid, cfg),
+                                t_tilde=0.0, xi0=cfg.xi0,
+                                frame_drift=cfg.frame_drift())
+    monkeypatch.setattr(eq, "initial_data", lambda c: state)
+    return eq.run_until_blowup(cfg)
 
 
-def _run_with_state(cfg, state):
-    """Drive run_until_blowup's loop manually for adversarial states."""
-    from sphereshock.riemann import betas as _betas
-    bc = _betas(cfg.gamma)
-    mod = make_mod(cfg, xi_dot=0.0)
-    from sphereshock.records import RunRecord
-    rec = RunRecord(config={"solver": {}})
-    while True:
-        if np.min(state.w - state.z) <= 0:
-            rec.status = "vacuum"
-            return rec
-        if state.t_tilde >= cfg.t_max:
-            rec.status = "max_time"
-            return rec
-        vmax = eq.max_transport_speed(state, mod, bc)
-        dt = cfg.cfl * state.dx / max(vmax, 1e-30)
-        state = eq.step(state, mod, dt, bc, cfg, check_support=False)
+def test_run_vacuum_detection(monkeypatch):
+    # adversarial data: w pulled below z locally -> vacuum status
+    def w(x, c):
+        return c.sigma_inf * (1.0 - 2.2 * np.exp(-(x / (0.2 * c.tau0)) ** 2))
+
+    rec = _run_from(monkeypatch, w, lambda x, c: np.full_like(x, -c.sigma_inf))
+    assert rec.status == rec.summary["status"] == "vacuum"
+    assert rec.summary["steps"] == 0 and rec.samples == []
+
+
+def test_run_numerical_failure_status(monkeypatch):
+    def w(x, c):
+        out = np.full_like(x, c.sigma_inf)
+        out[len(x) // 2] = np.nan
+        return out
+
+    rec = _run_from(monkeypatch, w, lambda x, c: np.full_like(x, -c.sigma_inf))
+    assert rec.status == rec.summary["status"] == "numerical_failure"
+    assert rec.summary["steps"] == 0 and rec.samples == []
 
 
 def test_headline_numbers_do_not_depend_on_the_left_edge():

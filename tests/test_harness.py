@@ -104,12 +104,16 @@ def test_experiment_config_validation():
         ExperimentConfig.from_dict({"seed": 0})  # removed: fed no randomness
     with pytest.raises(ConfigError):  # removed: one derived delta remains
         ExperimentConfig.from_dict({"solver": {"ext_grad_deltas": [0.1]}})
-    retired = ("slope_dt_frac", "dt_floor", "cut_inner", "cut_outer",
-               "pole_margin", "support_tol")  # removed: module constants
-    for key in retired:
-        with pytest.raises(ConfigError, match=key):
-            ExperimentConfig.from_dict({"solver": {key: 1.0}})
-    assert not set(retired) & set(json.loads(print_defaults())["solver"])
+    # removed: module constants, or settings that only tests set
+    retired = {"solver": ("slope_dt_frac", "dt_floor", "cut_inner", "cut_outer",
+                          "pole_margin", "support_tol", "enforce_regime"),
+               "diagnostics": ("clip_frac",)}
+    defaults = json.loads(print_defaults())
+    for block, keys in retired.items():
+        for key in keys:
+            with pytest.raises(ConfigError, match=key):
+                ExperimentConfig.from_dict({block: {key: 1.0}})
+        assert not set(keys) & set(defaults[block])
     cfg = ExperimentConfig.from_dict({"solver": {"tau0": 5e-3}})
     assert cfg.solver.tau0 == 5e-3
     assert cfg.solver.blowup_slope_cap == pytest.approx(1e4 / 5e-3)
@@ -137,7 +141,7 @@ def test_run_experiment_artifacts(tmp_path):
         assert required in names
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["status"] == "blew_up"
-    assert summary["schema_version"] == SCHEMA_VERSION == 9
+    assert summary["schema_version"] == SCHEMA_VERSION == 10
     assert "T_star" in summary and "seed" not in summary
     assert "edge_contact_t" in summary
     # the exterior gradient is taken outside a quarter of the domain width
@@ -246,16 +250,38 @@ def test_cli_simulate_and_diagnose(tmp_path, capsys):
     cfg_path.write_text(json.dumps(
         {"solver": {"n_cells": 1024, "tau0": 1e-2, "record_every": 4,
                     "blowup_slope_cap": 1100.0},
-         "diagnostics": {"clip_frac": 0.2},
+         "diagnostics": {"holder_cap": 0.1},
          "out_dir": str(tmp_path / "run")}))
     rc = cli.main(["simulate", "--config", str(cfg_path)])
     assert rc == 0
     rc = cli.main(["diagnose", str(tmp_path / "run" / "run.jsonl")])
-    assert rc in (0, 1)  # verdict exit code, not a crash
-    # diagnose fits with the run's own clip_frac, so its T* is the summary's
+    # diagnose judges by the run's own holder_cap, and its T* is the summary's
+    assert rc == 1
     summary = json.loads((tmp_path / "run" / "summary.json").read_text())
     out = capsys.readouterr().out
     assert f"T*                : {summary['T_star']:.8g}\n" in out
+    assert "  [FAIL] holder\n" in out
+
+
+def test_cli_diagnose_refuses_a_schema_9_header(tmp_path, capsys):
+    # every header before schema 10 names clip_frac in its diagnostics block
+    path = tmp_path / "run.jsonl"
+    header = {"type": "header", "schema_version": 9, "status": "blew_up",
+              "config": {"diagnostics": {"holder_cap": 2.5, "rate_tol": 0.05,
+                                         "clip_frac": 0.02}}}
+    path.write_text(json.dumps(header) + "\n")
+    assert cli.main(["diagnose", str(path)]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1
+    assert "clip_frac" in out[0] and "predates schema 10" in out[0]
+
+
+def test_formats_header_example_has_the_schema_version():
+    doc = os.path.join(os.path.dirname(__file__), "..", "FORMATS.md")
+    with open(doc) as f:
+        versions = re.findall(r'"type": "header", "schema_version": (\d+)',
+                              f.read())
+    assert versions == [str(SCHEMA_VERSION)]
 
 
 def test_cli_profile_table(tmp_path, capsys):
@@ -301,7 +327,8 @@ def test_cli_trajectories_rows_are_the_library_paths(tmp_path):
     from sphereshock import trajectories as tr
     run_experiment(small_config(tmp_path / "run"))
     seeds = tmp_path / "seeds.txt"
-    seeds.write_text("# starting points\n0.05\n\n   \n-0.3\n# 0.7\n1e-3\n")
+    seeds.write_text("# starting points\n0.05\n\n   \n-0.3  # trailing\n"
+                     "# 0.7\n  # 0.9, indented\n1e-3\n")
     out = tmp_path / "paths.csv"
     assert cli.main(["trajectories", "--from-run", str(tmp_path / "run"),
                      "--seeds", str(seeds), "--out", str(out)]) == 0

@@ -10,6 +10,21 @@ def test_linear_field_exact_exponential():
     assert np.max(np.abs(p(s) - 0.3 * np.exp(1.5 * s))) < 1e-8
 
 
+def test_non_finite_field_is_refused_at_once():
+    # past y = 0.5 the error estimate is NaN, and no step size would ever
+    # be accepted: the first such step raises instead of growing h forever
+    calls = []
+
+    def V(s, y):
+        calls.append(s)
+        return np.inf if y > 0.5 else 1.0
+
+    with pytest.raises(ValueError, match=r"non-finite error estimate nan in "
+                       r"the step from s = 0\.4\d*, y = 0\.4\d*"):
+        tr.integrate_trajectory(V, 0.0, 0.0, 2.0)
+    assert len(calls) < 1000
+
+
 def test_zero_field_constant_path():
     p = tr.integrate_trajectory(lambda s, y: 0.0, 0.5, -0.7, 3.0)
     assert p(1.9) == pytest.approx(-0.7, abs=1e-14)

@@ -324,18 +324,18 @@ def test_centred_stencils_are_the_explicit_sums(data):
     """Each np.correlate stencil sums the explicit form's products in its
     order, so every bit matches, except that its sum starts from +0.0: an
     output whose every product is -0.0 is +0.0 where the explicit sum was
-    -0.0.  On a non-finite node the zero taps of deriv1_c4/deriv3_c4 also
-    make that node's own derivative NaN, where the explicit sums skipped
-    it; a run never differences a non-finite field, since it stops with
-    `numerical_failure` first, so only finite fields are drawn."""
+    -0.0.  On a non-finite node the zero taps of the first and third
+    derivatives also make that node's own derivative NaN, where the
+    explicit sums skipped it; a run never differences a non-finite field,
+    since it stops with `numerical_failure` first, so only finite fields
+    are drawn."""
     n = data.draw(hs.integers(5, 80), label="n")
     values = hs.floats(-1e290, 1e290) | hs.sampled_from([0.0, -0.0, 1.0, -3.0])
     u = data.draw(hnp.arrays(np.float64, n, elements=values))
     dx = data.draw(hs.sampled_from([1.0, 0.01, 3.0 / 4096]))
-    got = [d(u, dx) for d in (weno.deriv1_c4, weno.deriv2_c4, weno.deriv3_c4,
-                              weno.deriv4_c4)]
-    for a, b, c in zip(got, explicit_c4(u, dx), weno.derivs_c4(u, dx)):
-        assert np.array_equal(_bits(c), _bits(a))
+    got = weno.derivs_c4(u, dx)
+    assert np.array_equal(_bits(weno.deriv1_c4(u, dx)), _bits(got[0]))
+    for a, b in zip(got, explicit_c4(u, dx)):
         differ = _bits(a) != _bits(b)
         assert np.all((a[differ] == 0.0) & ~np.signbit(a[differ])
                       & np.signbit(b[differ]))
