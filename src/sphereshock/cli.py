@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import os
 import sys
 
 import numpy as np
@@ -143,6 +144,10 @@ def cmd_trajectories(args):
     from .harness import load_snapshots
     from .trajectories import FrozenTransportField, integrate_trajectory, \
         weighted_integral
+    if not os.path.exists(os.path.join(args.from_run, "snapshots.npz")):
+        print(f"{args.from_run} holds no snapshots.npz: rerun it with "
+              "solver.emit_selfsim_ds set")
+        return 2
     snaps = load_snapshots(args.from_run)
     field = FrozenTransportField.from_snapshots(snaps)
     s_lo, s_hi = field.s_span

@@ -6,6 +6,7 @@ and sweep blocks.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .equivariant import ConfigError, SolverConfig
@@ -15,6 +16,12 @@ from .equivariant import ConfigError, SolverConfig
 class DiagnosticsConfig:
     holder_cap: float = 2.5        # frozen C^{1/3} seminorm bound
     rate_tol: float = 0.05
+
+    def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not (type(v) in (int, float) and math.isfinite(v) and v > 0):
+                raise ConfigError(f"{f.name} must be finite and positive")
 
 
 def build_block(klass, block, name):
@@ -32,6 +39,11 @@ class SweepConfig:
     tau0: list = field(default_factory=list)
     n_cells: list = field(default_factory=list)
     xi0: list = field(default_factory=list)
+
+    def __post_init__(self):
+        for f in fields(self):
+            if type(getattr(self, f.name)) is not list:
+                raise ConfigError(f"sweep axis {f.name} must be a list")
 
     def axes(self):
         return {k: v for k, v in asdict(self).items() if v}

@@ -60,6 +60,10 @@ CUT_INNER, CUT_OUTER = 0.4, 1.0  # initial profile cutoff radii, units tau0^-1/2
 POLE_MARGIN = math.pi / 16.0     # least distance of the domain from the pole
 SUPPORT_TOL = 1e-11              # deviation from the background in the support
 STENCIL_REACH_CELLS = 12.5       # support growth beyond transport (see step)
+# default blowup_slope_cap, as a fraction of the max slope (2 L / dx)^(2/3) at
+# which the zoom frame can stretch the grid spacing past the compared window
+# |y| <= L; at 0.9 of it runs of 1024 to 4096 cells still end unresolved
+WINDOW_CAP_FRAC = 0.5
 
 
 @dataclass
@@ -71,7 +75,7 @@ class SolverConfig:
     n_cells: int = 4096
     cfl: float = 0.6
     flat_mode: bool = False
-    blowup_slope_cap: float = None       # default 1e4 / tau0
+    blowup_slope_cap: float = None       # default WINDOW_CAP_FRAC (2L/dx)^(2/3)
     t_max: float = None                  # default 2 * tau0
     theta_min: float = None              # co-moving frame extent
     theta_max: float = None
@@ -80,6 +84,10 @@ class SolverConfig:
     emit_selfsim_ds: float = None         # snapshot cadence in s; None = off
 
     def __post_init__(self):
+        for name, kind in (("n_cells", int), ("record_every", int),
+                           ("flat_mode", bool)):
+            if type(getattr(self, name)) is not kind:  # bool is not an int here
+                raise ConfigError(f"{name} must be of type {kind.__name__}")
         if not self.gamma > 1.0:
             raise ConfigError("gamma must exceed 1")
         if not 0 < self.cfl < 1:
@@ -101,7 +109,6 @@ class SolverConfig:
             raise ConfigError(f"sigma_inf={self.sigma_inf} <= {floor:.4f} "
                               "(background too weak for the regime)")
         defaults = {
-            "blowup_slope_cap": 1e4 / self.tau0,
             "t_max": 2.0 * self.tau0,
             "theta_min": -2.0 * self.tau0,
             "theta_max": 2.0 * self.tau0 + (
@@ -112,6 +119,13 @@ class SolverConfig:
             setattr(self, k, defaults[k])
         if not self.theta_min < 0 < self.theta_max:
             raise ConfigError("the co-moving domain must contain theta_hat = 0")
+        if self.blowup_slope_cap is None:
+            # max slope ~ e^s and node spacing in y = dx e^{3s/2}
+            L = BootstrapConstants(M=self.monitor_M, tau0=self.tau0,
+                                   sigma_inf=self.sigma_inf).L
+            dx = (self.theta_max - self.theta_min) / (self.n_cells - 1)
+            self._derived.append("blowup_slope_cap")
+            self.blowup_slope_cap = WINDOW_CAP_FRAC * (2.0 * L / dx) ** (2.0 / 3.0)
         if not (self.blowup_slope_cap > 0 and self.t_max > 0):
             raise ConfigError("blowup_slope_cap and t_max must be positive")
 

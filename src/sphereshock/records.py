@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 
 
 def _jsonable(obj):

@@ -23,38 +23,22 @@ class BootstrapConstants:
     """Desk-scale calibration of the monitor constants.
 
     M dominates the initial data and universal constants; tau0 is the
-    initial timescale; l = (ln M)^-5 and L = tau0^(-1/10) unless overridden.
-    The inner region |y| <= l is read at fixed points, so the profile there
-    and the inner-family bounds are built once, with the constants.
+    initial timescale; l = (ln M)^-5 and L = tau0^(-1/10) follow from them.
+    profile_distance reads the inner region |y| <= l at fixed points, so the
+    profile there is built once, with the constants.
     """
 
     M: float = 100.0
     tau0: float = 1e-2
     sigma_inf: float = 1.0
-    l: float = None
-    L: float = None
-    inner_y: np.ndarray = field(init=False, repr=False, compare=False)
-    inner_wbar: np.ndarray = field(init=False, repr=False, compare=False)
-    inner_bounds: np.ndarray = field(init=False, repr=False, compare=False)
+    l: float = field(init=False)
+    L: float = field(init=False)
     distance_y: np.ndarray = field(init=False, repr=False, compare=False)
     distance_wbar: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.l is None:
-            self.l = float(np.log(self.M)) ** -5
-        if self.L is None:
-            self.L = self.tau0 ** -0.1
-        # ba_wt_inner_k, k = 0..4: 9 points, the profile jet and the bounds
-        ys = np.linspace(-self.l, self.l, 9)
-        M, t0 = self.M, self.tau0
-        self.inner_y = ys
-        self.inner_wbar = np.array(profile.w1d_jet(ys, upto=4))
-        self.inner_bounds = np.empty((5, len(ys)))
-        for k in range(0, 5):
-            bound = 10.0 * M**2 * np.sqrt(t0) * np.abs(ys) ** (4 - k)
-            if k <= 3:
-                bound = bound + t0 ** 0.6 * np.abs(ys) ** (3 - k)
-            self.inner_bounds[k] = bound
+        self.l = float(np.log(self.M)) ** -5
+        self.L = self.tau0 ** -0.1
         # profile_distance's inner sup: 17 points and the profile
         self.distance_y = np.linspace(-self.l, self.l, 17)
         self.distance_wbar = profile.w1d(self.distance_y)
@@ -152,11 +136,6 @@ def _max_margin(bound, quantity, y):
     return float(bound - aq[i]), float(y[i])
 
 
-# jet index k + m of term m of the Taylor polynomial of d^k W, k = 0..4, from
-# the 8-term origin jet; indices past the jet read the 0.0 it is padded with
-_INNER_TERMS = np.arange(5)[:, None] + np.arange(8)
-
-
 def window_profile(fld: SelfSimField, consts: BootstrapConstants):
     """[Wbar, Wbar', Wbar''] on the compared window |y| <= L, the profile
     that bootstrap_report and profile_distance compare W with."""
@@ -168,12 +147,10 @@ def bootstrap_report(fld: SelfSimField, consts: BootstrapConstants,
     """Pointwise margins of the bootstrap inequalities on the zoom frame.
 
     Families: ba_w_* (profile-scale bounds on W), ba_wt_* (deviation from
-    the profile on the compared window |y| <= L, and on |y| <= l and at the
-    origin through the origin jet), ba_z_* (sound speed deviation).
-    Failures are reported, never raised.  The outer three nodes carry
-    edge-padded stencils and are excluded; the inner family is
-    interpolation-limited once its bounds fall below grid precision.
-    `wbar` is the window_profile of fld.
+    the profile on the compared window |y| <= L, and of W'''(0) through the
+    origin jet), ba_z_* (sound speed deviation).  Failures are reported,
+    never raised.  The outer three nodes carry edge-padded stencils and are
+    excluded.  `wbar` is the window_profile of fld.
     """
     trim = slice(3, -3)
     y = fld.y[trim]
@@ -205,19 +182,6 @@ def bootstrap_report(fld: SelfSimField, consts: BootstrapConstants,
     jet = fld.origin_jet
     margins["ba_wt_3_origin"] = float(t0 ** 0.8 - abs(jet[3] - 6.0))
     worst["ba_wt_3_origin"] = 0.0
-
-    # inner region |y| <= l sits below the grid scale: read the origin jet.
-    # Row k is _taylor(jet[k:], ys); a row whose terms have not begun stays
-    # 0.0 + (+-0.0) = +0.0, so each row keeps _taylor's bits.
-    ys = consts.inner_y
-    terms = np.append(jet, np.zeros(4))[_INNER_TERMS]
-    taylor = 0.0
-    for m in range(terms.shape[1] - 1, -1, -1):
-        taylor = terms[:, m:m + 1] + taylor * ys / (m + 1)
-    margin = consts.inner_bounds - np.abs(taylor - consts.inner_wbar)
-    for k, i in enumerate(np.argmin(margin, axis=1)):
-        margins[f"ba_wt_inner_{k}"] = float(margin[k, i])
-        worst[f"ba_wt_inner_{k}"] = float(ys[i])
 
     put("ba_z_0", M * t0, fld.Z[trim] + consts.sigma_inf, margin=_max_margin)
     for k, power in ((1, 1.0), (2, 4.0 / 3.0), (3, 6.0), (4, 7.0)):

@@ -30,13 +30,37 @@ def test_config_validation():
         eq.SolverConfig(xi0=0.1)  # below pi/16 with regime enforcement
     with pytest.raises(eq.ConfigError):
         eq.SolverConfig(sigma_inf=0.3)  # below the kappa0 floor
-    cfg = eq.SolverConfig(theta_min=-0.05, theta_max=0.05)
-    assert cfg.blowup_slope_cap == pytest.approx(1e4 / cfg.tau0)
     for bad in (dict(record_every=0), dict(monitor_M=1.0),
                 dict(monitor_M=math.inf), dict(emit_selfsim_ds=0.0),
-                dict(blowup_slope_cap=0), dict(t_max=0)):
+                dict(blowup_slope_cap=0), dict(t_max=0),
+                # once accepted: a float n_cells crashed in np.linspace, a
+                # float record_every sampled every 5th step at 2.5, and a
+                # truthy string ran in flat mode
+                dict(n_cells=1024.0), dict(n_cells=True),
+                dict(record_every=2.5), dict(record_every=True),
+                dict(flat_mode="no"), dict(flat_mode=1)):
         with pytest.raises(eq.ConfigError):
             eq.SolverConfig(**bad)
+
+
+def test_default_slope_cap_follows_the_grid():
+    # half the max slope (2 L / dx)^(2/3) at which the compared window can
+    # empty; a cap that is set is kept
+    cfg = eq.SolverConfig(theta_min=-0.05, theta_max=0.05)
+    L = BootstrapConstants(M=cfg.monitor_M, tau0=cfg.tau0).L
+    dx = 0.1 / (cfg.n_cells - 1)
+    assert cfg.blowup_slope_cap == pytest.approx(0.5 * (2 * L / dx) ** (2 / 3))
+    assert eq.SolverConfig(blowup_slope_cap=1e6).blowup_slope_cap == 1e6
+    # above the initial slope of every grid that leaves it unset
+    for flat in (False, True):
+        for n in (64, 128, 512, 4096):
+            eq.initial_data(eq.SolverConfig(n_cells=n, flat_mode=flat))
+
+
+def test_default_slope_cap_is_reached():
+    # 1e4 / tau0, the cap before, left the default run unresolved
+    rec = eq.run_until_blowup(eq.SolverConfig(n_cells=1024))
+    assert rec.status == "blew_up"
 
 
 def test_replace_rederives_unset_fields():
@@ -552,10 +576,10 @@ def test_slope_cap_the_initial_data_reaches_is_refused():
 
 
 def test_empty_compared_window_stops_unresolved():
-    # 512 cells never reach the default slope cap before the zoom frame
-    # stretches every node out of |y| <= L; this once crashed in
-    # profile_distance
-    cfg = eq.SolverConfig(n_cells=512, tau0=1e-2, record_every=4)
+    # 512 cells never reach a slope of 1e6 before the zoom frame stretches
+    # every node out of |y| <= L; this once crashed in profile_distance
+    cfg = eq.SolverConfig(n_cells=512, tau0=1e-2, record_every=4,
+                          blowup_slope_cap=1e6)
     rec = eq.run_until_blowup(cfg)
     assert rec.status == "unresolved"
     assert rec.summary["steps"] > 0

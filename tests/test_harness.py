@@ -1,6 +1,7 @@
 import csv
 import glob
 import json
+import math
 import os
 import re
 
@@ -9,7 +10,7 @@ import pytest
 
 from sphereshock import cli
 from sphereshock.config import ConfigError, ExperimentConfig, print_defaults
-from sphereshock.equivariant import initial_data
+from sphereshock.equivariant import SolverConfig, initial_data
 from sphereshock.harness import load_snapshots, run_experiment, sweep
 from sphereshock.profile import DERIV_BOUND_C
 from sphereshock.records import (SCHEMA_VERSION, RunRecord, config_hash,
@@ -17,6 +18,7 @@ from sphereshock.records import (SCHEMA_VERSION, RunRecord, config_hash,
 
 CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..",
                                         "configs", "*.json")))
+FORMATS = os.path.join(os.path.dirname(__file__), "..", "FORMATS.md")
 
 
 def small_config(tmp, **solver_overrides):
@@ -114,9 +116,21 @@ def test_experiment_config_validation():
             with pytest.raises(ConfigError, match=key):
                 ExperimentConfig.from_dict({block: {key: 1.0}})
         assert not set(keys) & set(defaults[block])
+    # malformed values, each accepted once: a string holder_cap, thresholds
+    # that are not finite and positive, and a scalar sweep axis, on which
+    # sweep.size() raised TypeError (SolverConfig: test_config_validation)
+    for block, key, value in (("diagnostics", "holder_cap", "x"),
+                              ("diagnostics", "holder_cap", math.inf),
+                              ("diagnostics", "holder_cap", True),
+                              ("diagnostics", "rate_tol", -1),
+                              ("diagnostics", "rate_tol", math.nan),
+                              ("sweep", "tau0", 0.01)):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_dict({block: {key: value}})
     cfg = ExperimentConfig.from_dict({"solver": {"tau0": 5e-3}})
     assert cfg.solver.tau0 == 5e-3
-    assert cfg.solver.blowup_slope_cap == pytest.approx(1e4 / 5e-3)
+    assert cfg.solver == SolverConfig(tau0=5e-3)
+    assert cfg.solver.blowup_slope_cap != SolverConfig().blowup_slope_cap
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)
@@ -141,7 +155,7 @@ def test_run_experiment_artifacts(tmp_path):
         assert required in names
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["status"] == "blew_up"
-    assert summary["schema_version"] == SCHEMA_VERSION == 10
+    assert summary["schema_version"] == SCHEMA_VERSION == 11
     assert "T_star" in summary and "seed" not in summary
     assert "edge_contact_t" in summary
     # the exterior gradient is taken outside a quarter of the domain width
@@ -276,9 +290,60 @@ def test_cli_diagnose_refuses_a_schema_9_header(tmp_path, capsys):
     assert "clip_frac" in out[0] and "predates schema 10" in out[0]
 
 
+def _schema_11_removed_keys():
+    """The ba_margins keys that FORMATS.md's schema-11 paragraph names."""
+    with open(FORMATS) as f:
+        text = f.read()
+    para = text[text.index("Schema version 11"):]
+    para = para[:para.index("\n\n")]
+    return re.findall(r"`(ba_wt_\w+)`", para)
+
+
+def test_cli_diagnose_reads_a_schema_10_run(tmp_path, capsys):
+    # a schema-10 run.jsonl differs in its header's schema_version and in
+    # the five ba_margins keys that schema 11 dropped
+    run = tmp_path / "run"
+    cfg = small_config(run, record_every=4, blowup_slope_cap=1100.0)
+    run_experiment(cfg)
+    removed = _schema_11_removed_keys()
+    assert len(removed) == 5
+    lines = []
+    with open(run / "run.jsonl") as f:
+        for line in f:
+            row = json.loads(line)
+            if row["type"] == "header":
+                row["schema_version"] = 10
+            else:
+                assert not set(removed) & set(row["ba_margins"])
+                row["ba_margins"].update(dict.fromkeys(removed, -1.0))
+            lines.append(json.dumps(row, sort_keys=True) + "\n")
+    old = tmp_path / "schema10.jsonl"
+    old.write_text("".join(lines))
+    capsys.readouterr()
+    rc = cli.main(["diagnose", str(run / "run.jsonl")])
+    out = capsys.readouterr().out
+    assert cli.main(["diagnose", str(old)]) == rc
+    assert capsys.readouterr().out == out
+    assert "T*                : " in out
+
+
+def test_cli_trajectories_without_snapshots(tmp_path, capsys):
+    # a run without emit_selfsim_ds writes no snapshots.npz; this once ended
+    # in a FileNotFoundError traceback
+    run = tmp_path / "run"
+    run_experiment(small_config(run, emit_selfsim_ds=None))
+    assert not (run / "snapshots.npz").exists()
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("0.05\n")
+    capsys.readouterr()
+    assert cli.main(["trajectories", "--from-run", str(run),
+                     "--seeds", str(seeds)]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and "emit_selfsim_ds" in out[0]
+
+
 def test_formats_header_example_has_the_schema_version():
-    doc = os.path.join(os.path.dirname(__file__), "..", "FORMATS.md")
-    with open(doc) as f:
+    with open(FORMATS) as f:
         versions = re.findall(r'"type": "header", "schema_version": (\d+)',
                               f.read())
     assert versions == [str(SCHEMA_VERSION)]
