@@ -63,6 +63,11 @@ class ExperimentConfig:
     out_dir: str = "runs"
     snapshots_csv: bool = False
 
+    def __post_init__(self):
+        for name, kind in (("out_dir", str), ("snapshots_csv", bool)):
+            if type(getattr(self, name)) is not kind:
+                raise ConfigError(f"{name} must be of type {kind.__name__}")
+
     def to_dict(self):
         return asdict(self)
 
@@ -78,7 +83,7 @@ class ExperimentConfig:
                                            doc.get("diagnostics"), "diagnostics"),
                    sweep=build_block(SweepConfig, doc.get("sweep"), "sweep"),
                    out_dir=doc.get("out_dir", "runs"),
-                   snapshots_csv=bool(doc.get("snapshots_csv", False)))
+                   snapshots_csv=doc.get("snapshots_csv", False))
 
     @classmethod
     def load(cls, path):

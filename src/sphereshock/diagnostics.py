@@ -21,22 +21,20 @@ CLIP_FRAC = 0.02
 
 
 def holder_denominators(x):
-    """[(sep, good, |x[i+sep] - x[i]|^(1/3) at good)] for the dyadic
-    separations sep = 1, 2, 4, ... < len(x) with any distinct pair, good
-    None when every pair is distinct: the part of holder_seminorm that
-    depends on the grid alone, formed once per grid."""
+    """[(sep, |x[i+sep] - x[i]|^(1/3))] for the dyadic separations
+    sep = 1, 2, 4, ... < len(x) of a strictly increasing grid x: the part
+    of holder_seminorm that depends on the grid alone, formed once per
+    grid."""
     x = np.asarray(x, dtype=float)
     if len(x) < 3:
         raise DiagnosticUndefinedError("holder_seminorm needs at least 3 samples")
+    if not np.all(np.diff(x) > 0):
+        raise DiagnosticUndefinedError("holder_seminorm needs a strictly "
+                                       "increasing grid")
     terms = []
     sep = 1
     while sep < len(x):
-        den = np.abs(x[sep:] - x[:-sep]) ** (1.0 / 3.0)
-        good = den > 0
-        if np.all(good):
-            terms.append((sep, None, den))
-        elif np.any(good):
-            terms.append((sep, good, den[good]))
+        terms.append((sep, np.abs(x[sep:] - x[:-sep]) ** (1.0 / 3.0)))
         sep *= 2
     return terms
 
@@ -51,11 +49,8 @@ def holder_seminorm(denominators, f):
     """
     f = np.asarray(f, dtype=float)
     best = 0.0
-    for sep, good, den in denominators:
-        num = np.abs(f[sep:] - f[:-sep])
-        if good is not None:
-            num = num[good]
-        best = max(best, float(np.max(num / den)))
+    for sep, den in denominators:
+        best = max(best, float(np.max(np.abs(f[sep:] - f[:-sep]) / den)))
     return best
 
 

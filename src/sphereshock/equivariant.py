@@ -84,10 +84,15 @@ class SolverConfig:
     emit_selfsim_ds: float = None         # snapshot cadence in s; None = off
 
     def __post_init__(self):
-        for name, kind in (("n_cells", int), ("record_every", int),
-                           ("flat_mode", bool)):
-            if type(getattr(self, name)) is not kind:  # bool is not an int here
-                raise ConfigError(f"{name} must be of type {kind.__name__}")
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
+            if f.type == "float":  # a number, or None where that is the default
+                ok = (v is None and f.default is None) or (
+                    isinstance(v, (int, float)) and not isinstance(v, bool))
+            else:  # bool is not an int here
+                ok = type(v) is {"int": int, "bool": bool}[f.type]
+            if not ok:
+                raise ConfigError(f"{f.name} must be of type {f.type}")
         if not self.gamma > 1.0:
             raise ConfigError("gamma must exceed 1")
         if not 0 < self.cfl < 1:
@@ -245,33 +250,25 @@ def _tan_theta(state: EquivariantState, cfg: SolverConfig, t):
     return np.tan(theta)
 
 
-def _z_still(z, cfg: SolverConfig):
-    """Whether dz/dt = -cz dz/dx is exactly zero: flat mode has no forcing,
-    and z has no nonzero interval difference.  z must also be finite, and
-    nonzero so that z + 0 is z whatever the sign of the zero."""
-    return cfg.flat_mode and z[0] != 0.0 and np.ptp(z) == 0.0
-
-
 def rhs(state: EquivariantState, mod: ModulationState, bc, cfg: SolverConfig,
-        t=None, w=None, z=None, speeds=None, tan=None, z_still=False):
+        t=None, w=None, z=None, speeds=None, tan=None):
     """Time derivatives (dw/dt, dz/dt) with upwinded transport.
 
-    The curvature forcing is (b3/2)(w^2 - z^2) tan(theta); flat mode drops it.
+    The curvature forcing is (b3/2)(w^2 - z^2) tan(theta).  Flat mode drops
+    it, so the system is a simple wave: z is a Riemann invariant at the
+    background, w alone is differenced and dz/dt is None.
     speeds = (cw, cz) of (w, z) and tan = _tan_theta(state, cfg, t) may be
-    passed by a caller that has them already.  z_still = _z_still(z, cfg)
-    differences w alone and returns dz/dt as the scalar 0.0.
+    passed by a caller that has them already.
     """
     w = state.w if w is None else w
     z = state.z if z is None else z
     t = state.t_tilde if t is None else t
     cw, cz = transport_speeds(w, z, bc, mod.xi_dot) if speeds is None else speeds
-    if z_still:
-        (dwx,) = weno5_upwind_derivative((w,), state.dx, (cw,))
-    else:
-        dwx, dzx = weno5_upwind_derivative((w, z), state.dx, (cw, cz))
     if cfg.flat_mode:
+        (dwx,) = weno5_upwind_derivative((w,), state.dx, (cw,))
         force = 0.0
     else:
+        dwx, dzx = weno5_upwind_derivative((w, z), state.dx, (cw, cz))
         tan = _tan_theta(state, cfg, t) if tan is None else tan
         force = np.subtract(w, z)
         force *= 0.5 * bc.beta3
@@ -281,8 +278,8 @@ def rhs(state: EquivariantState, mod: ModulationState, bc, cfg: SolverConfig,
     # bits of -cw dwx + force and -cz dzx - force, signed zeros included
     dwdt = np.multiply(cw, dwx, out=dwx)
     np.subtract(force, dwdt, out=dwdt)
-    if z_still:
-        return dwdt, 0.0
+    if cfg.flat_mode:
+        return dwdt, None
     dzdt = np.multiply(cz, dzx, out=dzx)
     np.negative(dzdt, out=dzdt)
     dzdt -= force
@@ -299,9 +296,8 @@ def step(state: EquivariantState, mod: ModulationState, dt, bc, cfg: SolverConfi
     """One classical RK4 advance; enforces the step limit and the finite
     propagation property of the support.
 
-    While _z_still holds, z is carried unchanged and the kernel differences w
-    alone.  That gives the bits of stepping z while every stage speed is
-    finite; a step whose w leaves the finite numbers is taken again with z.
+    In flat mode rhs returns dz/dt as None, and every stage and the new
+    state take the state's own z array: a flat step does no arithmetic on z.
 
     limit = step_limit(state, mod, bc, cfg) and support = support_bounds of
     state may be passed by a caller that has them already.
@@ -319,20 +315,16 @@ def step(state: EquivariantState, mod: ModulationState, dt, bc, cfg: SolverConfi
     tan_half = _tan_theta(state, cfg, t_half)
     tan_end = _tan_theta(state, cfg, t + dt)
 
-    def rk4(z_still):
-        f = functools.partial(rhs, state, mod, bc, cfg, z_still=z_still)
-        k1w, k1z = f(t, w, z, speeds=(limit.cw, limit.cz), tan=state.tan)
-        k2w, k2z = f(t_half, w + 0.5 * dt * k1w, z + 0.5 * dt * k1z, tan=tan_half)
-        k3w, k3z = f(t_half, w + 0.5 * dt * k2w, z + 0.5 * dt * k2z, tan=tan_half)
-        k4w, k4z = f(t + dt, w + dt * k3w, z + dt * k3z, tan=tan_end)
-        return (w + dt / 6.0 * (k1w + 2 * k2w + 2 * k3w + k4w),
-                z + dt / 6.0 * (k1z + 2 * k2z + 2 * k3z + k4z))
+    def stage_z(k, h):
+        return z if k is None else z + h * k
 
-    z_still = _z_still(z, cfg)
-    w1, z1 = rk4(z_still)
-    if z_still and not np.all(np.isfinite(w1)):
-        # a non-finite stage speed makes dz/dt NaN where z is stepped
-        w1, z1 = rk4(False)
+    f = functools.partial(rhs, state, mod, bc, cfg)
+    k1w, k1z = f(t, w, z, speeds=(limit.cw, limit.cz), tan=state.tan)
+    k2w, k2z = f(t_half, w + 0.5 * dt * k1w, stage_z(k1z, 0.5 * dt), tan=tan_half)
+    k3w, k3z = f(t_half, w + 0.5 * dt * k2w, stage_z(k2z, 0.5 * dt), tan=tan_half)
+    k4w, k4z = f(t + dt, w + dt * k3w, stage_z(k3z, dt), tan=tan_end)
+    w1 = w + dt / 6.0 * (k1w + 2 * k2w + 2 * k3w + k4w)
+    z1 = z if k1z is None else z + dt / 6.0 * (k1z + 2 * k2z + 2 * k3z + k4z)
     new = EquivariantState(grid=state.grid, w=w1, z=z1, t_tilde=t + dt,
                            xi0=state.xi0, frame_drift=state.frame_drift)
     new.tan = tan_end

@@ -60,7 +60,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunRecord:
     """
     out_dir = out_dir or config.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    t0 = time.time()
+    t0 = time.perf_counter()
     record = run_until_blowup(config.solver)
     record.config = config.to_dict()
     record.summary["edge_contact_t"] = dg.edge_contact_time(record)
@@ -76,7 +76,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunRecord:
     record.write_jsonl(os.path.join(out_dir, "run.jsonl"))
     record.write_summary(os.path.join(out_dir, "summary.json"))
     with open(os.path.join(out_dir, "meta.json"), "w") as f:
-        json.dump({"wall_seconds": time.time() - t0,
+        json.dump({"wall_seconds": time.perf_counter() - t0,
                    "finished_unix": time.time()}, f, indent=1)
 
     if config.snapshots_csv and record.snapshots:

@@ -130,12 +130,10 @@ def test_holder_monotone_under_refinement():
 
 def test_holder_denominators_follow_the_grid():
     # denominators formed once per grid give the estimator of the loop that
-    # forms them on every call, on a uniform grid and on one with a
-    # repeated node
+    # forms them on every call, on a uniform grid and on a random one
     rng = np.random.default_rng(11)
     n = 301
     grids = [np.linspace(0.0, 1.0, n), np.sort(rng.uniform(-2.0, 3.0, n))]
-    grids[1][100] = grids[1][101]  # a repeated node: some pairs coincide
     dens = [dg.holder_denominators(x) for x in grids]
     for i in range(8):
         x = grids[i % 2]
@@ -143,8 +141,14 @@ def test_holder_denominators_follow_the_grid():
         val = dg.holder_seminorm(dens[i % 2], f)
         assert val == holder_seminorm_uncached(x, f)
         assert val <= holder_seminorm_dense(x, f) + 1e-12
-    with pytest.raises(dg.DiagnosticUndefinedError):
-        dg.holder_denominators(np.arange(2.0))
+    # fewer than 3 samples, a repeated node (some pairs coincide) and a
+    # grid that is not increasing are refused
+    repeated = grids[1].copy()
+    repeated[100] = repeated[101]
+    for x in (np.arange(2.0), repeated, grids[0][::-1],
+              np.array([0.0, 1.0, np.nan])):
+        with pytest.raises(dg.DiagnosticUndefinedError):
+            dg.holder_denominators(x)
 
 
 def test_location_report_zero_drift():

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import time
 
 import numpy as np
 import pytest
@@ -127,7 +128,20 @@ def test_experiment_config_validation():
                               ("sweep", "tau0", 0.01)):
         with pytest.raises(ConfigError, match=key):
             ExperimentConfig.from_dict({block: {key: value}})
-    cfg = ExperimentConfig.from_dict({"solver": {"tau0": 5e-3}})
+    # once coerced by bool() ("no" ran with the CSVs on) or kept as an int
+    for key, value in (("snapshots_csv", "no"), ("snapshots_csv", 1),
+                       ("snapshots_csv", None), ("out_dir", 5),
+                       ("out_dir", None)):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_dict({key: value})
+    # and from the solver block, once a TypeError or, for a bool, accepted
+    for key, value in (("gamma", "3"), ("tau0", None), ("monitor_M", None),
+                       ("sigma_inf", True)):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_dict({"solver": {key: value}})
+    cfg = ExperimentConfig.from_dict({"solver": {"tau0": 5e-3},
+                                      "snapshots_csv": True, "out_dir": "x"})
+    assert (cfg.snapshots_csv, cfg.out_dir) == (True, "x")
     assert cfg.solver.tau0 == 5e-3
     assert cfg.solver == SolverConfig(tau0=5e-3)
     assert cfg.solver.blowup_slope_cap != SolverConfig().blowup_slope_cap
@@ -165,6 +179,22 @@ def test_run_experiment_artifacts(tmp_path):
     snaps = load_snapshots(tmp_path)
     assert len(snaps) >= 2
     assert {"s", "y", "W", "Z", "g_w"} <= set(snaps[0])
+
+
+def test_wall_seconds_survive_a_wall_clock_set_back(tmp_path, monkeypatch):
+    # a wall clock that steps back mid-run once gave a negative wall_seconds:
+    # here every reading of time.time is an hour before the last one
+    clock = [1.7e9]
+
+    def falling_clock():
+        clock[0] -= 3600.0
+        return clock[0]
+
+    monkeypatch.setattr(time, "time", falling_clock)
+    run_experiment(small_config(tmp_path, n_cells=256, t_max=1e-4))
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    assert meta["wall_seconds"] >= 0.0
+    assert meta["finished_unix"] < 1.7e9  # still read from the wall clock
 
 
 def test_run_experiment_deterministic(tmp_path):

@@ -23,28 +23,53 @@ def _load_spans():
     return module
 
 
-def test_traced_names_stay_on_their_call_paths():
+def _traced(run):
+    """Span counts and counters of run() under the benchmark's Tracer; every
+    wrapped attribute is the original again afterwards."""
     spans = _load_spans()
     originals = [(owner, attr, owner.__dict__[attr])
                  for owner, attr, *_ in spans.TARGETS]
     tracer = spans.Tracer()
     tracer.install()
     try:
+        run()
+    finally:
+        tracer.uninstall()
+    for owner, attr, raw in originals:
+        assert owner.__dict__[attr] is raw, (owner, attr)
+    calls = {}
+    for name, *_ in tracer.spans:
+        calls[name] = calls.get(name, 0) + 1
+    return spans, calls, tracer.counts
+
+
+def test_traced_names_stay_on_their_call_paths():
+    def run():
         cfg = eq.SolverConfig(n_cells=1024, tau0=1e-2, record_every=8,
                               blowup_slope_cap=300.0, emit_selfsim_ds=0.4)
         rec = eq.run_until_blowup(cfg)
         field = tr.FrozenTransportField.from_snapshots(rec.snapshots)
         s_lo, s_hi = field.s_span
         tr.integrate_trajectory(field, s_lo, 0.05, s_hi, tol=1e-8)
-    finally:
-        tracer.uninstall()
 
-    calls = {}
-    for name, *_ in tracer.spans:
-        calls[name] = calls.get(name, 0) + 1
+    spans, calls, counts = _traced(run)
     for name in (*spans._MONITORS, "util.lagrange_value_and_derivs",
                  "profile.w1d_jet", "weno.deriv1_c4"):
         assert calls.get(name, 0) > 0, name
-    assert tracer.counts["trajectories.field_evals"] > 0
-    for owner, attr, raw in originals:
-        assert owner.__dict__[attr] is raw, (owner, attr)
+    assert counts["trajectories.field_evals"] > 0
+
+
+def test_flat_run_stays_on_the_traced_names():
+    # the flat_oracle workload's path: one rhs and one kernel call per RK4
+    # stage, and every sampling monitor
+    cfg = eq.SolverConfig(n_cells=256, flat_mode=True, blowup_slope_cap=150.0)
+    spans, calls, counts = _traced(lambda: eq.run_until_blowup(cfg))
+    steps = calls.get("equivariant.step", 0)
+    assert steps > 0
+    assert (calls.get("equivariant.rhs") == 4 * steps
+            == calls.get("weno.weno5_upwind_derivative"))
+    for name in (*spans._MONITORS, "equivariant.support_bounds",
+                 "util.lagrange_value_and_derivs", "profile.w1d_jet",
+                 "weno.deriv1_c4"):
+        assert calls.get(name, 0) > 0, name
+    assert counts["weno.weno5_nodes"] > 0
