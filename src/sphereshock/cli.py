@@ -41,7 +41,6 @@ def cmd_simulate(args):
     cfg = _load_config(args)
     if args.emit_selfsim is not None:
         cfg.solver = cfg.solver.replace(emit_selfsim_ds=args.emit_selfsim)
-        cfg.snapshots_csv = True
     from .harness import run_experiment
     rec = run_experiment(cfg)
     print(f"status: {rec.status}  samples: {len(rec.samples)}  "
@@ -174,7 +173,8 @@ def build_parser():
     p = sub.add_parser("simulate", help="run one experiment")
     _add_common(p)
     p.add_argument("--emit-selfsim", type=float, metavar="DS",
-                   help="dump self-similar snapshots every DS in s")
+                   help="save self-similar snapshots to snapshots.npz every "
+                   "DS in s")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="run the sweep cross-product")
@@ -219,8 +219,13 @@ def build_parser():
 
 
 def main(argv=None):
+    from .config import ConfigError
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as err:
+        print(f"config refused: {err}")
+        return 2
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ and sweep blocks.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
@@ -48,11 +49,16 @@ class SweepConfig:
     def axes(self):
         return {k: v for k, v in asdict(self).items() if v}
 
+    def combinations(self):
+        """The solver overrides of each run: one dict per point of the
+        cross-product of the set axes, or the one empty dict."""
+        axes = self.axes()
+        names = sorted(axes)
+        return [dict(zip(names, combo))
+                for combo in itertools.product(*(axes[n] for n in names))]
+
     def size(self):
-        n = 1
-        for v in self.axes().values():
-            n *= len(v)
-        return n
+        return len(self.combinations())
 
 
 @dataclass
@@ -61,12 +67,16 @@ class ExperimentConfig:
     diagnostics: DiagnosticsConfig = field(default_factory=DiagnosticsConfig)
     sweep: SweepConfig = field(default_factory=SweepConfig)
     out_dir: str = "runs"
-    snapshots_csv: bool = False
 
     def __post_init__(self):
-        for name, kind in (("out_dir", str), ("snapshots_csv", bool)):
-            if type(getattr(self, name)) is not kind:
-                raise ConfigError(f"{name} must be of type {kind.__name__}")
+        if type(self.out_dir) is not str:
+            raise ConfigError("out_dir must be of type str")
+        if self.sweep.axes():  # refuse a bad axis value before any row runs
+            for overrides in self.sweep.combinations():
+                try:
+                    self.solver.replace(**overrides)
+                except ConfigError as err:
+                    raise ConfigError(f"sweep row {overrides}: {err}") from None
 
     def to_dict(self):
         return asdict(self)
@@ -82,8 +92,7 @@ class ExperimentConfig:
                    diagnostics=build_block(DiagnosticsConfig,
                                            doc.get("diagnostics"), "diagnostics"),
                    sweep=build_block(SweepConfig, doc.get("sweep"), "sweep"),
-                   out_dir=doc.get("out_dir", "runs"),
-                   snapshots_csv=doc.get("snapshots_csv", False))
+                   out_dir=doc.get("out_dir", "runs"))
 
     @classmethod
     def load(cls, path):

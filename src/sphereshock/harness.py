@@ -1,25 +1,26 @@
 """Experiment runner and parameter sweeps: reproducible runs with archived
-configs, JSON-lines time series, CSV snapshots, and concurrent sweep rows.
+configs, JSON-lines time series, npz snapshots, and concurrent sweep rows.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
-import itertools
 import json
 import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import replace
 
 import numpy as np
 
 from . import diagnostics as dg
-from . import profile
 from .config import ExperimentConfig
 from .equivariant import run_until_blowup
-from .records import RunRecord, config_hash, write_field_csv, write_selfsim_csv
+from .records import RunRecord, config_hash, write_field_csv
+# unused here, but perfbench/spans.py wraps harness.write_selfsim_csv, and its
+# Tracer.install() reads that name from this module's namespace
+from .records import write_selfsim_csv  # noqa: F401
 
 
 def _save_snapshots(record: RunRecord, out_dir):
@@ -32,7 +33,6 @@ def _save_snapshots(record: RunRecord, out_dir):
             arrays[f"snap{i}_{key}"] = np.asarray(snap[key])
         meta.append({k: snap[k] for k in
                      ("s", "t_tilde", "kappa", "tau", "xi", "beta_tau")})
-    arrays["count"] = np.array(len(record.snapshots))
     np.savez_compressed(os.path.join(out_dir, "snapshots.npz"), **arrays)
     with open(os.path.join(out_dir, "snapshots_meta.json"), "w") as f:
         json.dump(meta, f, sort_keys=True, indent=1)
@@ -55,8 +55,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunRecord:
     """Run one configured experiment and persist its artifacts.
 
     Writes run.jsonl (time series), summary.json (no timestamps; idempotent
-    given the config), meta.json (wall-clock info), optional snapshot and
-    field CSVs.  Returns the in-memory record.
+    given the config), meta.json (wall-clock info), snapshots.npz with
+    snapshots_meta.json when the run made snapshots, and final_fields.csv.
+    Returns the in-memory record.
     """
     out_dir = out_dir or config.out_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -64,13 +65,13 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunRecord:
     record = run_until_blowup(config.solver)
     record.config = config.to_dict()
     record.summary["edge_contact_t"] = dg.edge_contact_time(record)
+    # a fit that is undefined stays null; the refined fit needs the affine one
+    record.summary.update(T_star=None, T_star_refined=None)
     try:
         T_aff, tau_end, resid = dg.blowup_time(record)
-        record.summary["T_star"] = T_aff
+        record.summary.update(T_star=T_aff, tau_tracker_end=tau_end)
         record.summary["T_star_refined"] = dg.blowup_time_refined(record)
-        record.summary["tau_tracker_end"] = tau_end
     except dg.DiagnosticUndefinedError as err:
-        record.summary["T_star"] = None
         record.summary["diagnostic_note"] = str(err)
 
     record.write_jsonl(os.path.join(out_dir, "run.jsonl"))
@@ -79,26 +80,12 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunRecord:
         json.dump({"wall_seconds": time.perf_counter() - t0,
                    "finished_unix": time.time()}, f, indent=1)
 
-    if config.snapshots_csv and record.snapshots:
-        for i, snap in enumerate(record.snapshots):
-            write_selfsim_csv(os.path.join(out_dir, f"selfsim_{i:04d}.csv"),
-                              snap["s"], snap["y"], snap["W"], snap["Z"],
-                              profile.w1d(snap["y"]))
     _save_snapshots(record, out_dir)
     if hasattr(record, "final_state"):
         st = record.final_state
         write_field_csv(os.path.join(out_dir, "final_fields.csv"),
                         st.grid, st.w, st.z)
     return record
-
-
-def _expand_sweep(config: ExperimentConfig):
-    axes = config.sweep.axes()
-    if not axes:
-        return [{}]
-    names = sorted(axes)
-    return [dict(zip(names, combo))
-            for combo in itertools.product(*(axes[n] for n in names))]
 
 
 def _sweep_row(config: ExperimentConfig, overrides, out_root):
@@ -112,7 +99,9 @@ def _sweep_row(config: ExperimentConfig, overrides, out_root):
            "error": ""}
     out_dir = os.path.join(out_root, row["config_hash"])
     try:
-        config = replace(config, solver=config.solver.replace(**overrides))
+        # copied, not dataclasses.replace'd: that would check every row again
+        config = copy.copy(config)
+        config.solver = config.solver.replace(**overrides)
         rec = run_experiment(config, out_dir)
         row["status"] = rec.status
         row["T_star"] = rec.summary.get("T_star")
@@ -138,7 +127,7 @@ def sweep(config: ExperimentConfig, out_root=None, max_workers=None):
     """Run the sweep cross-product concurrently; one CSV row per run."""
     out_root = out_root or config.out_dir
     os.makedirs(out_root, exist_ok=True)
-    combos = _expand_sweep(config)
+    combos = config.sweep.combinations()
     rows = []
     if len(combos) == 1 or (max_workers is not None and max_workers <= 1):
         for overrides in combos:

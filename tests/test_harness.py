@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from sphereshock import cli
+from sphereshock import diagnostics as dg
 from sphereshock.config import ConfigError, ExperimentConfig, print_defaults
 from sphereshock.equivariant import SolverConfig, initial_data
 from sphereshock.harness import load_snapshots, run_experiment, sweep
@@ -128,20 +129,21 @@ def test_experiment_config_validation():
                               ("sweep", "tau0", 0.01)):
         with pytest.raises(ConfigError, match=key):
             ExperimentConfig.from_dict({block: {key: value}})
-    # once coerced by bool() ("no" ran with the CSVs on) or kept as an int
-    for key, value in (("snapshots_csv", "no"), ("snapshots_csv", 1),
-                       ("snapshots_csv", None), ("out_dir", 5),
-                       ("out_dir", None)):
-        with pytest.raises(ConfigError, match=key):
-            ExperimentConfig.from_dict({key: value})
+    # removed in schema 12 with the self-similar CSVs it turned on
+    with pytest.raises(ConfigError, match=r"unknown config keys.*snapshots_csv"):
+        ExperimentConfig.from_dict({"snapshots_csv": True})
+    assert "snapshots_csv" not in defaults
+    for value in (5, None):
+        with pytest.raises(ConfigError, match="out_dir"):
+            ExperimentConfig.from_dict({"out_dir": value})
     # and from the solver block, once a TypeError or, for a bool, accepted
     for key, value in (("gamma", "3"), ("tau0", None), ("monitor_M", None),
                        ("sigma_inf", True)):
         with pytest.raises(ConfigError, match=key):
             ExperimentConfig.from_dict({"solver": {key: value}})
     cfg = ExperimentConfig.from_dict({"solver": {"tau0": 5e-3},
-                                      "snapshots_csv": True, "out_dir": "x"})
-    assert (cfg.snapshots_csv, cfg.out_dir) == (True, "x")
+                                      "out_dir": "x"})
+    assert cfg.out_dir == "x"
     assert cfg.solver.tau0 == 5e-3
     assert cfg.solver == SolverConfig(tau0=5e-3)
     assert cfg.solver.blowup_slope_cap != SolverConfig().blowup_slope_cap
@@ -169,7 +171,7 @@ def test_run_experiment_artifacts(tmp_path):
         assert required in names
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["status"] == "blew_up"
-    assert summary["schema_version"] == SCHEMA_VERSION == 11
+    assert summary["schema_version"] == SCHEMA_VERSION == 12
     assert "T_star" in summary and "seed" not in summary
     assert "edge_contact_t" in summary
     # the exterior gradient is taken outside a quarter of the domain width
@@ -179,6 +181,47 @@ def test_run_experiment_artifacts(tmp_path):
     snaps = load_snapshots(tmp_path)
     assert len(snaps) >= 2
     assert {"s", "y", "W", "Z", "g_w"} <= set(snaps[0])
+
+
+def test_summary_keeps_the_affine_fit_when_the_refined_one_is_undefined(
+        tmp_path):
+    # 26 samples: enough for the 1/slope fit, too few in the tau-fit window.
+    # The summary once reset T_star to null and dropped tau_tracker_end.
+    rec = run_experiment(ExperimentConfig.from_dict(
+        {"solver": {"n_cells": 1024, "blowup_slope_cap": 160.0,
+                    "record_every": 8}, "out_dir": str(tmp_path)}))
+    assert rec.status == "blew_up"
+    T_aff, tau_end, _ = dg.blowup_time(rec)
+    with pytest.raises(dg.DiagnosticUndefinedError) as err:
+        dg.blowup_time_refined(rec)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["T_star"] == T_aff and summary["tau_tracker_end"] == tau_end
+    assert summary["T_star_refined"] is None
+    assert summary["diagnostic_note"] == str(err.value)
+
+
+def _run_artifact_names():
+    """The file names in FORMATS.md's run-artifact headings: the level-2
+    headings before the one on the other commands' outputs."""
+    with open(FORMATS) as f:
+        text = f.read()
+    text = text[:text.index("\n## Outputs of the other commands\n")]
+    return {name for heading in re.findall(r"^## (.+)$", text, re.M)
+            for name in heading.split(" + ")}
+
+
+def test_formats_documents_each_run_artifact_and_no_other(tmp_path):
+    # a deleted output must not leave its section behind, nor a new one
+    # go without a section
+    written = {}
+    for ds in (None, 0.4):
+        out = tmp_path / str(ds)
+        run_experiment(small_config(out, n_cells=256, t_max=1e-4,
+                                    emit_selfsim_ds=ds))
+        written[ds] = set(os.listdir(out))
+    assert written[0.4] - written[None] == {"snapshots.npz",
+                                            "snapshots_meta.json"}
+    assert written[0.4] == _run_artifact_names()
 
 
 def test_wall_seconds_survive_a_wall_clock_set_back(tmp_path, monkeypatch):
@@ -305,6 +348,63 @@ def test_cli_simulate_and_diagnose(tmp_path, capsys):
     out = capsys.readouterr().out
     assert f"T*                : {summary['T_star']:.8g}\n" in out
     assert "  [FAIL] holder\n" in out
+
+
+def test_cli_simulate_emit_selfsim_writes_the_snapshots_once(tmp_path):
+    run = tmp_path / "run"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"solver": {"n_cells": 256, "t_max": 1e-4, "blowup_slope_cap": 300.0},
+         "out_dir": str(run)}))
+    assert cli.main(["simulate", "--config", str(cfg_path),
+                     "--emit-selfsim", "0.4"]) == 0
+    with open(run / "run.jsonl") as f:
+        assert json.loads(f.readline())["config"]["solver"][
+            "emit_selfsim_ds"] == 0.4
+    assert not glob.glob(str(run / "selfsim_*.csv"))
+    snaps = load_snapshots(run)
+    with np.load(run / "snapshots.npz") as data:
+        assert sorted(data.files) == sorted(
+            f"snap{i}_{key}" for i in range(len(snaps))
+            for key in ("y", "W", "Z", "g_w", "g_z"))  # no count member
+
+
+@pytest.mark.parametrize("doc, argv, named", [
+    ({"solver": {"gamma": 0.5}}, [], "gamma"),
+    ({}, ["--emit-selfsim", "-1"], "emit_selfsim_ds")],
+    ids=["config", "flag"])
+def test_cli_simulate_refuses_a_bad_config_in_one_line(tmp_path, capsys, doc,
+                                                       argv, named):
+    # each once ended in a ConfigError traceback
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**doc, "out_dir": str(tmp_path / "run")}))
+    assert cli.main(["simulate", "--config", str(cfg_path), *argv]) == 2
+    out, err = capsys.readouterr()
+    assert err == "" and len(out.splitlines()) == 1
+    assert out.startswith("config refused: ") and named in out
+    assert not (tmp_path / "run").exists()
+
+
+def test_sweep_refuses_a_bad_axis_value_before_any_run(tmp_path, capsys):
+    # the valid gamma row once ran to completion before the 0.5 row failed
+    doc = {"solver": {"n_cells": 256, "t_max": 1e-4, "blowup_slope_cap": 300.0},
+           "sweep": {"gamma": [3.0, 0.5]}, "out_dir": str(tmp_path / "runs")}
+    with pytest.raises(ConfigError,
+                       match=r"sweep row \{'gamma': 0.5\}: gamma must exceed 1"):
+        ExperimentConfig.from_dict(doc)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main(["sweep", "--config", str(cfg_path)]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and "gamma" in out[0]
+    assert not (tmp_path / "runs").exists()
+    sweep_cfg = ExperimentConfig.from_dict(
+        {"sweep": {"tau0": [1e-2, 5e-3], "n_cells": [1024, 2048, 4096]}})
+    combos = sweep_cfg.sweep.combinations()
+    assert sweep_cfg.sweep.size() == len(combos) == 6
+    assert combos[:2] == [{"n_cells": 1024, "tau0": 1e-2},
+                          {"n_cells": 1024, "tau0": 5e-3}]
+    assert ExperimentConfig().sweep.combinations() == [{}]
 
 
 def test_cli_diagnose_refuses_a_schema_9_header(tmp_path, capsys):
