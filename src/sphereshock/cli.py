@@ -77,6 +77,9 @@ def cmd_diagnose(args):
         # schema 10 made clip_frac a constant of the diagnostics module
         print(f"header config refused: {err}; the run predates schema 10")
         return 2
+    if "solver" not in rec.config:
+        print(f"{args.record} has no run header with a solver config")
+        return 2
     contact = edge_contact_time(rec)
     print("edge contact      : "
           + ("none" if contact is None else f"t~ = {contact:.8g}"))
@@ -148,7 +151,12 @@ def cmd_trajectories(args):
               "solver.emit_selfsim_ds set")
         return 2
     snaps = load_snapshots(args.from_run)
-    field = FrozenTransportField.from_snapshots(snaps)
+    try:
+        field = FrozenTransportField.from_snapshots(snaps)
+    except ValueError as err:
+        print(f"{args.from_run}: {err}; rerun it with a smaller "
+              "solver.emit_selfsim_ds")
+        return 2
     s_lo, s_hi = field.s_span
     with open(args.seeds) as f:
         lines = (line.split("#", 1)[0].strip() for line in f)

@@ -43,8 +43,12 @@ class SweepConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if type(getattr(self, f.name)) is not list:
+            values = getattr(self, f.name)
+            if type(values) is not list:
                 raise ConfigError(f"sweep axis {f.name} must be a list")
+            for i, v in enumerate(values):
+                if v in values[:i]:  # two rows would share one run directory
+                    raise ConfigError(f"sweep axis {f.name} repeats the value {v!r}")
 
     def axes(self):
         return {k: v for k, v in asdict(self).items() if v}

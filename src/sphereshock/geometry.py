@@ -1,10 +1,10 @@
-"""Sphere chart machinery: stereographic projection, co-moving rotation,
-shock-adapted coordinates, and the auxiliary frame quantities.
+"""Shock-adapted chart of the sphere: the straightening map, the pointwise
+frame quantities, and their certified origin table.
 
 Conventions: the sphere has radius r0, the chart projects from the north
-pole (0, 0, r0) onto the tangent plane at the south pole, and the rotation
-generator is the skew matrix Q = dO/dt^T O, so points co-rotate as
-dx/dt = Q x in chart-fixed coordinates.
+pole (0, 0, r0) onto the tangent plane at the south pole, and the constant
+skew generator Q = dO/dt^T O of the co-moving frame makes points co-rotate
+as dx/dt = Q x in chart-fixed coordinates.
 """
 
 from __future__ import annotations
@@ -12,12 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-NORTH_POLE_TOL = 1e-9
-
-
-class ProjectionSingularError(ValueError):
-    """Raised when a point is too close to the projection's north pole."""
 
 
 class DerivationMismatchError(RuntimeError):
@@ -35,53 +29,6 @@ def _check_skew(Q):
     if Q.shape != (3, 3) or not np.array_equal(Q, -Q.T):
         raise ValueError("Q must be an exactly skew-symmetric 3x3 matrix")
     return Q
-
-
-@dataclass
-class SpherePoint:
-    x: np.ndarray
-    r0: float = 1.0
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        r = np.linalg.norm(self.x)
-        if abs(r - self.r0) > 1e-12 * max(1.0, self.r0):
-            raise ValueError(f"point does not lie on the sphere: |x|={r}, r0={self.r0}")
-
-
-@dataclass
-class StereoCoords:
-    u: np.ndarray
-    r0: float = 1.0
-
-    def __post_init__(self):
-        self.u = np.asarray(self.u, dtype=float)
-        if not np.all(np.isfinite(self.u)):
-            raise ValueError("stereographic coordinates must be finite")
-
-
-def stereo_project(p: SpherePoint) -> StereoCoords:
-    """u_i = 2 r0 x_i / (r0 - x3); undefined at the north pole."""
-    if p.x[2] >= p.r0 * (1.0 - NORTH_POLE_TOL):
-        raise ProjectionSingularError("stereographic projection singular near the north pole")
-    u = 2.0 * p.r0 * p.x[:2] / (p.r0 - p.x[2])
-    return StereoCoords(u=u, r0=p.r0)
-
-
-def stereo_unproject(c: StereoCoords) -> SpherePoint:
-    phi = metric_factor(c)
-    x12 = phi * c.u
-    x3 = c.r0 * (1.0 - 2.0 * phi)
-    return SpherePoint(x=np.array([x12[0], x12[1], x3]), r0=c.r0)
-
-
-def metric_factor(c) -> float:
-    """Conformal factor phi(u) = 4 r0^2 / (|u|^2 + 4 r0^2) of the chart metric."""
-    if isinstance(c, StereoCoords):
-        u, r0 = c.u, c.r0
-    else:
-        u, r0 = np.asarray(c, dtype=float), 1.0
-    return float(4.0 * r0**2 / (u @ u + 4.0 * r0**2))
 
 
 def shock_coords(u, psi):
@@ -241,46 +188,3 @@ def origin_derivative_table(psi, Q, r0=1.0, tol=1e-6, h=None):
             raise DerivationMismatchError(
                 f"origin table entry {name!r}: analytic {ana!r} vs finite-difference {num!r}")
     return table
-
-
-@dataclass
-class RotationState:
-    O: np.ndarray
-    Q: np.ndarray
-
-    def __post_init__(self):
-        self.O = np.asarray(self.O, dtype=float)
-        self.Q = _check_skew(self.Q)
-        if np.max(np.abs(self.O.T @ self.O - np.eye(3))) > 1e-10:
-            raise ValueError("O must be orthogonal to 1e-10")
-
-
-def rodrigues(S):
-    """Exact exponential of a 3x3 skew matrix."""
-    S = np.asarray(S, dtype=float)
-    w = np.array([S[2, 1], S[0, 2], S[1, 0]])
-    th = np.linalg.norm(w)
-    if th < 1e-30:
-        return np.eye(3) + S
-    return np.eye(3) + (np.sin(th) / th) * S + ((1.0 - np.cos(th)) / th**2) * (S @ S)
-
-
-def _reorthonormalize(O):
-    # symmetric polar projection onto SO(3); cheap for 3x3
-    U, _, Vt = np.linalg.svd(O)
-    R = U @ Vt
-    if np.linalg.det(R) < 0:
-        U[:, -1] *= -1
-        R = U @ Vt
-    return R
-
-
-def rotation_step(state: RotationState, dt) -> RotationState:
-    """Advance O through dO^T/dt = Q O^T by the exact group exponential.
-
-    Equivalent per-step map: O <- O exp(-Q dt), exact for constant Q.
-    """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    O = state.O @ rodrigues(-state.Q * dt)
-    return RotationState(O=_reorthonormalize(O), Q=state.Q)

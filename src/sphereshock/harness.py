@@ -5,12 +5,10 @@ configs, JSON-lines time series, npz snapshots, and concurrent sweep rows.
 from __future__ import annotations
 
 import copy
-import csv
 import json
 import os
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
 
 import numpy as np
 
@@ -125,6 +123,10 @@ def _sweep_row(config: ExperimentConfig, overrides, out_root):
 
 def sweep(config: ExperimentConfig, out_root=None, max_workers=None):
     """Run the sweep cross-product concurrently; one CSV row per run."""
+    # imported here, their only user, to keep them off every other import
+    import csv
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
     out_root = out_root or config.out_dir
     os.makedirs(out_root, exist_ok=True)
     combos = config.sweep.combinations()

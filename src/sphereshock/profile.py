@@ -10,7 +10,6 @@ path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -183,28 +182,6 @@ def selfsimilar_burgers_residual(y1, y2):
     out = np.asarray(-0.5 * w + (1.5 * np.asarray(y1, dtype=float) + w) * d1
                      + 0.5 * np.asarray(y2, dtype=float) * d2)
     return float(out) if out.ndim == 0 else out
-
-
-@dataclass
-class ProfileEval:
-    """Pointwise jet of the 2D profile: value, gradient, Hessian, third order."""
-
-    value: float
-    grad: tuple
-    hessian: np.ndarray
-    third: dict
-
-    def check_symmetry(self):
-        return np.allclose(self.hessian, self.hessian.T)
-
-
-def profile_eval(y1, y2):
-    T = w2d_jet(float(y1), float(y2))
-    hess = np.array([[T[2][0], T[1][1]], [T[1][1], T[0][2]]], dtype=float)
-    third = {(3, 0): float(T[3][0]), (2, 1): float(T[2][1]),
-             (1, 2): float(T[1][2]), (0, 3): float(T[0][3])}
-    return ProfileEval(value=float(T[0][0]), grad=(float(T[1][0]), float(T[0][1])),
-                       hessian=hess, third=third)
 
 
 def bound_margins(y1, y2):

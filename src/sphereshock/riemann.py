@@ -2,8 +2,8 @@
 
 Covers the physical <-> Riemann variable transforms, assembly of the
 transport matrices in chart and shock-adapted coordinates, the
-diagonalizing similarity, the forcing vectors along two independent code
-paths, and the pointwise vorticity identity.
+diagonalizing similarity, and the forcing vectors along two independent
+code paths.
 """
 
 from __future__ import annotations
@@ -55,9 +55,6 @@ class RiemannVars:
     @property
     def sigma(self):
         return 0.5 * (self.w - self.z)
-
-    def is_valid(self):
-        return self.w > self.z
 
     def as_vector(self):
         return np.array([self.w, self.z, self.a], dtype=float)
@@ -234,8 +231,3 @@ def similarity_defects(mats: SystemMatrices):
     d2 = np.max(np.abs(mats.A_R_u2t - mats.B @ mats.A_P_u2t @ mats.B_inv))
     dd = np.max(np.abs(mats.D_R - mats.B @ mats.D_P @ mats.B_inv))
     return d1, d2, dd
-
-
-def vorticity(dA_du1t, dPhiV1_du2t, frame: GeometryFrame):
-    """Scalar vorticity from shock-adapted derivatives of a and phi*V1."""
-    return (frame.phi * frame.lam_bracket * dA_du1t - dPhiV1_du2t) / frame.phi**2

@@ -215,9 +215,9 @@ def _interp(x, xp, fp):
 class FrozenTransportField:
     """Time-sliced interpolant of g_R snapshots: V(s, y) = 3/2 y + g_R(s, y).
 
-    Built from run snapshots; linear in s between slices, linear in y along
-    each slice, constant-extrapolated outside.  A scalar call runs in plain
-    Python on list copies of the slices, bit for bit the vectorised g.
+    Built from two or more run snapshots; linear in s between slices, linear
+    in y along each slice, constant-extrapolated outside.  A scalar call runs
+    in plain Python on list copies of the slices, bit for bit the vectorised g.
     """
 
     s_slices: np.ndarray
@@ -226,14 +226,15 @@ class FrozenTransportField:
     _lists: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if len(self.s_slices) < 2:
+            raise ValueError("a transport field needs at least two snapshot "
+                             f"slices, got {len(self.s_slices)}")
         self._lists = ([float(t) for t in self.s_slices],
                        [np.asarray(y, dtype=float).tolist() for y in self.y_slices],
                        [np.asarray(g, dtype=float).tolist() for g in self.g_slices])
 
     @classmethod
     def from_snapshots(cls, snapshots, key="g_w"):
-        if not snapshots:
-            raise ValueError("no snapshots to build a transport field from")
         snaps = sorted(snapshots, key=lambda r: r["s"])
         return cls(s_slices=np.array([r["s"] for r in snaps]),
                    y_slices=[np.asarray(r["y"]) for r in snaps],

@@ -14,44 +14,6 @@ def random_skew(rng, scale=1.0):
     return skew(*q)
 
 
-def test_sphere_point_validates_radius():
-    geo.SpherePoint([0.0, 0.0, -2.0], r0=2.0)
-    with pytest.raises(ValueError):
-        geo.SpherePoint([0.0, 0.0, -2.0], r0=1.0)
-
-
-def test_project_south_pole_and_equator():
-    r0 = 2.0
-    assert np.allclose(geo.stereo_project(geo.SpherePoint([0, 0, -r0], r0)).u, [0, 0])
-    assert np.allclose(geo.stereo_project(geo.SpherePoint([r0, 0, 0], r0)).u, [2 * r0, 0])
-
-
-def test_project_rejects_north_pole():
-    with pytest.raises(geo.ProjectionSingularError):
-        geo.stereo_project(geo.SpherePoint([0.0, 0.0, 1.0], 1.0))
-
-
-def test_projection_round_trip():
-    rng = np.random.default_rng(7)
-    for _ in range(1000):
-        r0 = rng.uniform(0.1, 10.0)
-        x = rng.normal(size=3)
-        x *= r0 / np.linalg.norm(x)
-        if x[2] >= r0 * (1 - 1e-6):
-            continue
-        p = geo.SpherePoint(x, r0)
-        back = geo.stereo_unproject(geo.stereo_project(p))
-        assert np.max(np.abs(back.x - p.x)) < 1e-10 * max(1.0, r0)
-
-
-def test_metric_factor_values():
-    assert geo.metric_factor(geo.StereoCoords([0.0, 0.0], 1.0)) == pytest.approx(1.0)
-    assert geo.metric_factor(geo.StereoCoords([2.0, 0.0], 1.0)) == pytest.approx(0.5)
-    radii = np.linspace(0.0, 100.0, 50)
-    vals = [geo.metric_factor(geo.StereoCoords([r, 0.0], 1.0)) for r in radii]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
 def test_shock_coords_examples_and_inverse():
     assert np.allclose(geo.shock_coords([1.0, 2.0], 0.0), [1.0, 2.0])
     assert np.allclose(geo.shock_coords([1.0, 2.0], 1.0), [-1.0, 2.0])
@@ -141,44 +103,3 @@ def test_r0_validation():
     with pytest.raises(ValueError):
         geo.validate_r0(0.005)
     assert geo.validate_r0(1.0) == 1.0
-
-
-def test_rotation_identity_under_zero_generator():
-    st_ = geo.RotationState(np.eye(3), np.zeros((3, 3)))
-    out = geo.rotation_step(st_, 0.1)
-    assert np.allclose(out.O, np.eye(3))
-
-
-def test_rotation_planar_oracle():
-    q, dt = 0.7, 0.05
-    Q = skew(0.0, q, 0.0)
-    out = geo.rotation_step(geo.RotationState(np.eye(3), Q), dt)
-    ang = q * dt
-    expect = np.array([[np.cos(ang), 0, -np.sin(ang)],
-                       [0, 1, 0],
-                       [np.sin(ang), 0, np.cos(ang)]])
-    assert np.max(np.abs(out.O - expect)) < 1e-13
-
-
-def test_rotation_convention_dx_dt_equals_Qx():
-    # co-rotating coordinates x = O^T xring must satisfy dx/dt = Q x
-    Q = skew(0.3, -0.5, 0.8)
-    dt = 1e-6
-    state = geo.rotation_step(geo.RotationState(np.eye(3), Q), 0.123)
-    xring = np.array([0.2, -0.9, 0.4])
-    x0 = state.O.T @ xring
-    x1 = geo.rotation_step(state, dt).O.T @ xring
-    assert np.max(np.abs((x1 - x0) / dt - Q @ x0)) < 1e-5
-
-
-def test_rotation_orthogonality_drift():
-    Q = skew(0.3, -0.5, 0.8)
-    state = geo.RotationState(np.eye(3), Q)
-    for _ in range(10000):
-        state = geo.rotation_step(state, 1e-3)
-    assert np.max(np.abs(state.O.T @ state.O - np.eye(3))) < 1e-9
-
-
-def test_rotation_step_rejects_bad_dt():
-    with pytest.raises(ValueError):
-        geo.rotation_step(geo.RotationState(np.eye(3), np.zeros((3, 3))), 0.0)

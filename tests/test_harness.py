@@ -318,6 +318,30 @@ def test_sweep_cross_product_and_isolation(tmp_path):
         assert "ConfigError" in f.read()
 
 
+def test_pool_sweep_matches_the_serial_sweep(tmp_path):
+    cfg = small_config(tmp_path, n_cells=256)
+    cfg.sweep.tau0 = [1e-2, 5e-3]
+    sweep(cfg, str(tmp_path / "serial"), max_workers=1)
+    rows = sweep(cfg, str(tmp_path / "pool"), max_workers=2)
+    assert sorted(r["status"] for r in rows) == ["blew_up", "blew_up"]
+    serial, pool = ((tmp_path / d / "sweep.csv").read_bytes()
+                    for d in ("serial", "pool"))
+    assert pool == serial
+
+
+def test_sweep_refuses_a_repeated_axis_value(tmp_path, capsys):
+    # both rows once ran under one config_hash, into one directory
+    doc = {"sweep": {"tau0": [1e-2, 5e-3, 1e-2]}, "out_dir": str(tmp_path / "runs")}
+    with pytest.raises(ConfigError, match=r"sweep axis tau0 repeats the value 0\.01"):
+        ExperimentConfig.from_dict(doc)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main(["sweep", "--config", str(cfg_path)]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and "tau0" in out[0]
+    assert not (tmp_path / "runs").exists()
+
+
 def test_sweep_rows_derive_unset_fields_from_their_tau0(tmp_path):
     cfg = small_config(tmp_path)
     cfg.sweep.tau0 = [1e-2, 5e-3]
@@ -420,6 +444,19 @@ def test_cli_diagnose_refuses_a_schema_9_header(tmp_path, capsys):
     assert "clip_frac" in out[0] and "predates schema 10" in out[0]
 
 
+@pytest.mark.parametrize("text", ["", json.dumps(
+    {"type": "header", "schema_version": SCHEMA_VERSION, "status": "blew_up",
+     "config": {"diagnostics": {"holder_cap": 2.5}}}) + "\n"],
+    ids=["empty", "no_solver"])
+def test_cli_diagnose_without_a_run_header(tmp_path, capsys, text):
+    # each once ended in a KeyError traceback from edge_contact_time
+    path = tmp_path / "run.jsonl"
+    path.write_text(text)
+    assert cli.main(["diagnose", str(path)]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and "no run header" in out[0]
+
+
 def _schema_11_removed_keys():
     """The ba_margins keys that FORMATS.md's schema-11 paragraph names."""
     with open(FORMATS) as f:
@@ -470,6 +507,20 @@ def test_cli_trajectories_without_snapshots(tmp_path, capsys):
                      "--seeds", str(seeds)]) == 2
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 1 and "emit_selfsim_ds" in out[0]
+
+
+def test_cli_trajectories_on_a_one_snapshot_run(tmp_path, capsys):
+    # one slice once ended in "s_end must exceed s1"
+    run = tmp_path / "run"
+    run_experiment(small_config(run, n_cells=512, emit_selfsim_ds=100.0))
+    assert len(load_snapshots(run)) == 1
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("0.05\n")
+    capsys.readouterr()
+    assert cli.main(["trajectories", "--from-run", str(run),
+                     "--seeds", str(seeds)]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and "two snapshot slices, got 1" in out[0]
 
 
 def test_formats_header_example_has_the_schema_version():

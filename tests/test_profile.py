@@ -181,18 +181,13 @@ def test_frozen_derivative_bounds(gamma):
     assert np.min(margin) >= 0.0
 
 
-def test_profile_eval_structure():
-    ev = pf.profile_eval(0.7, -1.2)
-    assert ev.check_symmetry()
-    assert ev.value == pytest.approx(pf.w2d(0.7, -1.2))
-    assert ev.grad[0] == pytest.approx(pf.w2d_deriv(0.7, -1.2, (1, 0)))
-    assert ev.third[(3, 0)] == pytest.approx(pf.w2d_deriv(0.7, -1.2, (3, 0)))
-
-
 @settings(max_examples=25)
 @given(st.floats(min_value=0.1, max_value=100.0), st.floats(min_value=-50, max_value=50))
-def test_profile_eval_parity_properties(y1, y2):
-    ev_p = pf.profile_eval(y1, y2)
-    ev_m = pf.profile_eval(-y1, y2)
-    assert ev_m.value == pytest.approx(-ev_p.value, rel=1e-9, abs=1e-10)
-    assert ev_m.grad[0] == pytest.approx(ev_p.grad[0], rel=1e-9, abs=1e-10)
+def test_w2d_jet_parity_properties(y1, y2):
+    # W is odd in y1, so d1^j d2^k W has the parity (-1)^(j + 1)
+    jet_p = pf.w2d_jet(y1, y2)
+    jet_m = pf.w2d_jet(-y1, y2)
+    for j in range(5):
+        for k in range(5 - j):
+            assert jet_m[j][k] == pytest.approx((-1) ** (j + 1) * jet_p[j][k],
+                                                rel=1e-9, abs=1e-10), (j, k)

@@ -62,7 +62,6 @@ def test_to_phys_examples():
 def test_vacuum_boundary_flagged():
     R = rm.RiemannVars(1.0, 1.0, 0.3)
     assert rm.to_phys(R, 0.7).S == 0.0
-    assert not R.is_valid()
     assert R.sigma == 0.0
 
 
@@ -160,57 +159,3 @@ def test_forcing_dual_path_agreement():
         m = rm.assemble_matrices(P, frame, bc)
         worst = max(worst, np.max(np.abs(m.F_R - rm.f_r_from_fp(P, frame, bc))))
     assert worst < 1e-10
-
-
-def test_vorticity_trivial_cases():
-    frame = geo.frame_at([0.0, 0.0], 0.7, np.zeros((3, 3)), 0.0, 1.0)
-    assert rm.vorticity(0.0, 0.0, frame) == 0.0
-    assert rm.vorticity(1.0, 0.0, frame) == pytest.approx(1.0)
-
-
-def test_vorticity_against_chart_curl():
-    # With zero tangential velocity (V2 = -lam V1) the identity reduces to a
-    # pure chart curl, cross-checked by finite differences in u-coordinates.
-    psi, r0 = 0.8, 1.3
-    Q = np.zeros((3, 3))
-
-    def v1(u1, u2):
-        return np.sin(u1) * np.cos(0.5 * u2) + 0.3 * u2
-
-    def curl_term(u1, u2):
-        f = geo.frame_at(geo.shock_coords([u1, u2], psi), psi, Q, 0.0, r0)
-        lam = f.lam
-        return f.phi * v1(u1, u2) * (-lam)  # phi * V2
-
-    ut = np.array([0.4, -0.6])
-    u = geo.shock_coords_inverse(ut, psi)
-    frame = geo.frame_at(ut, psi, Q, 0.0, r0)
-    h = 1e-5
-
-    def a_of_ut(ut1, ut2):
-        uu = geo.shock_coords_inverse([ut1, ut2], psi)
-        f = geo.frame_at([ut1, ut2], psi, Q, 0.0, r0)
-        V1 = v1(*uu)
-        V2 = -f.lam * V1
-        return (f.lam * V1 + V2) / f.lam_bracket  # identically 0 here
-
-    def phiV1_of_ut(ut1, ut2):
-        uu = geo.shock_coords_inverse([ut1, ut2], psi)
-        f = geo.frame_at([ut1, ut2], psi, Q, 0.0, r0)
-        return f.phi * v1(*uu)
-
-    dA = (a_of_ut(ut[0] + h, ut[1]) - a_of_ut(ut[0] - h, ut[1])) / (2 * h)
-    dPhiV1 = (phiV1_of_ut(ut[0], ut[1] + h) - phiV1_of_ut(ut[0], ut[1] - h)) / (2 * h)
-    om_identity = rm.vorticity(dA, dPhiV1, frame)
-
-    def phiV2_of_u(u1, u2):
-        return curl_term(u1, u2)
-
-    def phiV1_of_u(u1, u2):
-        f = geo.frame_at(geo.shock_coords([u1, u2], psi), psi, Q, 0.0, r0)
-        return f.phi * v1(u1, u2)
-
-    curl = ((phiV2_of_u(u[0] + h, u[1]) - phiV2_of_u(u[0] - h, u[1])) / (2 * h)
-            - (phiV1_of_u(u[0], u[1] + h) - phiV1_of_u(u[0], u[1] - h)) / (2 * h))
-    om_curl = curl / frame.phi**2
-    assert om_identity == pytest.approx(om_curl, rel=1e-6, abs=1e-8)

@@ -138,6 +138,14 @@ def test_frozen_field_interpolation():
     assert f(4.25, 0.5) == pytest.approx(1.5 * 0.5 + expect, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_frozen_field_needs_two_slices(n):
+    snaps = [{"s": 4.0 + k, "y": np.linspace(-1.0, 1.0, 5), "g_w": np.zeros(5)}
+             for k in range(n)]
+    with pytest.raises(ValueError, match=f"two snapshot slices, got {n}"):
+        tr.FrozenTransportField.from_snapshots(snaps)
+
+
 def test_start_outside_escape_box_is_refused():
     with pytest.raises(ValueError, match=r"y0 = 1\.0 .*\(-1\.0, 0\.5\)"):
         tr.integrate_trajectory(lambda s, y: 1.5 * y, 0.0, 1.0, 5.0,
