@@ -67,14 +67,14 @@ def cmd_sweep(args):
 def cmd_diagnose(args):
     from .config import ConfigError, DiagnosticsConfig, build_block
     from .diagnostics import (DiagnosticUndefinedError, blowup_report,
-                              edge_contact_time)
+                              edge_contact_time, fit_bounds, fit_window)
     from .records import RunRecord
     rec = RunRecord.read_jsonl(args.record)
     try:
         diag = build_block(DiagnosticsConfig, rec.config.get("diagnostics"),
                            "diagnostics")
     except ConfigError as err:
-        # schema 10 made clip_frac a constant of the diagnostics module
+        # headers before schema 10 name clip_frac, a key since retired
         print(f"header config refused: {err}; the run predates schema 10")
         return 2
     if "solver" not in rec.config:
@@ -89,6 +89,10 @@ def cmd_diagnose(args):
     except DiagnosticUndefinedError as err:
         print(f"diagnostics undefined: {err}")
         return 2
+    lo, hi = fit_bounds(rec)
+    fitted = rec.series("max_slope")[fit_window(rec)]
+    print(f"fit window        : max_slope in [{lo:.4g}, {hi:.4g}], "
+          f"{len(fitted)} samples, span {fitted.max() / fitted.min():.1f}x")
     print(f"T*                : {rep.T_star:.8g}")
     print(f"tau tracker (end) : {rep.tau_tracker:.8g}")
     print(f"rate exponent     : {rep.rate_exponent:+.4f} "

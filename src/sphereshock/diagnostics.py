@@ -15,11 +15,6 @@ class DiagnosticUndefinedError(ValueError):
     """Not enough usable samples for the requested fit."""
 
 
-# the last fraction of the samples before the stop that the T* and rate
-# fits drop (scheme-diffusion zone)
-CLIP_FRAC = 0.02
-
-
 def holder_denominators(x):
     """[(sep, |x[i+sep] - x[i]|^(1/3))] for the dyadic separations
     sep = 1, 2, 4, ... < len(x) of a strictly increasing grid x: the part
@@ -54,36 +49,20 @@ def holder_seminorm(denominators, f):
     return best
 
 
-def _growth_window(t, slope):
-    """Indices of the final decade of slope growth, excluding the last
-    CLIP_FRAC of the samples."""
-    n = len(t)
-    if n < 10:
-        raise DiagnosticUndefinedError("need at least 10 samples")
-    keep = max(10, int(np.floor(n * (1.0 - CLIP_FRAC))))
-    peak = slope[keep - 1]
-    lo = peak / 10.0
-    idx = np.flatnonzero(slope[:keep] >= lo)
-    if len(idx) < 10:
-        raise DiagnosticUndefinedError("fewer than 10 samples in the fit window")
-    return idx
-
-
 def blowup_time(record):
     """Extrapolated blow-up time from the slope history.
 
-    Fits 1/max-slope against t over the final decade of growth and returns
+    Fits 1/max-slope against t over fit_window(record) and returns
     (T_star, tau_tracker_end, fit_residual).  For exact Burgers dynamics the
     fit is affine and exact.
     """
     if record.status != "blew_up":
         raise DiagnosticUndefinedError(f"run ended with status {record.status!r}")
+    idx = fit_window(record)
     t = record.series("t_tilde")
-    slope = record.series("max_slope")
-    idx = _growth_window(t, slope)
-    y = 1.0 / slope[idx]
+    y = 1.0 / record.series("max_slope")[idx]
     A = np.vstack([t[idx], np.ones_like(y)]).T
-    coef, res, *_ = np.linalg.lstsq(A, y, rcond=None)
+    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     a, b = coef
     if a >= 0:
         raise DiagnosticUndefinedError("inverse slope not decreasing; no blow-up trend")
@@ -99,29 +78,42 @@ def resolution_window(tau0, dx):
     return (0.02 * tau0**2 / (150.0 * dx**4)) ** 0.2
 
 
+def fit_bounds(record):
+    """(rw/10, rw) with rw = resolution_window(tau0, dx) of the record's
+    grid: the max_slope bounds of fit_window."""
+    solver = record.config["solver"]
+    dx = (solver["theta_max"] - solver["theta_min"]) / (solver["n_cells"] - 1)
+    hi = resolution_window(solver["tau0"], dx)
+    return hi / 10.0, hi
+
+
+def fit_window(record):
+    """Indices of the samples whose max_slope lies in fit_bounds(record):
+    the one window that every slope fit reads."""
+    lo, hi = fit_bounds(record)
+    slope = record.series("max_slope")
+    idx = np.flatnonzero((slope >= lo) & (slope <= hi))
+    if len(idx) < 10:
+        raise DiagnosticUndefinedError(
+            f"{len(idx)} < 10 samples with max_slope in the resolution "
+            f"window [{lo:.4g}, {hi:.4g}]")
+    return idx
+
+
 def blowup_time_refined(record):
     """Sharper T* from the tracker: fit tau = T* + a (tau - t)^2.
 
     The predicted-time series tau(t) approaches T* quadratically in the
     remaining time (exactly affinely for flat Burgers), so a two-parameter
-    linear fit over a resolution-limited slope window removes the physical
-    curvature; the window keeps the s^5-growing late-time stencil bias out.
+    linear fit over fit_window(record) removes the physical curvature; the
+    window keeps the s^5-growing late-time stencil bias out.
     """
-    t = record.series("t_tilde")
-    tau = record.series("tau")
-    slope = record.series("max_slope")
-    solver = record.config["solver"]
-    tau0 = solver["tau0"]
-    slope_lo = 1.5 / tau0
-    dx = (solver["theta_max"] - solver["theta_min"]) / (solver["n_cells"] - 1)
-    slope_hi = min(resolution_window(tau0, dx), 0.35 * dx ** (-2.0 / 3.0))
-    slope_hi = max(slope_hi, 2.2 * slope_lo)
-    sel = (slope >= slope_lo) & (slope <= slope_hi)
-    if np.count_nonzero(sel) < 10:
-        raise DiagnosticUndefinedError("fewer than 10 samples in the tau-fit window")
-    rem = tau[sel] - t[sel]
+    idx = fit_window(record)
+    t = record.series("t_tilde")[idx]
+    tau = record.series("tau")[idx]
+    rem = tau - t
     A = np.vstack([np.ones_like(rem), rem**2]).T
-    coef, *_ = np.linalg.lstsq(A, tau[sel], rcond=None)
+    coef, *_ = np.linalg.lstsq(A, tau, rcond=None)
     return float(coef[0])
 
 
@@ -129,7 +121,7 @@ def rate_fit(record, T_star=None):
     """Least-squares exponent of max-slope ~ (T* - t)^p; expect p = -1.
 
     Requires the recorded slope history to span at least a decade of growth;
-    the fit itself uses the final decade, excluding the stop zone.
+    the fit itself reads fit_window(record).
     """
     t = record.series("t_tilde")
     slope = record.series("max_slope")
@@ -138,7 +130,7 @@ def rate_fit(record, T_star=None):
         raise DiagnosticUndefinedError(f"slope growth spans {span:.2f}x < one decade")
     if T_star is None:
         T_star, _, _ = blowup_time(record)
-    idx = _growth_window(t, slope)
+    idx = fit_window(record)
     idx = idx[T_star - t[idx] > 0]
     X = np.log(T_star - t[idx])
     Y = np.log(slope[idx])

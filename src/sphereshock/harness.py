@@ -63,12 +63,12 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunRecord:
     record = run_until_blowup(config.solver)
     record.config = config.to_dict()
     record.summary["edge_contact_t"] = dg.edge_contact_time(record)
-    # a fit that is undefined stays null; the refined fit needs the affine one
+    # both fits read diagnostics.fit_window, so both are defined or both null
     record.summary.update(T_star=None, T_star_refined=None)
     try:
-        T_aff, tau_end, resid = dg.blowup_time(record)
-        record.summary.update(T_star=T_aff, tau_tracker_end=tau_end)
-        record.summary["T_star_refined"] = dg.blowup_time_refined(record)
+        T_aff, tau_end, _ = dg.blowup_time(record)
+        record.summary.update(T_star=T_aff, tau_tracker_end=tau_end,
+                              T_star_refined=dg.blowup_time_refined(record))
     except dg.DiagnosticUndefinedError as err:
         record.summary["diagnostic_note"] = str(err)
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-SCHEMA_VERSION = 12
+SCHEMA_VERSION = 13
 
 
 def _jsonable(obj):

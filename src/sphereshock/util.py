@@ -35,7 +35,7 @@ def bump(x, inner, outer):
 def lagrange_fit(x, f, x0, npts=6):
     """Coefficients of the local Lagrange polynomial through npts nodes nearest x0.
 
-    Returns (c, x0) with p(x) = sum c_k (x - x0)^k; c_k = p^{(k)}(x0)/k!.
+    Returns c with p(x) = sum c_k (x - x0)^k; c_k = p^{(k)}(x0)/k!.
     """
     x = np.asarray(x)
     f = np.asarray(f)

@@ -64,6 +64,32 @@ def test_blowup_time_refined_burgers():
     assert T == pytest.approx(1e-2, abs=1e-12)
 
 
+def test_every_fit_reads_the_resolution_window_alone():
+    # samples outside [rw/10, rw] may change freely; one inside moves each fit
+    def fits(rec):
+        T, _, resid = dg.blowup_time(rec)
+        return T, resid, dg.blowup_time_refined(rec), dg.rate_fit(rec)[0]
+
+    def scaled(which, factor):
+        rec = synthetic_burgers_record()
+        for i in np.flatnonzero(which):
+            rec.samples[i]["max_slope"] *= factor
+            rec.samples[i]["tau"] *= factor
+        return rec
+
+    base = synthetic_burgers_record()
+    solver = base.config["solver"]
+    rw = dg.resolution_window(solver["tau0"], (solver["theta_max"]
+                              - solver["theta_min"]) / (solver["n_cells"] - 1))
+    slope = base.series("max_slope")
+    inside = (slope >= rw / 10.0) & (slope <= rw)
+    assert 10 <= np.count_nonzero(inside) < len(slope)
+    assert fits(scaled(~inside, 2.0)) == fits(base)
+    one = np.zeros_like(inside)
+    one[np.flatnonzero(inside)[len(np.flatnonzero(inside)) // 2]] = True
+    assert all(a != b for a, b in zip(fits(scaled(one, 1.01)), fits(base)))
+
+
 def test_blowup_time_sampling_cadence_invariance():
     rec_full = synthetic_burgers_record(n=800)
     rec_half = RunRecord(config=rec_full.config,

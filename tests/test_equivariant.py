@@ -638,16 +638,16 @@ def test_run_numerical_failure_status(monkeypatch):
 
 
 def test_headline_numbers_do_not_depend_on_the_left_edge():
-    # configs/theorem_a1.json at 1024 cells lets its z-deviation reach the
-    # left edge; moving that edge 512 nodes further out at the same dx
+    # configs/theorem_a1.json at 2048 cells lets its z-deviation reach the
+    # left edge; moving that edge 1024 nodes further out at the same dx
     # removes the contact and leaves T*, the refined T*, status and flags
     path = os.path.join(os.path.dirname(__file__), "..", "configs",
                         "theorem_a1.json")
     exp = ExperimentConfig.load(path)
-    cfg = exp.solver.replace(n_cells=1024)
+    cfg = exp.solver.replace(n_cells=2048)
     dx = (cfg.theta_max - cfg.theta_min) / (cfg.n_cells - 1)
-    wide = cfg.replace(n_cells=cfg.n_cells + 512,
-                       theta_min=cfg.theta_min - 512 * dx,
+    wide = cfg.replace(n_cells=cfg.n_cells + 1024,
+                       theta_min=cfg.theta_min - 1024 * dx,
                        theta_max=cfg.theta_max)
     runs = [eq.run_until_blowup(c) for c in (cfg, wide)]
     assert dg.edge_contact_time(runs[0]) is not None

@@ -171,7 +171,7 @@ def test_run_experiment_artifacts(tmp_path):
         assert required in names
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["status"] == "blew_up"
-    assert summary["schema_version"] == SCHEMA_VERSION == 12
+    assert summary["schema_version"] == SCHEMA_VERSION == 13
     assert "T_star" in summary and "seed" not in summary
     assert "edge_contact_t" in summary
     # the exterior gradient is taken outside a quarter of the domain width
@@ -183,21 +183,24 @@ def test_run_experiment_artifacts(tmp_path):
     assert {"s", "y", "W", "Z", "g_w"} <= set(snaps[0])
 
 
-def test_summary_keeps_the_affine_fit_when_the_refined_one_is_undefined(
-        tmp_path):
-    # 26 samples: enough for the 1/slope fit, too few in the tau-fit window.
-    # The summary once reset T_star to null and dropped tau_tracker_end.
+def test_summary_nulls_both_fits_when_the_window_is_unresolved(tmp_path):
+    # at 1024 cells the first sample's max_slope (100) already exceeds the
+    # resolution window's top (89.4), so no fit reads a resolved sample
     rec = run_experiment(ExperimentConfig.from_dict(
         {"solver": {"n_cells": 1024, "blowup_slope_cap": 160.0,
                     "record_every": 8}, "out_dir": str(tmp_path)}))
     assert rec.status == "blew_up"
-    T_aff, tau_end, _ = dg.blowup_time(rec)
-    with pytest.raises(dg.DiagnosticUndefinedError) as err:
-        dg.blowup_time_refined(rec)
+    notes = set()
+    for fit in (dg.blowup_time, dg.blowup_time_refined):
+        with pytest.raises(dg.DiagnosticUndefinedError) as err:
+            fit(rec)
+        notes.add(str(err.value))
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["T_star"] == T_aff and summary["tau_tracker_end"] == tau_end
-    assert summary["T_star_refined"] is None
-    assert summary["diagnostic_note"] == str(err.value)
+    assert summary["T_star"] is None and summary["T_star_refined"] is None
+    assert "tau_tracker_end" not in summary
+    assert notes == {summary["diagnostic_note"]}
+    assert summary["diagnostic_note"] == ("0 < 10 samples with max_slope in "
+                                          "the resolution window [8.938, 89.38]")
 
 
 def _run_artifact_names():
@@ -359,7 +362,7 @@ def test_sweep_rows_derive_unset_fields_from_their_tau0(tmp_path):
 def test_cli_simulate_and_diagnose(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(
-        {"solver": {"n_cells": 1024, "tau0": 1e-2, "record_every": 4,
+        {"solver": {"n_cells": 2048, "tau0": 1e-2, "record_every": 4,
                     "blowup_slope_cap": 1100.0},
          "diagnostics": {"holder_cap": 0.1},
          "out_dir": str(tmp_path / "run")}))
@@ -372,6 +375,11 @@ def test_cli_simulate_and_diagnose(tmp_path, capsys):
     out = capsys.readouterr().out
     assert f"T*                : {summary['T_star']:.8g}\n" in out
     assert "  [FAIL] holder\n" in out
+    # the window that every fit read: [rw/10, rw] at 2048 cells
+    rec = RunRecord.read_jsonl(tmp_path / "run" / "run.jsonl")
+    fitted = rec.series("max_slope")[dg.fit_window(rec)]
+    assert (f"fit window        : max_slope in [15.57, 155.7], {len(fitted)} "
+            f"samples, span {fitted.max() / fitted.min():.1f}x\n") in out
 
 
 def test_cli_simulate_emit_selfsim_writes_the_snapshots_once(tmp_path):
@@ -470,7 +478,8 @@ def test_cli_diagnose_reads_a_schema_10_run(tmp_path, capsys):
     # a schema-10 run.jsonl differs in its header's schema_version and in
     # the five ba_margins keys that schema 11 dropped
     run = tmp_path / "run"
-    cfg = small_config(run, record_every=4, blowup_slope_cap=1100.0)
+    cfg = small_config(run, n_cells=2048, record_every=4,
+                       blowup_slope_cap=1100.0)
     run_experiment(cfg)
     removed = _schema_11_removed_keys()
     assert len(removed) == 5
