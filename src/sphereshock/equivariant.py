@@ -23,9 +23,8 @@ from .modulation import (DegenerateRhsError, ModulationState,
                          constraints_from_field, ode_rhs, track_extremal)
 from .records import RunRecord
 from .riemann import betas
-from .selfsim import (BootstrapConstants, bootstrap_report, compared_window,
-                      normalization_check, profile_distance, to_selfsimilar,
-                      window_profile)
+from .selfsim import (BootstrapConstants, bootstrap_report,
+                      normalization_check, profile_distance, to_selfsimilar)
 from .util import bump, lagrange_value_and_derivs
 from .weno import deriv1_c4, weno5_upwind_derivative
 
@@ -352,9 +351,8 @@ def _sample_row(state: EquivariantState, grid_abs, fld, mod, slope, smax,
     profile distances, support extent, exterior gradient, ODE monitor.
     grid_abs is state.theta_abs(), formed once by the caller, and holder_den
     is holder_denominators(state.grid), formed once per run."""
-    wbar = window_profile(fld, consts)
-    ba = bootstrap_report(fld, consts, wbar)
-    dist = profile_distance(fld, consts, wbar)
+    ba = bootstrap_report(fld, consts)
+    dist = profile_distance(fld, consts)
     w0r, dw0r = normalization_check(fld)
     row = dict(t_tilde=state.t_tilde, s=mod.s, kappa=mod.kappa, tau=mod.tau,
                xi=mod.xi, max_slope=smax,
@@ -444,9 +442,8 @@ def run_until_blowup(cfg: SolverConfig) -> RunRecord:
                                   beta_tau=beta_tau)
             prev_tau, prev_t = tau, state.t_tilde
             grid_abs = state.theta_abs()
-            fld = to_selfsimilar(grid_abs, state.w, state.z, mod)
-            win = compared_window(fld.y, consts.L)
-            if win.start == win.stop:
+            fld = to_selfsimilar(grid_abs, state.w, state.z, mod, consts.L)
+            if fld.win.start == fld.win.stop:
                 # the zoom frame has stretched the grid spacing past |y| <= L:
                 # no node is left to compare with the profile
                 status = "unresolved"
@@ -457,7 +454,8 @@ def run_until_blowup(cfg: SolverConfig) -> RunRecord:
             if cfg.emit_selfsim_ds is not None and mod.s >= next_snap_s:
                 # frozen transport uses the instantaneous modulation drift so
                 # the origin term carries the small ODE correction, not the
-                # constant-frame offset
+                # constant-frame offset; fld is new for each sample and
+                # nothing writes to it, so its arrays are stored uncopied
                 xi_dot_now = row["ode_dxi"]
                 if xi_dot_now is None:
                     xi_dot_now = drift
@@ -468,8 +466,8 @@ def run_until_blowup(cfg: SolverConfig) -> RunRecord:
                 record.add_snapshot(s=fld.s, t_tilde=state.t_tilde,
                                     kappa=mod.kappa, tau=mod.tau, xi=mod.xi,
                                     beta_tau=mod.beta_tau,
-                                    y=fld.y.copy(), W=fld.W.copy(),
-                                    Z=fld.Z.copy(), g_w=g_w, g_z=g_z)
+                                    y=fld.y, W=fld.W, Z=fld.Z,
+                                    g_w=g_w, g_z=g_z)
                 next_snap_s += cfg.emit_selfsim_ds
 
         if stopping:

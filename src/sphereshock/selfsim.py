@@ -50,6 +50,9 @@ class SelfSimField:
     y: np.ndarray
     W: np.ndarray
     Z: np.ndarray
+    win: slice          # the compared window |y| <= L
+    yb: np.ndarray      # <y> = sqrt(1 + y^2) on every node
+    wbar: list          # [Wbar, Wbar', Wbar''] on y[win]
     dW: dict = field(default_factory=dict)  # k -> d^k_y W
     dZ: dict = field(default_factory=dict)
     kappa: float = 0.0
@@ -59,13 +62,15 @@ class SelfSimField:
     origin_jet: np.ndarray = None  # d^k_y W at y = 0, k = 0..7
 
 
-def to_selfsimilar(grid_abs, w, z, mod: ModulationState) -> SelfSimField:
+def to_selfsimilar(grid_abs, w, z, mod: ModulationState, L) -> SelfSimField:
     """Map physical fields on an absolute-theta grid into the zoom frame.
 
     y = (theta - xi) e^{3s/2}, W = e^{s/2}(w - kappa), Z = z.  Derivative
     arrays are produced by differencing in theta and rescaling by powers of
-    e^{3s/2}, never by differencing the stretched y-grid.  The origin jet is
-    the one 8-node interpolant of W at y = 0 that every origin monitor reads.
+    e^{3s/2}, never by differencing the stretched y-grid.  The compared
+    window |y| <= L, <y> and the profile jet on that window are formed here,
+    once per sample, as is the origin jet: the one 8-node interpolant of W
+    at y = 0 that every origin monitor reads.
     """
     if not mod.tau > mod.t_tilde:
         raise PastBlowupError("self-similar frame undefined at or past blow-up")
@@ -75,8 +80,11 @@ def to_selfsimilar(grid_abs, w, z, mod: ModulationState) -> SelfSimField:
     s = mod.s
     e32 = np.exp(1.5 * s)
     e12 = np.exp(0.5 * s)
-    fld = SelfSimField(s=float(s), y=(grid_abs - mod.xi) * e32,
-                       W=e12 * (w - mod.kappa), Z=z.copy(),
+    y = (grid_abs - mod.xi) * e32
+    win = compared_window(y, L)
+    fld = SelfSimField(s=float(s), y=y, W=e12 * (w - mod.kappa), Z=z.copy(),
+                       win=win, yb=np.sqrt(1.0 + y * y),
+                       wbar=profile.w1d_jet(y[win], upto=2),
                        kappa=mod.kappa, tau=mod.tau, xi=mod.xi,
                        t_tilde=mod.t_tilde)
     dx = grid_abs[1] - grid_abs[0]
@@ -136,25 +144,19 @@ def _max_margin(bound, quantity, y):
     return float(bound - aq[i]), float(y[i])
 
 
-def window_profile(fld: SelfSimField, consts: BootstrapConstants):
-    """[Wbar, Wbar', Wbar''] on the compared window |y| <= L, the profile
-    that bootstrap_report and profile_distance compare W with."""
-    return profile.w1d_jet(fld.y[compared_window(fld.y, consts.L)], upto=2)
-
-
-def bootstrap_report(fld: SelfSimField, consts: BootstrapConstants,
-                     wbar) -> BootstrapReport:
+def bootstrap_report(fld: SelfSimField,
+                     consts: BootstrapConstants) -> BootstrapReport:
     """Pointwise margins of the bootstrap inequalities on the zoom frame.
 
     Families: ba_w_* (profile-scale bounds on W), ba_wt_* (deviation from
     the profile on the compared window |y| <= L, and of W'''(0) through the
     origin jet), ba_z_* (sound speed deviation).  Failures are reported,
     never raised.  The outer three nodes carry edge-padded stencils and are
-    excluded.  `wbar` is the window_profile of fld.
+    excluded.
     """
     trim = slice(3, -3)
     y = fld.y[trim]
-    yb = np.sqrt(1.0 + y * y)
+    yb = fld.yb[trim]
     M, t0 = consts.M, consts.tau0
     e32 = np.exp(-1.5 * fld.s)
 
@@ -171,9 +173,9 @@ def bootstrap_report(fld: SelfSimField, consts: BootstrapConstants,
     put("ba_w_3", M ** 0.5, fld.dW[3][trim], margin=_max_margin)
     put("ba_w_4", float(M), fld.dW[4][trim], margin=_max_margin)
 
-    win = compared_window(fld.y, consts.L)
+    win, wbar = fld.win, fld.wbar
     yw = fld.y[win]
-    ybw = np.sqrt(1.0 + yw * yw)
+    ybw = fld.yb[win]
     ybw23 = ybw ** (-2.0 / 3.0)
     put("ba_wt_0", t0 ** (1.0 / 3.0) * ybw ** (1.0 / 3.0), fld.W[win] - wbar[0], yw)
     put("ba_wt_1", t0 ** 0.25 * ybw23, fld.dW[1][win] - wbar[1], yw)
@@ -190,18 +192,15 @@ def bootstrap_report(fld: SelfSimField, consts: BootstrapConstants,
     return BootstrapReport(margins=margins, worst=worst)
 
 
-def profile_distance(fld: SelfSimField, consts: BootstrapConstants, wbar):
+def profile_distance(fld: SelfSimField, consts: BootstrapConstants):
     """Weighted sup distances between W and the blow-up profile.
 
     Returns {inner_sup, weighted_sup, weighted_grad_sup}: the |y| <= l sup of
     |W - Wbar| through the origin jet, and the <y>^(-1/3)- and
-    <y>^(2/3)-weighted sups on the compared window |y| <= L.  `wbar` is the
-    window_profile of fld.
+    <y>^(2/3)-weighted sups on the compared window |y| <= L.
     """
-    win = compared_window(fld.y, consts.L)
-    y = fld.y[win]
-    yb = np.sqrt(1.0 + y * y)
-
+    win, wbar = fld.win, fld.wbar
+    yb = fld.yb[win]
     inner = float(np.max(np.abs(_taylor(fld.origin_jet, consts.distance_y)
                                 - consts.distance_wbar)))
     return {

@@ -6,7 +6,10 @@ import pytest
 
 from sphereshock import profile
 from sphereshock import selfsim as ss
+from sphereshock import equivariant as eq
 from sphereshock.modulation import ModulationState
+
+L = ss.BootstrapConstants(M=100.0, tau0=1e-2).L  # for tests that read no margin
 
 
 def make_field(n=4096, tau0=1e-2, kappa=1.2, xi=0.26, t=0.0, perturb=None):
@@ -31,18 +34,18 @@ def from_selfsimilar(fld):
 
 
 def bootstrap_report(grid, w, z, mod, consts):
-    fld = ss.to_selfsimilar(grid, w, z, mod)
-    return ss.bootstrap_report(fld, consts, ss.window_profile(fld, consts))
+    fld = ss.to_selfsimilar(grid, w, z, mod, consts.L)
+    return ss.bootstrap_report(fld, consts)
 
 
 def profile_distance(grid, w, z, mod, consts):
-    fld = ss.to_selfsimilar(grid, w, z, mod)
-    return ss.profile_distance(fld, consts, ss.window_profile(fld, consts))
+    fld = ss.to_selfsimilar(grid, w, z, mod, consts.L)
+    return ss.profile_distance(fld, consts)
 
 
 def test_round_trip_identity():
     grid, w, z, mod = make_field()
-    fld = ss.to_selfsimilar(grid, w, z, mod)
+    fld = ss.to_selfsimilar(grid, w, z, mod, L)
     g2, w2, z2 = from_selfsimilar(fld)
     assert np.max(np.abs(g2 - grid)) < 1e-13
     assert np.max(np.abs(w2 - w)) < 1e-13
@@ -53,7 +56,7 @@ def test_uniform_w_maps_to_zero():
     grid = np.linspace(0.2, 0.3, 512)
     mod = ModulationState(kappa=0.9, tau=1e-2, xi=0.25, t_tilde=0.0)
     fld = ss.to_selfsimilar(grid, np.full_like(grid, 0.9),
-                            np.full_like(grid, -0.9), mod)
+                            np.full_like(grid, -0.9), mod, L)
     assert np.max(np.abs(fld.W)) == 0.0
 
 
@@ -64,12 +67,12 @@ def test_past_blowup_rejected():
     mod = ModulationState(kappa=1.0, tau=0.5, xi=0.5, t_tilde=0.4)
     mod.tau = 0.3  # corrupt after construction
     with pytest.raises(ss.PastBlowupError):
-        ss.to_selfsimilar(grid, grid, grid, mod)
+        ss.to_selfsimilar(grid, grid, grid, mod, L)
 
 
 def test_derivative_chain_rule():
     grid, w, z, mod = make_field()
-    fld = ss.to_selfsimilar(grid, w, z, mod)
+    fld = ss.to_selfsimilar(grid, w, z, mod, L)
     sel = np.zeros(len(fld.y), dtype=bool)
     sel[3:-3] = True  # edge-padded stencils are invalid on the outer nodes
     for k in (1, 2):
@@ -142,7 +145,7 @@ def test_profile_distance_scales_linearly():
 
 def test_normalization_check_on_profile():
     grid, w, z, mod = make_field()
-    fld = ss.to_selfsimilar(grid, w, z, mod)
+    fld = ss.to_selfsimilar(grid, w, z, mod, L)
     w0r, dw0r = ss.normalization_check(fld)
     assert w0r < 1e-10
     assert dw0r < 1e-8
@@ -181,7 +184,7 @@ def test_origin_jet_reads_a_septic_exactly():
     y = (grid - mod.xi) * e32
     W = np.polynomial.polynomial.polyval(y, c)
     fld = ss.to_selfsimilar(grid, 0.9 + W / np.exp(0.5 * mod.s),
-                            np.full_like(grid, -0.9), mod)
+                            np.full_like(grid, -0.9), mod, L)
     fact = np.cumprod([1.0, 1, 2, 3, 4, 5, 6, 7])
     np.testing.assert_allclose(fld.origin_jet, c * fact, rtol=1e-6, atol=1e-9)
     w0r, dw0r = ss.normalization_check(fld)
@@ -189,15 +192,10 @@ def test_origin_jet_reads_a_septic_exactly():
 
 
 def test_profile_evaluated_on_the_compared_window_only(monkeypatch):
+    # the frame evaluates the profile jet once, on |y| <= L; the monitors
+    # only read it
     grid, w, z, mod = make_field()
     consts = ss.BootstrapConstants(M=100.0, tau0=1e-2, sigma_inf=1.2)
-    fld = ss.to_selfsimilar(grid, w, z, mod)
-    win = ss.compared_window(fld.y, consts.L)
-    inL = np.zeros(len(fld.y), dtype=bool)
-    inL[3:-3] = np.abs(fld.y[3:-3]) <= consts.L
-    assert np.array_equal(np.flatnonzero(inL), np.arange(len(fld.y))[win])
-    assert 0 < np.count_nonzero(inL) < len(fld.y) // 2
-
     points = []
     w1d_jet = profile.w1d_jet
 
@@ -206,21 +204,48 @@ def test_profile_evaluated_on_the_compared_window_only(monkeypatch):
         return w1d_jet(y, upto)
 
     monkeypatch.setattr(profile, "w1d_jet", counting)
-    wbar = ss.window_profile(fld, consts)
-    assert sum(points) <= np.count_nonzero(inL)
+    fld = ss.to_selfsimilar(grid, w, z, mod, consts.L)
+    inL = np.zeros(len(fld.y), dtype=bool)
+    inL[3:-3] = np.abs(fld.y[3:-3]) <= consts.L
+    assert np.array_equal(np.flatnonzero(inL), np.arange(len(fld.y))[fld.win])
+    assert 0 < np.count_nonzero(inL) < len(fld.y) // 2
+    assert len(points) == 1 and points[0] <= np.count_nonzero(inL)
+    assert np.array_equal(fld.yb, np.sqrt(1.0 + fld.y * fld.y))
     points.clear()
-    ss.bootstrap_report(fld, consts, wbar)
-    ss.profile_distance(fld, consts, wbar)
+    ss.bootstrap_report(fld, consts)
+    ss.profile_distance(fld, consts)
     assert points == []
+
+
+def test_one_compared_window_per_sample(monkeypatch):
+    # a curved run forms the compared window once per self-similar frame
+    windows, frames = [], []
+    compared_window, to_selfsimilar = ss.compared_window, eq.to_selfsimilar
+
+    def counting_window(y, L):
+        windows.append(len(frames))
+        return compared_window(y, L)
+
+    def counting_frame(*args):
+        frames.append(None)
+        return to_selfsimilar(*args)
+
+    monkeypatch.setattr(ss, "compared_window", counting_window)
+    monkeypatch.setattr(eq, "to_selfsimilar", counting_frame)
+    eq.run_until_blowup(eq.SolverConfig(n_cells=512, record_every=8,
+                                        blowup_slope_cap=150.0))
+    assert len(frames) > 2
+    assert windows == list(range(1, len(frames) + 1))
 
 
 CONSTANT_BOUNDS = ("ba_w_3", "ba_w_4", "ba_z_0", "ba_z_1", "ba_z_2", "ba_z_3",
                    "ba_z_4")
 
 
-def reference_bootstrap(fld, consts, wbar):
+def reference_bootstrap(fld, consts):
     """bootstrap_report written member by member, _min_margin on every
-    member; also each member's quantity and points."""
+    member, from its own window, <y> and profile jet; also each member's
+    quantity and points."""
     trim = slice(3, -3)
     y = fld.y[trim]
     yb = np.sqrt(1.0 + y * y)
@@ -240,6 +265,7 @@ def reference_bootstrap(fld, consts, wbar):
     put("ba_w_4", float(M), fld.dW[4][trim])
     win = ss.compared_window(fld.y, consts.L)
     yw = fld.y[win]
+    wbar = profile.w1d_jet(yw, upto=2)
     ybw = np.sqrt(1.0 + yw * yw)
     ybw23 = ybw ** (-2.0 / 3.0)
     put("ba_wt_0", t0 ** (1.0 / 3.0) * ybw ** (1.0 / 3.0), fld.W[win] - wbar[0], yw)
@@ -270,7 +296,7 @@ def _random_fields():
         z = z + 10.0 ** rng.uniform(-12, -1) * rng.standard_normal(len(z))
         if case == 5:
             w[len(w) // 2 + 3] = np.nan      # a NaN in W, dW and the jet
-        fld = ss.to_selfsimilar(grid, w, z, mod)
+        fld = ss.to_selfsimilar(grid, w, z, mod, consts.L)
         if case == 7:
             fld.origin_jet = fld.origin_jet.copy()
             fld.origin_jet[3] = np.nan
@@ -283,9 +309,8 @@ def test_bootstrap_report_keeps_the_per_member_bits():
     that of the first max of |q|."""
     nan_seen = 0
     for fld, consts in _random_fields():
-        wbar = ss.window_profile(fld, consts)
-        rep = ss.bootstrap_report(fld, consts, wbar)
-        margins, worst, quantities = reference_bootstrap(fld, consts, wbar)
+        rep = ss.bootstrap_report(fld, consts)
+        margins, worst, quantities = reference_bootstrap(fld, consts)
         assert list(rep.margins) == list(margins) == list(rep.worst)
         for name, m in margins.items():
             assert _bits(rep.margins[name]) == _bits(m), name

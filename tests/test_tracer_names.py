@@ -24,8 +24,8 @@ def _load_spans():
 
 
 def _traced(run):
-    """Span counts and counters of run() under the benchmark's Tracer; every
-    wrapped attribute is the original again afterwards."""
+    """Span counts, counters and spans of run() under the benchmark's
+    Tracer; every wrapped attribute is the original again afterwards."""
     spans = _load_spans()
     originals = [(owner, attr, owner.__dict__[attr])
                  for owner, attr, *_ in spans.TARGETS]
@@ -40,7 +40,7 @@ def _traced(run):
     calls = {}
     for name, *_ in tracer.spans:
         calls[name] = calls.get(name, 0) + 1
-    return spans, calls, tracer.counts
+    return spans, calls, tracer.counts, tracer.spans
 
 
 def test_traced_names_stay_on_their_call_paths():
@@ -52,18 +52,21 @@ def test_traced_names_stay_on_their_call_paths():
         s_lo, s_hi = field.s_span
         tr.integrate_trajectory(field, s_lo, 0.05, s_hi, tol=1e-8)
 
-    spans, calls, counts = _traced(run)
+    spans, calls, counts, records = _traced(run)
     for name in (*spans._MONITORS, "util.lagrange_value_and_derivs",
                  "profile.w1d_jet", "weno.deriv1_c4"):
         assert calls.get(name, 0) > 0, name
     assert counts["trajectories.field_evals"] > 0
+    # the profile jet is timed inside the sample's transform
+    assert all(parent >= 0 and records[parent][0] == "selfsim.to_selfsimilar"
+               for name, _, _, parent in records if name == "profile.w1d_jet")
 
 
 def test_flat_run_stays_on_the_traced_names():
     # the flat_oracle workload's path: one rhs and one kernel call per RK4
     # stage, and every sampling monitor
     cfg = eq.SolverConfig(n_cells=256, flat_mode=True, blowup_slope_cap=150.0)
-    spans, calls, counts = _traced(lambda: eq.run_until_blowup(cfg))
+    spans, calls, counts, _ = _traced(lambda: eq.run_until_blowup(cfg))
     steps = calls.get("equivariant.step", 0)
     assert steps > 0
     assert (calls.get("equivariant.rhs") == 4 * steps
