@@ -6,7 +6,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import os
+import math
 import sys
 
 import numpy as np
@@ -147,14 +147,14 @@ def cmd_check_geometry(args):
 
 
 def cmd_trajectories(args):
-    from .harness import load_snapshots
+    from .harness import SnapshotReadError, load_snapshots
     from .trajectories import FrozenTransportField, integrate_trajectory, \
         weighted_integral
-    if not os.path.exists(os.path.join(args.from_run, "snapshots.npz")):
-        print(f"{args.from_run} holds no snapshots.npz: rerun it with "
-              "solver.emit_selfsim_ds set")
+    try:
+        snaps = load_snapshots(args.from_run)
+    except SnapshotReadError as err:
+        print(err)
         return 2
-    snaps = load_snapshots(args.from_run)
     try:
         field = FrozenTransportField.from_snapshots(snaps)
     except ValueError as err:
@@ -162,9 +162,20 @@ def cmd_trajectories(args):
               "solver.emit_selfsim_ds")
         return 2
     s_lo, s_hi = field.s_span
+    seeds = []
     with open(args.seeds) as f:
-        lines = (line.split("#", 1)[0].strip() for line in f)
-        seeds = [float(line) for line in lines if line]
+        for n, line in enumerate(f, start=1):
+            text = line.split("#", 1)[0].strip()
+            if not text:
+                continue
+            try:
+                y0 = float(text)
+            except ValueError:
+                y0 = math.nan
+            if not math.isfinite(y0):
+                print(f"{args.seeds}:{n}: seed {text!r} is not a finite number")
+                return 2
+            seeds.append(y0)
     ps = (0.5, 1.0, 2.0)
     with _out_file(args.out) as f:
         out = csv.writer(f)

@@ -108,6 +108,8 @@ class SolverConfig:
             raise ConfigError("emit_selfsim_ds must be positive when set")
         if not math.pi / 16.0 <= self.xi0 <= math.pi / 8.0:
             raise ConfigError(f"xi0={self.xi0} outside [pi/16, pi/8]")
+        if not self.sigma_inf < math.inf:
+            raise ConfigError("sigma_inf must be finite")
         floor = self.xi0 ** (1.0 / 3.0) / (2.0 * betas(self.gamma).beta3)
         if not self.sigma_inf > floor:
             raise ConfigError(f"sigma_inf={self.sigma_inf} <= {floor:.4f} "
@@ -208,10 +210,10 @@ def initial_data(cfg: SolverConfig) -> EquivariantState:
                             frame_drift=cfg.frame_drift())
 
 
-def transport_speeds(w, z, bc, xi_dot):
+def transport_speeds(w, z, beta2, xi_dot):
     """Characteristic speeds of the w- and z-equations in a frame drifting
     at xi_dot: the diagonal (w + b2 z, b2 w + z) of the Riemann system."""
-    return w + bc.beta2 * z - xi_dot, bc.beta2 * w + z - xi_dot
+    return w + beta2 * z - xi_dot, beta2 * w + z - xi_dot
 
 
 @dataclass
@@ -230,7 +232,7 @@ def step_limit(state: EquivariantState, mod: ModulationState, bc,
     field w alone.  In flat mode w is the fastest field, so the accuracy
     bound binds; in curved runs the smooth field z is the fastest, so the
     stability bound binds."""
-    cw, cz = transport_speeds(state.w, state.z, bc, mod.xi_dot)
+    cw, cz = transport_speeds(state.w, state.z, bc.beta2, mod.xi_dot)
     vw = float(np.max(np.abs(cw)))
     vmax = max(vw, float(np.max(np.abs(cz))))
     dx = state.dx
@@ -262,7 +264,8 @@ def rhs(state: EquivariantState, mod: ModulationState, bc, cfg: SolverConfig,
     w = state.w if w is None else w
     z = state.z if z is None else z
     t = state.t_tilde if t is None else t
-    cw, cz = transport_speeds(w, z, bc, mod.xi_dot) if speeds is None else speeds
+    cw, cz = (transport_speeds(w, z, bc.beta2, mod.xi_dot) if speeds is None
+              else speeds)
     if cfg.flat_mode:
         (dwx,) = weno5_upwind_derivative((w,), state.dx, (cw,))
         force = 0.0
@@ -286,7 +289,7 @@ def rhs(state: EquivariantState, mod: ModulationState, bc, cfg: SolverConfig,
 
 
 def max_transport_speed(state, mod, bc):
-    cw, cz = transport_speeds(state.w, state.z, bc, mod.xi_dot)
+    cw, cz = transport_speeds(state.w, state.z, bc.beta2, mod.xi_dot)
     return max(float(np.max(np.abs(cw))), float(np.max(np.abs(cz))))
 
 
@@ -452,22 +455,14 @@ def run_until_blowup(cfg: SolverConfig) -> RunRecord:
                               bc, cfg, consts, holder_den)
             record.add_sample(**row)
             if cfg.emit_selfsim_ds is not None and mod.s >= next_snap_s:
-                # frozen transport uses the instantaneous modulation drift so
-                # the origin term carries the small ODE correction, not the
-                # constant-frame offset; fld is new for each sample and
-                # nothing writes to it, so its arrays are stored uncopied
-                xi_dot_now = row["ode_dxi"]
-                if xi_dot_now is None:
-                    xi_dot_now = drift
-                es2 = math.exp(0.5 * mod.s)
-                cw, cz = transport_speeds(mod.kappa, fld.Z, bc, xi_dot_now)
-                g_w = mod.beta_tau * fld.W + mod.beta_tau * es2 * cw
-                g_z = bc.beta2 * mod.beta_tau * fld.W + mod.beta_tau * es2 * cz
+                # fld is new for each sample and nothing writes to it, so its
+                # arrays are stored uncopied
+                xi_dot = row["ode_dxi"]
                 record.add_snapshot(s=fld.s, t_tilde=state.t_tilde,
                                     kappa=mod.kappa, tau=mod.tau, xi=mod.xi,
                                     beta_tau=mod.beta_tau,
-                                    y=fld.y, W=fld.W, Z=fld.Z,
-                                    g_w=g_w, g_z=g_z)
+                                    xi_dot=drift if xi_dot is None else xi_dot,
+                                    beta2=bc.beta2, y=fld.y, W=fld.W, Z=fld.Z)
                 next_snap_s += cfg.emit_selfsim_ds
 
         if stopping:

@@ -14,11 +14,20 @@ import numpy as np
 
 from . import diagnostics as dg
 from .config import ExperimentConfig
-from .equivariant import run_until_blowup
+from .equivariant import SolverConfig, initial_data, run_until_blowup
 from .records import RunRecord, config_hash, write_field_csv
+from .selfsim import zoom_coordinate
 # unused here, but perfbench/spans.py wraps harness.write_selfsim_csv, and its
 # Tracer.install() reads that name from this module's namespace
 from .records import write_selfsim_csv  # noqa: F401
+
+
+# the first schema whose snapshots hold the zoom-frame state alone
+SNAPSHOT_SCHEMA = 14
+
+
+class SnapshotReadError(ValueError):
+    """A run directory whose snapshots this build cannot read."""
 
 
 def _save_snapshots(record: RunRecord, out_dir):
@@ -27,25 +36,38 @@ def _save_snapshots(record: RunRecord, out_dir):
     arrays = {}
     meta = []
     for i, snap in enumerate(record.snapshots):
-        for key in ("y", "W", "Z", "g_w", "g_z"):
-            arrays[f"snap{i}_{key}"] = np.asarray(snap[key])
-        meta.append({k: snap[k] for k in
-                     ("s", "t_tilde", "kappa", "tau", "xi", "beta_tau")})
+        arrays[f"snap{i}_W"], arrays[f"snap{i}_Z"] = snap["W"], snap["Z"]
+        meta.append({k: v for k, v in snap.items() if k not in ("y", "W", "Z")})
     np.savez_compressed(os.path.join(out_dir, "snapshots.npz"), **arrays)
     with open(os.path.join(out_dir, "snapshots_meta.json"), "w") as f:
         json.dump(meta, f, sort_keys=True, indent=1)
 
 
 def load_snapshots(out_dir):
-    """Rebuild the snapshot list persisted by run_experiment."""
-    data = np.load(os.path.join(out_dir, "snapshots.npz"))
+    """Rebuild the snapshot list persisted by run_experiment: W and Z from
+    snapshots.npz, the scalars from snapshots_meta.json, and y from the
+    solver config in the run.jsonl header, formed on the grid and in the
+    frame of the run's initial state as the run formed it."""
+    for name in ("snapshots.npz", "snapshots_meta.json", "run.jsonl"):
+        if not os.path.exists(os.path.join(out_dir, name)):
+            raise SnapshotReadError(f"{out_dir} holds no {name}: rerun it "
+                                    "with solver.emit_selfsim_ds set")
+    with open(os.path.join(out_dir, "run.jsonl")) as f:
+        header = json.loads(f.readline())
+    version = header.get("schema_version")
+    if not (isinstance(version, int) and version >= SNAPSHOT_SCHEMA):
+        raise SnapshotReadError(
+            f"{out_dir} was written at schema {version}, whose snapshots "
+            f"predate schema {SNAPSHOT_SCHEMA}: rerun it")
+    frame = initial_data(SolverConfig(**header["config"]["solver"]))
     with open(os.path.join(out_dir, "snapshots_meta.json")) as f:
         meta = json.load(f)
     snaps = []
-    for i, m in enumerate(meta):
-        snaps.append({**m, "y": data[f"snap{i}_y"], "W": data[f"snap{i}_W"],
-                      "Z": data[f"snap{i}_Z"], "g_w": data[f"snap{i}_g_w"],
-                      "g_z": data[f"snap{i}_g_z"]})
+    with np.load(os.path.join(out_dir, "snapshots.npz")) as data:
+        for i, m in enumerate(meta):
+            y = zoom_coordinate(frame.theta_abs(m["t_tilde"]), m["xi"], m["s"])
+            snaps.append({**m, "y": y, "W": data[f"snap{i}_W"],
+                          "Z": data[f"snap{i}_Z"]})
     return snaps
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-SCHEMA_VERSION = 13
+SCHEMA_VERSION = 14
 
 
 def _jsonable(obj):

@@ -80,7 +80,7 @@ def to_selfsimilar(grid_abs, w, z, mod: ModulationState, L) -> SelfSimField:
     s = mod.s
     e32 = np.exp(1.5 * s)
     e12 = np.exp(0.5 * s)
-    y = (grid_abs - mod.xi) * e32
+    y = zoom_coordinate(grid_abs, mod.xi, s)
     win = compared_window(y, L)
     fld = SelfSimField(s=float(s), y=y, W=e12 * (w - mod.kappa), Z=z.copy(),
                        win=win, yb=np.sqrt(1.0 + y * y),
@@ -96,6 +96,11 @@ def to_selfsimilar(grid_abs, w, z, mod: ModulationState, L) -> SelfSimField:
     fld.origin_jet = lagrange_value_and_derivs(fld.y, fld.W, 0.0, nderiv=7,
                                                npts=8)
     return fld
+
+
+def zoom_coordinate(grid_abs, xi, s):
+    """y = (theta - xi) e^{3s/2} of the absolute-theta nodes grid_abs."""
+    return (grid_abs - xi) * np.exp(1.5 * s)
 
 
 def _taylor(jet, y):

@@ -1,9 +1,9 @@
 """Lagrangian trajectories of self-similar transport fields, with growth
 certificates and weighted path integrals for the trajectory lemmas.
 
-Fields come in as callables V(s, y); frozen simulation snapshots are wrapped
-into such callables by FrozenTransportField, keeping this module decoupled
-from the solver loop.
+Fields come in as callables V(s, y); FrozenTransportField wraps frozen
+simulation snapshots into such callables, forming their transport offsets
+from the zoom-frame state each snapshot holds.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .equivariant import transport_speeds
 
 
 class EscapeStatus:
@@ -235,10 +237,25 @@ class FrozenTransportField:
 
     @classmethod
     def from_snapshots(cls, snapshots, key="g_w"):
+        """The field of the transport offset `key` of two or more snapshots:
+        g_w = bt W + bt e^{s/2} c_w or g_z = b2 bt W + bt e^{s/2} c_z, with
+        bt = beta_tau, b2 = beta2 and (c_w, c_z) the transport speeds of
+        (kappa, Z).  The speeds take the sample's instantaneous modulation
+        drift xi_dot, so the origin term carries the small ODE correction,
+        not the constant-frame offset."""
+        if key not in ("g_w", "g_z"):
+            raise KeyError(key)
         snaps = sorted(snapshots, key=lambda r: r["s"])
+        g_slices = []
+        for r in snaps:
+            bt, es2 = r["beta_tau"], math.exp(0.5 * r["s"])
+            cw, cz = transport_speeds(r["kappa"], r["Z"], r["beta2"],
+                                      r["xi_dot"])
+            g_slices.append(bt * r["W"] + bt * es2 * cw if key == "g_w"
+                            else r["beta2"] * bt * r["W"] + bt * es2 * cz)
         return cls(s_slices=np.array([r["s"] for r in snaps]),
                    y_slices=[np.asarray(r["y"]) for r in snaps],
-                   g_slices=[np.asarray(r[key]) for r in snaps])
+                   g_slices=g_slices)
 
     def g(self, s, y):
         i = int(np.clip(np.searchsorted(self.s_slices, s) - 1, 0,

@@ -33,6 +33,9 @@ def test_config_validation():
     for bad in (dict(record_every=0), dict(monitor_M=1.0),
                 dict(monitor_M=math.inf), dict(emit_selfsim_ds=0.0),
                 dict(blowup_slope_cap=0), dict(t_max=0),
+                # once accepted, and the run ended numerical_failure with
+                # no sample
+                dict(sigma_inf=math.inf),
                 # once accepted: a float n_cells crashed in np.linspace, a
                 # float record_every sampled every 5th step at 2.5, and a
                 # truthy string ran in flat mode
@@ -201,7 +204,7 @@ def test_rhs_keeps_the_bits_of_the_textbook_combination(case):
     st, cfg = _rhs_states()[case]
     bc = betas(cfg.gamma)
     mod = make_mod(cfg)
-    cw, cz = eq.transport_speeds(st.w, st.z, bc, mod.xi_dot)
+    cw, cz = eq.transport_speeds(st.w, st.z, bc.beta2, mod.xi_dot)
     dwx, dzx = weno.weno5_upwind_derivative((st.w, st.z), st.dx, (cw, cz))
     force = 0.0
     if not cfg.flat_mode:
@@ -220,7 +223,7 @@ def _textbook_flat_step(w, z, dx, dt, bc, xi_dot):
     """Classical RK4 on (w, z) with both fields differenced and stepped and
     no forcing: the flat system as written, z included."""
     def f(w, z):
-        cw, cz = eq.transport_speeds(w, z, bc, xi_dot)
+        cw, cz = eq.transport_speeds(w, z, bc.beta2, xi_dot)
         dwx, dzx = weno.weno5_upwind_derivative((w, z), dx, (cw, cz))
         return -cw * dwx + 0.0, -cz * dzx - 0.0
 
@@ -377,7 +380,7 @@ def test_step_limit_takes_the_smaller_bound():
     st = eq.initial_data(cfg)
     bc = betas(cfg.gamma)
     mod = make_mod(cfg)
-    cw, cz = eq.transport_speeds(st.w, st.z, bc, mod.xi_dot)
+    cw, cz = eq.transport_speeds(st.w, st.z, bc.beta2, mod.xi_dot)
     vmax = eq.max_transport_speed(st, mod, bc)
     stability = eq.RK4_COURANT * st.dx / vmax
     accuracy = cfg.cfl * st.dx / np.max(np.abs(cw))
@@ -477,7 +480,7 @@ def test_transport_speeds_match_certified_diagonal():
         shift = rm.assemble_matrices(rm.PhysVars(0.0, 0.0, 0.0), frame,
                                      bc).A_R_u1t[0, 0]
         xi_dot = rng.uniform(-2, 2)
-        speeds = eq.transport_speeds(w, z, bc, xi_dot)
+        speeds = eq.transport_speeds(w, z, bc.beta2, xi_dot)
         assert np.allclose(np.add(speeds, xi_dot), (diag[:2] - shift) / frame.J,
                            rtol=1e-10, atol=1e-10)
 

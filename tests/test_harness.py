@@ -171,7 +171,7 @@ def test_run_experiment_artifacts(tmp_path):
         assert required in names
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["status"] == "blew_up"
-    assert summary["schema_version"] == SCHEMA_VERSION == 13
+    assert summary["schema_version"] == SCHEMA_VERSION == 14
     assert "T_star" in summary and "seed" not in summary
     assert "edge_contact_t" in summary
     # the exterior gradient is taken outside a quarter of the domain width
@@ -180,7 +180,8 @@ def test_run_experiment_artifacts(tmp_path):
             == [f"ext_grad_{delta:g}"])
     snaps = load_snapshots(tmp_path)
     assert len(snaps) >= 2
-    assert {"s", "y", "W", "Z", "g_w"} <= set(snaps[0])
+    assert set(snaps[0]) == {"s", "t_tilde", "kappa", "tau", "xi", "beta_tau",
+                             "xi_dot", "beta2", "y", "W", "Z"}
 
 
 def test_summary_nulls_both_fits_when_the_window_is_unresolved(tmp_path):
@@ -398,7 +399,7 @@ def test_cli_simulate_emit_selfsim_writes_the_snapshots_once(tmp_path):
     with np.load(run / "snapshots.npz") as data:
         assert sorted(data.files) == sorted(
             f"snap{i}_{key}" for i in range(len(snaps))
-            for key in ("y", "W", "Z", "g_w", "g_z"))  # no count member
+            for key in ("W", "Z"))  # y and g are formed on load
 
 
 @pytest.mark.parametrize("doc, argv, named", [
@@ -530,6 +531,72 @@ def test_cli_trajectories_on_a_one_snapshot_run(tmp_path, capsys):
                      "--seeds", str(seeds)]) == 2
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 1 and "two snapshot slices, got 1" in out[0]
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("gamma", [3.0, 2.0])  # beta2 = 0 at gamma = 3
+def test_loaded_snapshots_are_the_run_snapshots(tmp_path, gamma):
+    # the benchmark's verify stage: y is formed again from the header and
+    # the transport offsets from W, Z and the scalars, bit for bit
+    from sphereshock import trajectories as tr
+    rec = run_experiment(small_config(tmp_path, gamma=gamma))
+    loaded = load_snapshots(tmp_path)
+    assert len(loaded) == len(rec.snapshots) >= 2
+    for mem, disk in zip(rec.snapshots, loaded):
+        assert mem.keys() == disk.keys()
+        for key, value in mem.items():
+            assert np.array_equal(_bits(disk[key]), _bits(value)), key
+    for key in ("g_w", "g_z"):
+        want = tr.FrozenTransportField.from_snapshots(rec.snapshots, key=key)
+        got = tr.FrozenTransportField.from_snapshots(loaded, key=key)
+        assert np.array_equal(_bits(got.s_slices), _bits(want.s_slices))
+        for a, b in zip(got.y_slices + got.g_slices,
+                        want.y_slices + want.g_slices):
+            assert np.array_equal(_bits(a), _bits(b)), key
+
+
+def _cli_trajectories(tmp_path, capsys, run, seeds="0.05\n"):
+    """Exit code and stdout lines of `trajectories` on run."""
+    path = tmp_path / "seeds.txt"
+    path.write_text(seeds)
+    capsys.readouterr()
+    rc = cli.main(["trajectories", "--from-run", str(run), "--seeds",
+                   str(path)])
+    return rc, capsys.readouterr().out.splitlines()
+
+
+def test_cli_trajectories_refuses_snapshots_it_cannot_read(tmp_path, capsys):
+    # a missing snapshots_meta.json once ended in a FileNotFoundError
+    # traceback; a schema-13 directory stores y and g and no xi_dot
+    run = tmp_path / "run"
+    run_experiment(small_config(run, n_cells=512))
+    header, *samples = (run / "run.jsonl").read_text().splitlines(True)
+    (run / "run.jsonl").write_text("".join(
+        [header.replace(f'"schema_version": {SCHEMA_VERSION}',
+                        '"schema_version": 13')] + samples))
+    rc, out = _cli_trajectories(tmp_path, capsys, run)
+    assert rc == 2 and len(out) == 1 and "schema 13" in out[0]
+    (run / "snapshots_meta.json").unlink()
+    rc, out = _cli_trajectories(tmp_path, capsys, run)
+    assert rc == 2 and out == [f"{run} holds no snapshots_meta.json: rerun "
+                               "it with solver.emit_selfsim_ds set"]
+
+
+@pytest.mark.parametrize("bad", ["abc", "nan", "inf"])
+def test_cli_trajectories_refuses_a_seed_that_is_not_finite(tmp_path, capsys,
+                                                            bad):
+    # "abc" once ended in a ValueError traceback, and nan and inf in a
+    # "non-finite error estimate" one from integrate_trajectory
+    run = tmp_path / "run"
+    run_experiment(small_config(run, n_cells=512))
+    rc, out = _cli_trajectories(tmp_path, capsys, run,
+                                f"0.05\n# comment\n  {bad}  # why\n")
+    assert rc == 2
+    assert out == [f"{tmp_path / 'seeds.txt'}:3: seed {bad!r} is not a "
+                   "finite number"]
 
 
 def test_formats_header_example_has_the_schema_version():

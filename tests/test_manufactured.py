@@ -53,7 +53,7 @@ class Manufactured:
     def source(self, grid, t):
         """w*_t + cw w*_theta - force and z*_t + cz z*_theta + force."""
         (w, wx, wt), (z, zx, zt) = self.fields(grid, t)
-        cw, cz = eq.transport_speeds(w, z, self.bc, self.xi_dot)
+        cw, cz = eq.transport_speeds(w, z, self.bc.beta2, self.xi_dot)
         theta = grid + self.cfg.xi0 + self.xi_dot * t
         force = 0.5 * self.bc.beta3 * (w * w - z * z) * np.tan(theta)
         return wt + cw * wx - force, zt + cz * zx + force

@@ -125,11 +125,9 @@ def test_z_drift_certificate_sign():
 
 
 def test_frozen_field_interpolation():
-    snaps = []
-    for s in (4.0, 4.5, 5.0):
-        y = np.linspace(-10, 10, 201)
-        snaps.append({"s": s, "y": y, "g_w": np.sin(y) * s})
-    f = tr.FrozenTransportField.from_snapshots(snaps, key="g_w")
+    ss = np.array([4.0, 4.5, 5.0])
+    y = np.linspace(-10, 10, 201)
+    f = tr.FrozenTransportField(ss, [y] * 3, [np.sin(y) * s for s in ss])
     assert f.s_span == (4.0, 5.0)
     # midway in s, halfway interpolation
     got = f.g(4.25, 0.5)
@@ -138,12 +136,33 @@ def test_frozen_field_interpolation():
     assert f(4.25, 0.5) == pytest.approx(1.5 * 0.5 + expect, abs=1e-12)
 
 
+def test_frozen_field_forms_the_transport_offsets():
+    # g_w = bt W + bt e^{s/2} c_w and g_z = b2 bt W + bt e^{s/2} c_z with the
+    # speeds (c_w, c_z) = (kappa + b2 Z - xi_dot, b2 kappa + Z - xi_dot)
+    y = np.linspace(-2.0, 2.0, 9)
+    snaps = [dict(s=s, y=y, W=np.sin(y) + s, Z=np.cos(y) - s, kappa=1.2,
+                  beta_tau=1.1, xi_dot=0.3, beta2=1.0 / 3.0)
+             for s in (5.0, 4.0)]
+    es2 = np.exp(0.5 * np.array([4.0, 5.0]))
+    gw = [1.1 * r["W"] + 1.1 * e * (1.2 + r["Z"] / 3.0 - 0.3)
+          for r, e in zip(snaps[::-1], es2)]
+    gz = [1.1 * r["W"] / 3.0 + 1.1 * e * (0.4 + r["Z"] - 0.3)
+          for r, e in zip(snaps[::-1], es2)]
+    for key, want in (("g_w", gw), ("g_z", gz)):
+        f = tr.FrozenTransportField.from_snapshots(snaps, key=key)
+        assert f.s_span == (4.0, 5.0)
+        for got, g in zip(f.g_slices, want):
+            np.testing.assert_allclose(got, g, rtol=1e-14, atol=1e-14)
+    with pytest.raises(KeyError):
+        tr.FrozenTransportField.from_snapshots(snaps, key="W")
+
+
 @pytest.mark.parametrize("n", [0, 1])
 def test_frozen_field_needs_two_slices(n):
-    snaps = [{"s": 4.0 + k, "y": np.linspace(-1.0, 1.0, 5), "g_w": np.zeros(5)}
-             for k in range(n)]
     with pytest.raises(ValueError, match=f"two snapshot slices, got {n}"):
-        tr.FrozenTransportField.from_snapshots(snaps)
+        tr.FrozenTransportField(4.0 + np.arange(n),
+                                [np.linspace(-1.0, 1.0, 5)] * n,
+                                [np.zeros(5)] * n)
 
 
 def test_start_outside_escape_box_is_refused():
@@ -167,9 +186,10 @@ def _two_grid_field():
     """Four slices on two y grids, two of them at equal s."""
     y_a = np.linspace(-3.0, 3.0, 61)
     y_b = np.linspace(-2.5, 3.5, 41) ** 3 / 9.0
-    snaps = [{"s": s, "y": y, "g_w": np.sin(y * (1.0 + s)) * s - 0.1 * y}
-             for s, y in ((4.0, y_a), (4.5, y_b), (4.5, y_a), (5.25, y_b))]
-    return tr.FrozenTransportField.from_snapshots(snaps)
+    slices = ((4.0, y_a), (4.5, y_b), (4.5, y_a), (5.25, y_b))
+    return tr.FrozenTransportField(
+        np.array([s for s, _ in slices]), [y for _, y in slices],
+        [np.sin(y * (1.0 + s)) * s - 0.1 * y for s, y in slices])
 
 
 def test_scalar_field_call_is_the_vectorised_formula():
@@ -194,11 +214,9 @@ def test_scalar_field_call_is_the_vectorised_formula():
 
 def test_scalar_field_call_keeps_signed_zeros():
     # a slice at s = 0 queried at s = -0.0: np.clip keeps the fraction -0.0
-    f = tr.FrozenTransportField.from_snapshots([
-        {"s": 0.0, "y": np.array([-1.0, 0.0, 1.0]),
-         "g_w": np.array([1.0, -0.0, 1.0])},
-        {"s": 1.0, "y": np.array([-1.0, 0.0, 1.0]),
-         "g_w": np.array([2.0, 3.0, 2.0])}])
+    f = tr.FrozenTransportField(
+        np.array([0.0, 1.0]), [np.array([-1.0, 0.0, 1.0])] * 2,
+        [np.array([1.0, -0.0, 1.0]), np.array([2.0, 3.0, 2.0])])
     for s in (-0.0, 0.0, 1.0):
         for y in (-0.0, 0.0):
             assert _bits(f(s, y)) == _bits(1.5 * y + f.g(s, y)), (s, y)
