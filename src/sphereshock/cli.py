@@ -8,6 +8,7 @@ import contextlib
 import csv
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -25,9 +26,27 @@ def _out_file(path):
             else contextlib.nullcontext(sys.stdout))
 
 
+class InputFileError(Exception):
+    """An input file that cannot be opened or decoded."""
+
+
+def _read(path, reader):
+    """reader(path), refusing a file that cannot be opened or decoded in one
+    line that names it and the reason; a refused config passes through."""
+    from .config import ConfigError
+    try:
+        return reader(path)
+    except ConfigError:
+        raise
+    except (OSError, ValueError) as err:
+        reason = getattr(err, "strerror", None) or err
+        raise InputFileError(f"cannot read {path}: {reason}") from None
+
+
 def _load_config(args):
     from .config import ExperimentConfig
-    cfg = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
+    cfg = (_read(args.config, ExperimentConfig.load) if args.config
+           else ExperimentConfig())
     if args.out:
         cfg.out_dir = args.out
     return cfg
@@ -67,9 +86,10 @@ def cmd_sweep(args):
 def cmd_diagnose(args):
     from .config import ConfigError, DiagnosticsConfig, build_block
     from .diagnostics import (DiagnosticUndefinedError, blowup_report,
-                              edge_contact_time, fit_bounds, fit_window)
+                              edge_contact_time, fit_bounds, fit_window,
+                              fit_window_span)
     from .records import RunRecord
-    rec = RunRecord.read_jsonl(args.record)
+    rec = _read(args.record, RunRecord.read_jsonl)
     try:
         diag = build_block(DiagnosticsConfig, rec.config.get("diagnostics"),
                            "diagnostics")
@@ -90,9 +110,8 @@ def cmd_diagnose(args):
         print(f"diagnostics undefined: {err}")
         return 2
     lo, hi = fit_bounds(rec)
-    fitted = rec.series("max_slope")[fit_window(rec)]
     print(f"fit window        : max_slope in [{lo:.4g}, {hi:.4g}], "
-          f"{len(fitted)} samples, span {fitted.max() / fitted.min():.1f}x")
+          f"{len(fit_window(rec))} samples, span {fit_window_span(rec):.1f}x")
     print(f"T*                : {rep.T_star:.8g}")
     print(f"tau tracker (end) : {rep.tau_tracker:.8g}")
     print(f"rate exponent     : {rep.rate_exponent:+.4f} "
@@ -163,19 +182,19 @@ def cmd_trajectories(args):
         return 2
     s_lo, s_hi = field.s_span
     seeds = []
-    with open(args.seeds) as f:
-        for n, line in enumerate(f, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            try:
-                y0 = float(text)
-            except ValueError:
-                y0 = math.nan
-            if not math.isfinite(y0):
-                print(f"{args.seeds}:{n}: seed {text!r} is not a finite number")
-                return 2
-            seeds.append(y0)
+    lines = _read(args.seeds, lambda p: Path(p).read_text().splitlines())
+    for n, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        try:
+            y0 = float(text)
+        except ValueError:
+            y0 = math.nan
+        if not math.isfinite(y0):
+            print(f"{args.seeds}:{n}: seed {text!r} is not a finite number")
+            return 2
+        seeds.append(y0)
     ps = (0.5, 1.0, 2.0)
     with _out_file(args.out) as f:
         out = csv.writer(f)
@@ -248,6 +267,9 @@ def main(argv=None):
         return args.func(args)
     except ConfigError as err:
         print(f"config refused: {err}")
+        return 2
+    except InputFileError as err:
+        print(err)
         return 2
 
 

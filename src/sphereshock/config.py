@@ -27,7 +27,9 @@ class DiagnosticsConfig:
 
 def build_block(klass, block, name):
     """klass(**block), refusing a key that klass has no field for."""
-    block = dict(block or {})
+    block = {} if block is None else block
+    if type(block) is not dict:
+        raise ConfigError(f"the {name!r} block must be a JSON object")
     bad = set(block) - {f.name for f in fields(klass)}
     if bad:
         raise ConfigError(f"unknown keys in {name!r} block: {sorted(bad)}")
@@ -87,7 +89,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc):
-        doc = dict(doc)
+        if type(doc) is not dict:
+            raise ConfigError("a config must be a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = set(doc) - known
         if unknown:

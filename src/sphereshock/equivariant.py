@@ -134,6 +134,7 @@ class SolverConfig:
             self.blowup_slope_cap = WINDOW_CAP_FRAC * (2.0 * L / dx) ** (2.0 / 3.0)
         if not (self.blowup_slope_cap > 0 and self.t_max > 0):
             raise ConfigError("blowup_slope_cap and t_max must be positive")
+        initial_data(self)  # refuses initial data that a run would refuse
 
     def replace(self, **changes):
         """Copy with changes; the fields left unset at construction are

@@ -85,12 +85,11 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunRecord:
     record = run_until_blowup(config.solver)
     record.config = config.to_dict()
     record.summary["edge_contact_t"] = dg.edge_contact_time(record)
-    # both fits read diagnostics.fit_window, so both are defined or both null
-    record.summary.update(T_star=None, T_star_refined=None)
+    # both read diagnostics.fit_window, so both are defined or both null
+    record.summary.update(T_star=None, fit_window_span=None)
     try:
-        T_aff, tau_end, _ = dg.blowup_time(record)
-        record.summary.update(T_star=T_aff, tau_tracker_end=tau_end,
-                              T_star_refined=dg.blowup_time_refined(record))
+        record.summary.update(T_star=dg.blowup_time(record)[0],
+                              fit_window_span=dg.fit_window_span(record))
     except dg.DiagnosticUndefinedError as err:
         record.summary["diagnostic_note"] = str(err)
 
@@ -114,7 +113,7 @@ def _sweep_row(config: ExperimentConfig, overrides, out_root):
     row = {"config_hash": config_hash({**config.to_dict(), "overrides": overrides}),
            "gamma": shown["gamma"], "tau0": shown["tau0"],
            "n_cells": shown["n_cells"], "xi0": shown["xi0"],
-           "status": "", "T_star": "", "T_star_refined": "", "rate": "",
+           "status": "", "T_star": "", "rate": "",
            "min_sigma": "", "holder_max": "", "ba_w_ok": "", "ba_z_ok": "",
            "error": ""}
     out_dir = os.path.join(out_root, row["config_hash"])
@@ -125,7 +124,6 @@ def _sweep_row(config: ExperimentConfig, overrides, out_root):
         rec = run_experiment(config, out_dir)
         row["status"] = rec.status
         row["T_star"] = rec.summary.get("T_star")
-        row["T_star_refined"] = rec.summary.get("T_star_refined")
         try:
             row["rate"] = dg.rate_fit(rec, rec.summary.get("T_star"))[0]
         except dg.DiagnosticUndefinedError:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-SCHEMA_VERSION = 14
+SCHEMA_VERSION = 15
 
 
 def _jsonable(obj):
@@ -74,8 +74,14 @@ class RunRecord:
         config = {}
         status = "unknown"
         with open(path) as f:
-            for line in f:
-                row = json.loads(line)
+            for n, line in enumerate(f, start=1):
+                try:
+                    row = json.loads(line)
+                except json.JSONDecodeError as err:
+                    raise ValueError(
+                        f"line {n} is not JSON ({err.msg})") from None
+                if type(row) is not dict:
+                    raise ValueError(f"line {n} is not a JSON object")
                 kind = row.pop("type", "sample")
                 if kind == "header":
                     config = row.get("config", {})

@@ -211,7 +211,7 @@ def test_criterion_6_blowup_time_scaling(sweep_runs):
     for tau0 in SWEEP_TAU0:
         _, rec = runs[tau0]
         assert rec.status == "blew_up"
-        T = dg.blowup_time_refined(rec)
+        T, _, _ = dg.blowup_time(rec)
         devs.append(abs(T - tau0))
     slope = np.polyfit(np.log(SWEEP_TAU0), np.log(devs), 1)[0]
     ok = abs(slope - 2.0) <= 0.2 and wall <= 900.0

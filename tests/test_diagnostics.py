@@ -6,8 +6,9 @@ from sphereshock.records import RunRecord
 
 
 def synthetic_burgers_record(tau0=1e-2, n=400, slope0=100.0, slope_end=2000.0,
-                             kappa=1.2, xi0=0.26, drift=1.2):
-    """Exact Burgers bookkeeping: max_slope = 1/(tau0 - t), tau = tau0."""
+                             kappa=1.2, xi0=0.26, drift=1.2, curvature=0.0):
+    """Exact Burgers bookkeeping: max_slope = 1/(tau - t), with the tracked
+    tau = tau0 + curvature (tau - t)^2 (tau = tau0 when curvature is 0)."""
     rec = RunRecord(config={"solver": {"tau0": tau0, "sigma_inf": 1.2,
                                        "gamma": 3.0, "xi0": xi0,
                                        "n_cells": 8192, "theta_min": -2e-2,
@@ -15,9 +16,13 @@ def synthetic_burgers_record(tau0=1e-2, n=400, slope0=100.0, slope_end=2000.0,
     t_end = tau0 - 1.0 / slope_end
     t0 = tau0 - 1.0 / slope0
     for t in np.linspace(t0, t_end, n):
-        slope = 1.0 / (tau0 - t)
+        # the root rem -> tau0 - t of rem = tau0 - t + curvature rem^2
+        left = tau0 - t
+        rem = 2.0 * left / (1.0 + np.sqrt(1.0 - 4.0 * curvature * left))
+        slope = 1.0 / rem
         row = {"t_tilde": t, "s": -np.log(tau0 - t), "kappa": kappa,
-               "tau": tau0, "xi": xi0 + drift * t, "max_slope": slope,
+               "tau": tau0 + curvature * rem**2, "xi": xi0 + drift * t,
+               "max_slope": slope,
                "min_sigma": 1.2, "holder_w": 1.5, "dt": 1e-6,
                "ext_grad_0.01": 0.0}
         rec.add_sample(**row)
@@ -30,6 +35,18 @@ def test_blowup_time_exact_for_burgers():
     T, tau_end, resid = dg.blowup_time(rec)
     assert T == pytest.approx(1e-2, abs=1e-12)
     assert resid < 1e-14
+
+
+def test_blowup_time_fits_a_curved_tau_history():
+    # tau - T* = a (tau - t)^2 with a != 0: an affine fit of 1/max_slope
+    # against t misses T* by 3.7e-4 here, the tau fit recovers it
+    rec = synthetic_burgers_record(curvature=10.0)
+    rem = rec.series("tau") - rec.series("t_tilde")
+    assert np.ptp(rec.series("tau")) > 1e-4
+    assert np.allclose(rec.series("max_slope"), 1.0 / rem, rtol=1e-12)
+    T, tau_end, resid = dg.blowup_time(rec)
+    assert abs(T - 1e-2) <= 1e-12
+    assert tau_end == rec.samples[-1]["tau"] and resid < 1e-14
 
 
 def test_blowup_time_requires_blowup_status():
@@ -59,16 +76,19 @@ def test_rate_fit_rejects_no_growth():
 
 
 def test_blowup_time_refined_burgers():
-    rec = synthetic_burgers_record()
-    T = dg.blowup_time_refined(rec)
-    assert T == pytest.approx(1e-2, abs=1e-12)
+    # the old name is the one T*, bit for bit
+    for curvature in (0.0, 10.0):
+        rec = synthetic_burgers_record(curvature=curvature)
+        T = dg.blowup_time_refined(rec)
+        assert T == dg.blowup_time(rec)[0]
+        assert T == pytest.approx(1e-2, abs=1e-12)
 
 
 def test_every_fit_reads_the_resolution_window_alone():
     # samples outside [rw/10, rw] may change freely; one inside moves each fit
     def fits(rec):
         T, _, resid = dg.blowup_time(rec)
-        return T, resid, dg.blowup_time_refined(rec), dg.rate_fit(rec)[0]
+        return T, resid, dg.rate_fit(rec)[0]
 
     def scaled(which, factor):
         rec = synthetic_burgers_record()

@@ -122,10 +122,12 @@ def test_initial_data_shape():
 
 
 def test_initial_support_must_fit():
-    cfg = eq.SolverConfig(n_cells=256, tau0=1e-2, theta_min=-5e-3,
-                          theta_max=5e-3)
-    with pytest.raises(eq.ConfigError):
-        eq.initial_data(cfg)
+    # refused at construction, as initial_data would refuse it
+    with pytest.raises(eq.ConfigError, match="does not fit inside the grid"):
+        eq.SolverConfig(n_cells=256, tau0=1e-2, theta_min=-5e-3,
+                        theta_max=5e-3)
+    with pytest.raises(eq.ConfigError, match="exceeds the xi0/10 window"):
+        eq.SolverConfig(n_cells=256, tau0=5e-2)
 
 
 def test_steady_state_is_exact():
@@ -591,8 +593,8 @@ def test_dt_floor_stop_is_stalled(monkeypatch):
 def test_slope_cap_the_initial_data_reaches_is_refused():
     # the initial max slope is 99.5 at 512 cells: such a run once reported
     # blew_up after 0 steps
-    with pytest.raises(eq.ConfigError):
-        eq.initial_data(eq.SolverConfig(n_cells=512, blowup_slope_cap=50.0))
+    with pytest.raises(eq.ConfigError, match="reaches blowup_slope_cap"):
+        eq.SolverConfig(n_cells=512, blowup_slope_cap=50.0)
 
 
 def test_empty_compared_window_stops_unresolved():
@@ -643,7 +645,7 @@ def test_run_numerical_failure_status(monkeypatch):
 def test_headline_numbers_do_not_depend_on_the_left_edge():
     # configs/theorem_a1.json at 2048 cells lets its z-deviation reach the
     # left edge; moving that edge 1024 nodes further out at the same dx
-    # removes the contact and leaves T*, the refined T*, status and flags
+    # removes the contact and leaves T*, status and flags
     path = os.path.join(os.path.dirname(__file__), "..", "configs",
                         "theorem_a1.json")
     exp = ExperimentConfig.load(path)
@@ -657,8 +659,6 @@ def test_headline_numbers_do_not_depend_on_the_left_edge():
     assert dg.edge_contact_time(runs[1]) is None
     assert runs[0].status == runs[1].status == "blew_up"
     (T, _, _), (T_wide, _, _) = (dg.blowup_time(r) for r in runs)
-    assert abs(T - T_wide) <= 1e-6 * T_wide
-    Tr, Tr_wide = (dg.blowup_time_refined(r) for r in runs)
-    assert abs(Tr - Tr_wide) <= 1e-11 * Tr_wide
+    assert abs(T - T_wide) <= 1e-11 * T_wide
     flags = [dg.blowup_report(r, exp.diagnostics.holder_cap).flags for r in runs]
     assert flags[0] == flags[1]

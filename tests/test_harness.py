@@ -171,7 +171,7 @@ def test_run_experiment_artifacts(tmp_path):
         assert required in names
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["status"] == "blew_up"
-    assert summary["schema_version"] == SCHEMA_VERSION == 14
+    assert summary["schema_version"] == SCHEMA_VERSION == 15
     assert "T_star" in summary and "seed" not in summary
     assert "edge_contact_t" in summary
     # the exterior gradient is taken outside a quarter of the domain width
@@ -192,13 +192,13 @@ def test_summary_nulls_both_fits_when_the_window_is_unresolved(tmp_path):
                     "record_every": 8}, "out_dir": str(tmp_path)}))
     assert rec.status == "blew_up"
     notes = set()
-    for fit in (dg.blowup_time, dg.blowup_time_refined):
+    for fit in (dg.blowup_time, dg.fit_window_span):
         with pytest.raises(dg.DiagnosticUndefinedError) as err:
             fit(rec)
         notes.add(str(err.value))
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["T_star"] is None and summary["T_star_refined"] is None
-    assert "tau_tracker_end" not in summary
+    assert summary["T_star"] is None and summary["fit_window_span"] is None
+    assert not {"T_star_refined", "tau_tracker_end"} & set(summary)
     assert notes == {summary["diagnostic_note"]}
     assert summary["diagnostic_note"] == ("0 < 10 samples with max_slope in "
                                           "the resolution window [8.938, 89.38]")
@@ -376,11 +376,13 @@ def test_cli_simulate_and_diagnose(tmp_path, capsys):
     out = capsys.readouterr().out
     assert f"T*                : {summary['T_star']:.8g}\n" in out
     assert "  [FAIL] holder\n" in out
-    # the window that every fit read: [rw/10, rw] at 2048 cells
+    # the window that every fit read: [rw/10, rw] at 2048 cells, and its
+    # span, which the summary records
     rec = RunRecord.read_jsonl(tmp_path / "run" / "run.jsonl")
     fitted = rec.series("max_slope")[dg.fit_window(rec)]
+    assert summary["fit_window_span"] == fitted.max() / fitted.min()
     assert (f"fit window        : max_slope in [15.57, 155.7], {len(fitted)} "
-            f"samples, span {fitted.max() / fitted.min():.1f}x\n") in out
+            f"samples, span {summary['fit_window_span']:.1f}x\n") in out
 
 
 def test_cli_simulate_emit_selfsim_writes_the_snapshots_once(tmp_path):
@@ -402,35 +404,59 @@ def test_cli_simulate_emit_selfsim_writes_the_snapshots_once(tmp_path):
             for key in ("W", "Z"))  # y and g are formed on load
 
 
-@pytest.mark.parametrize("doc, argv, named", [
-    ({"solver": {"gamma": 0.5}}, [], "gamma"),
-    ({}, ["--emit-selfsim", "-1"], "emit_selfsim_ds")],
-    ids=["config", "flag"])
+@pytest.mark.parametrize("doc, argv, refusal", [
+    ({"solver": {"gamma": 0.5}}, [], "config refused: gamma"),
+    ({}, ["--emit-selfsim", "-1"], "config refused: emit_selfsim_ds"),
+    ({"solver": {"theta_min": -0.004, "theta_max": 0.004}}, [],
+     "config refused: initial support does not fit inside the grid"),
+    (None, [], "cannot read {cfg}: No such file or directory"),
+    ('{"solver": ', [], "cannot read {cfg}: Expecting value"),
+    ("[1, 2]", [], "config refused: a config must be a JSON object"),
+    ({"solver": 3}, [],
+     "config refused: the 'solver' block must be a JSON object")],
+    ids=["config", "flag", "theta_range", "missing", "not_json", "not_object",
+         "block_not_object"])
 def test_cli_simulate_refuses_a_bad_config_in_one_line(tmp_path, capsys, doc,
-                                                       argv, named):
-    # each once ended in a ConfigError traceback
+                                                       argv, refusal):
+    # each once ended in a traceback: the first two a ConfigError, the
+    # missing, the malformed and the non-object file and block a
+    # FileNotFoundError, a JSONDecodeError and a TypeError; the theta range
+    # was refused after the output directory had been made
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({**doc, "out_dir": str(tmp_path / "run")}))
+    if isinstance(doc, dict):
+        doc = json.dumps({**doc, "out_dir": str(tmp_path / "run")})
+    if doc is not None:
+        cfg_path.write_text(doc)
     assert cli.main(["simulate", "--config", str(cfg_path), *argv]) == 2
     out, err = capsys.readouterr()
     assert err == "" and len(out.splitlines()) == 1
-    assert out.startswith("config refused: ") and named in out
+    assert out.startswith(refusal.format(cfg=cfg_path))
     assert not (tmp_path / "run").exists()
 
 
 def test_sweep_refuses_a_bad_axis_value_before_any_run(tmp_path, capsys):
-    # the valid gamma row once ran to completion before the 0.5 row failed
-    doc = {"solver": {"n_cells": 256, "t_max": 1e-4, "blowup_slope_cap": 300.0},
-           "sweep": {"gamma": [3.0, 0.5]}, "out_dir": str(tmp_path / "runs")}
-    with pytest.raises(ConfigError,
-                       match=r"sweep row \{'gamma': 0.5\}: gamma must exceed 1"):
-        ExperimentConfig.from_dict(doc)
+    # the valid gamma row once ran to completion before the 0.5 row failed,
+    # and the tau0 = 1e-2 row before the 5e-2 row's initial data was refused
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(doc))
-    assert cli.main(["sweep", "--config", str(cfg_path)]) == 2
-    out = capsys.readouterr().out.splitlines()
-    assert len(out) == 1 and "gamma" in out[0]
-    assert not (tmp_path / "runs").exists()
+    for axis, refusal in (
+            ({"gamma": [3.0, 0.5]}, "{'gamma': 0.5}: gamma must exceed 1"),
+            ({"tau0": [0.01, 0.05]},
+             "{'tau0': 0.05}: initial support exceeds the xi0/10 window")):
+        doc = {"solver": {"n_cells": 256, "t_max": 1e-4,
+                          "blowup_slope_cap": 300.0},
+               "sweep": axis, "out_dir": str(tmp_path / "runs")}
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(doc)
+        assert str(err.value) == f"sweep row {refusal}"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli.main(["sweep", "--config", str(cfg_path)]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert out == [f"config refused: sweep row {refusal}"]
+        assert not (tmp_path / "runs").exists()
+    # a config file that is not there is refused in one line too
+    assert cli.main(["sweep", "--config", str(tmp_path / "none.json")]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        f"cannot read {tmp_path / 'none.json'}: No such file or directory"]
     sweep_cfg = ExperimentConfig.from_dict(
         {"sweep": {"tau0": [1e-2, 5e-3], "n_cells": [1024, 2048, 4096]}})
     combos = sweep_cfg.sweep.combinations()
@@ -453,17 +479,28 @@ def test_cli_diagnose_refuses_a_schema_9_header(tmp_path, capsys):
     assert "clip_frac" in out[0] and "predates schema 10" in out[0]
 
 
-@pytest.mark.parametrize("text", ["", json.dumps(
-    {"type": "header", "schema_version": SCHEMA_VERSION, "status": "blew_up",
-     "config": {"diagnostics": {"holder_cap": 2.5}}}) + "\n"],
-    ids=["empty", "no_solver"])
-def test_cli_diagnose_without_a_run_header(tmp_path, capsys, text):
-    # each once ended in a KeyError traceback from edge_contact_time
+@pytest.mark.parametrize("text, refusal", [
+    ("", "{path} has no run header with a solver config"),
+    (json.dumps({"type": "header", "schema_version": SCHEMA_VERSION,
+                 "status": "blew_up",
+                 "config": {"diagnostics": {"holder_cap": 2.5}}}) + "\n",
+     "{path} has no run header with a solver config"),
+    (None, "cannot read {path}: No such file or directory"),
+    ('{"type": "header"}\n{"t_tilde": \n',
+     "cannot read {path}: line 2 is not JSON (Expecting value)"),
+    ('{"type": "header"}\n3\n',
+     "cannot read {path}: line 2 is not a JSON object")],
+    ids=["empty", "no_solver", "missing", "not_json", "not_object"])
+def test_cli_diagnose_without_a_run_header(tmp_path, capsys, text, refusal):
+    # the first two once ended in a KeyError traceback from
+    # edge_contact_time, the others in a FileNotFoundError, a
+    # JSONDecodeError and an AttributeError one
     path = tmp_path / "run.jsonl"
-    path.write_text(text)
+    if text is not None:
+        path.write_text(text)
     assert cli.main(["diagnose", str(path)]) == 2
     out = capsys.readouterr().out.splitlines()
-    assert len(out) == 1 and "no run header" in out[0]
+    assert out == [refusal.format(path=path)]
 
 
 def _schema_11_removed_keys():
@@ -573,6 +610,12 @@ def test_cli_trajectories_refuses_snapshots_it_cannot_read(tmp_path, capsys):
     # traceback; a schema-13 directory stores y and g and no xi_dot
     run = tmp_path / "run"
     run_experiment(small_config(run, n_cells=512))
+    # a seeds file that is not there once ended in one too
+    capsys.readouterr()
+    assert cli.main(["trajectories", "--from-run", str(run), "--seeds",
+                     str(tmp_path / "none.txt")]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        f"cannot read {tmp_path / 'none.txt'}: No such file or directory"]
     header, *samples = (run / "run.jsonl").read_text().splitlines(True)
     (run / "run.jsonl").write_text("".join(
         [header.replace(f'"schema_version": {SCHEMA_VERSION}',
