@@ -84,22 +84,19 @@ def cmd_sweep(args):
 
 
 def cmd_diagnose(args):
-    from .config import ConfigError, DiagnosticsConfig, build_block
+    from .config import ConfigError, header_config
     from .diagnostics import (DiagnosticUndefinedError, blowup_report,
                               edge_contact_time, fit_bounds, fit_window,
                               fit_window_span)
     from .records import RunRecord
     rec = _read(args.record, RunRecord.read_jsonl)
     try:
-        diag = build_block(DiagnosticsConfig, rec.config.get("diagnostics"),
-                           "diagnostics")
+        cfg = header_config(args.record, rec.config, rec.schema_version)
     except ConfigError as err:
-        # headers before schema 10 name clip_frac, a key since retired
-        print(f"header config refused: {err}; the run predates schema 10")
+        print(err)
         return 2
-    if "solver" not in rec.config:
-        print(f"{args.record} has no run header with a solver config")
-        return 2
+    rec.config = cfg.to_dict()
+    diag = cfg.diagnostics
     contact = edge_contact_time(rec)
     print("edge contact      : "
           + ("none" if contact is None else f"t~ = {contact:.8g}"))
@@ -124,8 +121,21 @@ def cmd_diagnose(args):
     return 0 if rep.passed else 1
 
 
+def _not_finite(args, names):
+    """A refusal line naming the first of the options `names` whose value
+    is not a finite number, or None."""
+    for name in names:
+        if not math.isfinite(getattr(args, name)):
+            return f"--{name} must be a finite number, got {getattr(args, name)}"
+    return None
+
+
 def cmd_profile_table(args):
     from . import profile
+    refusal = _not_finite(args, ("y1min", "y1max", "y2min", "y2max"))
+    if refusal or args.n < 1:
+        print(refusal or f"--n must be a positive integer, got {args.n}")
+        return 2
     y1 = np.linspace(args.y1min, args.y1max, args.n)
     y2 = np.linspace(args.y2min, args.y2max, args.n)
     with _out_file(args.out) as f:
@@ -149,7 +159,16 @@ def cmd_profile_calibrate(args):
 
 
 def cmd_check_geometry(args):
-    from .geometry import DerivationMismatchError, origin_derivative_table
+    from .geometry import (DerivationMismatchError, origin_derivative_table,
+                           validate_r0)
+    refusal = _not_finite(args, ("psi", "q12", "q13", "q23"))
+    try:
+        validate_r0(args.r0)
+    except ValueError as err:
+        refusal = refusal or f"--r0 refused: {err}"
+    if refusal:
+        print(refusal)
+        return 2
     Q = np.array([[0.0, args.q12, args.q13],
                   [-args.q12, 0.0, args.q23],
                   [-args.q13, -args.q23, 0.0]])

@@ -107,5 +107,23 @@ class ExperimentConfig:
             return cls.from_dict(json.load(f))
 
 
+def header_config(path, config, version):
+    """The ExperimentConfig that the run.jsonl header at path records,
+    validated once by from_dict.  A config that from_dict refuses, or one
+    with no solver block, raises ConfigError in one line; a header before
+    schema 10 is told so, since its diagnostics block names clip_frac, a key
+    since retired."""
+    try:
+        cfg = ExperimentConfig.from_dict(config)
+    except ConfigError as err:
+        old = type(version) is int and version < 10
+        raise ConfigError(f"{path}: header config refused: {err}"
+                          + ("; the run predates schema 10" if old else "")
+                          ) from None
+    if "solver" not in config:
+        raise ConfigError(f"{path} has no run header with a solver config")
+    return cfg
+
+
 def print_defaults():
     return json.dumps(ExperimentConfig().to_dict(), sort_keys=True, indent=1)

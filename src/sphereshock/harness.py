@@ -13,8 +13,8 @@ import traceback
 import numpy as np
 
 from . import diagnostics as dg
-from .config import ExperimentConfig
-from .equivariant import SolverConfig, initial_data, run_until_blowup
+from .config import ConfigError, ExperimentConfig, header_config
+from .equivariant import initial_data, run_until_blowup
 from .records import RunRecord, config_hash, write_field_csv
 from .selfsim import zoom_coordinate
 # unused here, but perfbench/spans.py wraps harness.write_selfsim_csv, and its
@@ -52,14 +52,26 @@ def load_snapshots(out_dir):
         if not os.path.exists(os.path.join(out_dir, name)):
             raise SnapshotReadError(f"{out_dir} holds no {name}: rerun it "
                                     "with solver.emit_selfsim_ds set")
-    with open(os.path.join(out_dir, "run.jsonl")) as f:
-        header = json.loads(f.readline())
+    path = os.path.join(out_dir, "run.jsonl")
+    with open(path) as f:
+        line = f.readline()
+    try:
+        header = json.loads(line)
+    except ValueError:
+        header = None
+    if type(header) is not dict or header.get("type") != "header":
+        raise SnapshotReadError(f"{path} has no run header with a solver "
+                                "config")
     version = header.get("schema_version")
     if not (isinstance(version, int) and version >= SNAPSHOT_SCHEMA):
         raise SnapshotReadError(
             f"{out_dir} was written at schema {version}, whose snapshots "
             f"predate schema {SNAPSHOT_SCHEMA}: rerun it")
-    frame = initial_data(SolverConfig(**header["config"]["solver"]))
+    try:
+        cfg = header_config(path, header.get("config", {}), version)
+    except ConfigError as err:
+        raise SnapshotReadError(str(err)) from None
+    frame = initial_data(cfg.solver)
     with open(os.path.join(out_dir, "snapshots_meta.json")) as f:
         meta = json.load(f)
     snaps = []

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-SCHEMA_VERSION = 15
+SCHEMA_VERSION = 16
 
 
 def _jsonable(obj):
@@ -40,6 +40,7 @@ class RunRecord:
     snapshots: list = field(default_factory=list)
     status: str = "running"
     summary: dict = field(default_factory=dict)
+    schema_version: int | None = SCHEMA_VERSION  # None: read with no header
 
     def add_sample(self, **row):
         if self.samples and row["t_tilde"] <= self.samples[-1]["t_tilde"]:
@@ -73,6 +74,7 @@ class RunRecord:
         samples = []
         config = {}
         status = "unknown"
+        version = None
         with open(path) as f:
             for n, line in enumerate(f, start=1):
                 try:
@@ -86,9 +88,11 @@ class RunRecord:
                 if kind == "header":
                     config = row.get("config", {})
                     status = row.get("status", "unknown")
+                    version = row.get("schema_version")
                 else:
                     samples.append(row)
-        return cls(config=config, samples=samples, status=status)
+        return cls(config=config, samples=samples, status=status,
+                   schema_version=version)
 
 
 def _write_rows(path, header, template, columns):

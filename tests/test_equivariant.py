@@ -455,10 +455,13 @@ def test_support_growth_error(monkeypatch):
 
 
 @pytest.mark.parametrize("n_cells, status, steps", [
-    (256, "max_time", 180), (512, "blew_up", 330), (768, "blew_up", 352)])
+    (256, "blew_up", 168), (512, "blew_up", 215), (768, "blew_up", 275)])
 def test_coarse_flat_run_keeps_its_support(n_cells, status, steps):
     # the first step from the initial data grows the support by up to 9
-    # nodes, which the reach of a single stencil application once refused
+    # nodes, which the reach of a single stencil application once refused.
+    # The characteristics cross at t = 0.0103 < t_max, so every grid reaches
+    # the cap: the linear upwind face adds no dissipation that would hold
+    # the 256-cell slope under it until t_max
     cfg = eq.SolverConfig(n_cells=n_cells, flat_mode=True,
                           blowup_slope_cap=480.0, record_every=2)
     rec = eq.run_until_blowup(cfg)
@@ -556,6 +559,22 @@ def test_flat_mode_solver_matches_oracle():
         dt = min(cfg.cfl * st.dx / vmax, cfg.t_max - st.t_tilde)
         st = eq.step(st, mod, dt, bc, cfg, check_support=False)
     assert np.max(np.abs(st.w - oracle(st.grid, st.t_tilde))) < 1e-4
+
+
+def test_flat_run_front_matches_the_exact_solution():
+    # the final state of configs/flat_oracle.json at 2048 cells, at the
+    # slope cap, against the characteristics solution: 1.94e-3 with the
+    # linear upwind face on every node, 5.61e-3 with the nonlinear WENO5
+    # weights near the front
+    path = os.path.join(os.path.dirname(__file__), "..", "configs",
+                        "flat_oracle.json")
+    cfg = ExperimentConfig.load(path).solver.replace(n_cells=2048)
+    st0 = eq.initial_data(cfg)
+    oracle = eq.characteristics_oracle(st0.grid, st0.w)
+    rec = eq.run_until_blowup(cfg)
+    assert rec.status == "blew_up" and cfg.blowup_slope_cap == 480.0
+    st = rec.final_state
+    assert np.max(np.abs(st.w - oracle(st.grid, st.t_tilde))) <= 2.5e-3
 
 
 def test_run_statuses():

@@ -171,7 +171,7 @@ def test_run_experiment_artifacts(tmp_path):
         assert required in names
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["status"] == "blew_up"
-    assert summary["schema_version"] == SCHEMA_VERSION == 15
+    assert summary["schema_version"] == SCHEMA_VERSION == 16
     assert "T_star" in summary and "seed" not in summary
     assert "edge_contact_t" in summary
     # the exterior gradient is taken outside a quarter of the domain width
@@ -489,18 +489,34 @@ def test_cli_diagnose_refuses_a_schema_9_header(tmp_path, capsys):
     ('{"type": "header"}\n{"t_tilde": \n',
      "cannot read {path}: line 2 is not JSON (Expecting value)"),
     ('{"type": "header"}\n3\n',
-     "cannot read {path}: line 2 is not a JSON object")],
-    ids=["empty", "no_solver", "missing", "not_json", "not_object"])
+     "cannot read {path}: line 2 is not a JSON object"),
+    ('{"type": "header", "config": 3}\n',
+     "{path}: header config refused: a config must be a JSON object"),
+    ('{"type": "header", "schema_version": 15, "config": {"solver": {},'
+     ' "diagnostics": 3}}\n',
+     "{path}: header config refused: the 'diagnostics' block must be a JSON "
+     "object"),
+    ('{"type": "header", "config": {"solver": {"theta_min": "x"}}}\n',
+     "{path}: header config refused: theta_min must be of type float"),
+    # a solver block that from_dict accepts takes the defaults it leaves out
+    ('{"type": "header", "config": {"solver": {}}}\n',
+     "edge contact      : none\n"
+     "diagnostics undefined: run ended with status 'unknown'")],
+    ids=["empty", "no_solver", "missing", "not_json", "not_object",
+         "config_not_object", "diagnostics_not_object", "bad_solver_value",
+         "solver_block_empty"])
 def test_cli_diagnose_without_a_run_header(tmp_path, capsys, text, refusal):
-    # the first two once ended in a KeyError traceback from
-    # edge_contact_time, the others in a FileNotFoundError, a
-    # JSONDecodeError and an AttributeError one
+    # the first two and the last once ended in a KeyError traceback from
+    # edge_contact_time, config_not_object in an AttributeError one, and
+    # diagnostics_not_object was refused as a run before schema 10; the
+    # others ended in a FileNotFoundError, a JSONDecodeError and an
+    # AttributeError traceback
     path = tmp_path / "run.jsonl"
     if text is not None:
         path.write_text(text)
     assert cli.main(["diagnose", str(path)]) == 2
     out = capsys.readouterr().out.splitlines()
-    assert out == [refusal.format(path=path)]
+    assert out == refusal.format(path=path).splitlines()
 
 
 def _schema_11_removed_keys():
@@ -622,6 +638,21 @@ def test_cli_trajectories_refuses_snapshots_it_cannot_read(tmp_path, capsys):
                         '"schema_version": 13')] + samples))
     rc, out = _cli_trajectories(tmp_path, capsys, run)
     assert rc == 2 and len(out) == 1 and "schema 13" in out[0]
+    # a header without a solver block, a config that is not an object and a
+    # first line that is not JSON once ended in a KeyError, an
+    # AttributeError and a JSONDecodeError traceback
+    log = run / "run.jsonl"
+    row = json.loads(header)
+    for first, refusal in (
+            ({**row, "config": {"diagnostics": row["config"]["diagnostics"]}},
+             f"{log} has no run header with a solver config"),
+            ({**row, "config": 3},
+             f"{log}: header config refused: a config must be a JSON object"),
+            ("{not json", f"{log} has no run header with a solver config")):
+        if not isinstance(first, str):
+            first = json.dumps(first)
+        log.write_text("".join([first + "\n"] + samples))
+        assert _cli_trajectories(tmp_path, capsys, run) == (2, [refusal])
     (run / "snapshots_meta.json").unlink()
     rc, out = _cli_trajectories(tmp_path, capsys, run)
     assert rc == 2 and out == [f"{run} holds no snapshots_meta.json: rerun "
@@ -656,6 +687,15 @@ def test_cli_profile_table(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "y1,y2,W,dW1,dW2,residual"
     assert len(out) == 10
+    # each once ended in a ValueError traceback
+    for bad, refusal in ((["--n", "-1"], "--n must be a positive integer, got -1"),
+                         (["--y1max", "nan"],
+                          "--y1max must be a finite number, got nan")):
+        args = dict(zip(["--y1min", "--y1max", "--y2min", "--y2max", "--n"],
+                        ["-1", "1", "0", "0", "3"]))
+        args.update([bad])
+        assert cli.main(["profile", "table", *sum(args.items(), ())]) == 2
+        assert capsys.readouterr().out.splitlines() == [refusal]
 
 
 def test_cli_profile_calibrate(capsys):
@@ -676,6 +716,13 @@ def test_cli_check_geometry(capsys):
                    "--q13", "-0.1", "--q23", "0.3", "--r0", "1.5"])
     assert rc == 0
     assert "PASS" in capsys.readouterr().out
+    # r0 = 0 once ended in a ValueError traceback, and a psi of nan passed
+    for bad, refusal in (
+            (["--r0", "0"], "--r0 refused: sphere radius out of range: "
+             "r0 + 1/r0 must be <= 100, got r0=0.0"),
+            (["--psi", "nan"], "--psi must be a finite number, got nan")):
+        assert cli.main(["check-geometry", *bad]) == 2
+        assert capsys.readouterr().out.splitlines() == [refusal]
 
 
 def test_cli_print_defaults(capsys):

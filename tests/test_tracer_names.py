@@ -44,15 +44,23 @@ def _traced(run):
 
 
 def test_traced_names_stay_on_their_call_paths():
+    cfg = eq.SolverConfig(n_cells=1024, tau0=1e-2, record_every=8,
+                          blowup_slope_cap=300.0, emit_selfsim_ds=0.4)
+
     def run():
-        cfg = eq.SolverConfig(n_cells=1024, tau0=1e-2, record_every=8,
-                              blowup_slope_cap=300.0, emit_selfsim_ds=0.4)
         rec = eq.run_until_blowup(cfg)
         field = tr.FrozenTransportField.from_snapshots(rec.snapshots)
         s_lo, s_hi = field.s_span
         tr.integrate_trajectory(field, s_lo, 0.05, s_hi, tol=1e-8)
 
     spans, calls, counts, records = _traced(run)
+    # the kernel counters the benchmark reports: one rhs and one kernel call
+    # per RK4 stage, each differencing w and z on every node
+    steps = calls.get("equivariant.step", 0)
+    assert steps > 0
+    kernel = calls.get("weno.weno5_upwind_derivative")
+    assert calls.get("equivariant.rhs") == kernel == 4 * steps
+    assert counts["weno.weno5_nodes"] == 2 * cfg.n_cells * kernel
     for name in (*spans._MONITORS, "util.lagrange_value_and_derivs",
                  "profile.w1d_jet", "weno.deriv1_c4"):
         assert calls.get(name, 0) > 0, name

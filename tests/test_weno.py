@@ -1,20 +1,16 @@
-import os
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hs
 from hypothesis.extra import numpy as hnp
 
-from sphereshock import diagnostics as dg
-from sphereshock import equivariant as eq
 from sphereshock import weno
-from sphereshock.config import ExperimentConfig
-from sphereshock.weno import (_GAMMAS, _WENO_EPS, FRONT_HALF_WIDTH, _pad_edge,
-                              _weno5_face, front_window,
-                              weno5_upwind_derivative)
+from sphereshock.weno import _pad_edge, weno5_upwind_derivative
 
 N = 512
-K = FRONT_HALF_WIDTH
+# the WENO5 optimal weights and the epsilon of Jiang & Shu (1996), for the
+# reference face below
+GAMMAS = (0.1, 0.6, 0.3)
+WENO_EPS = 1e-40
 
 
 def _slopes(u, dx):
@@ -32,22 +28,11 @@ def textbook_face(v1, v2, v3, v4, v5):
     b2 = 13.0 / 12.0 * (v2 - 2 * v3 + v4) ** 2 + 0.25 * (v2 - v4) ** 2
     b3 = 13.0 / 12.0 * (v3 - 2 * v4 + v5) ** 2 + 0.25 * (3 * v3 - 4 * v4 + v5) ** 2
 
-    a1 = _GAMMAS[0] / (_WENO_EPS + b1) ** 2
-    a2 = _GAMMAS[1] / (_WENO_EPS + b2) ** 2
-    a3 = _GAMMAS[2] / (_WENO_EPS + b3) ** 2
+    a1 = GAMMAS[0] / (WENO_EPS + b1) ** 2
+    a2 = GAMMAS[1] / (WENO_EPS + b2) ** 2
+    a3 = GAMMAS[2] / (WENO_EPS + b3) ** 2
     s = a1 + a2 + a3
     return (a1 * q1 + a2 * q2 + a3 * q3) / s
-
-
-def two_face_reference(u, dx, speed):
-    """Both WENO5 faces on every node, then one picked per node by the sign."""
-    d = _slopes(u, dx)
-    n = len(u)
-    left = textbook_face(d[0:n], d[1:n + 1], d[2:n + 2], d[3:n + 3],
-                         d[4:n + 4])
-    right = textbook_face(d[5:n + 5], d[4:n + 4], d[3:n + 3], d[2:n + 2],
-                          d[1:n + 1])
-    return np.where(np.asarray(speed) >= 0.0, left, right)
 
 
 def linear_reference(u, dx, speed):
@@ -90,34 +75,13 @@ SPEEDS = {
 }
 
 
-def _window_mask(u):
-    a, b = front_window(u)
-    assert 0 < a < b < len(u)
-    inside = np.zeros(len(u), dtype=bool)
-    inside[a:b] = True
-    return inside
-
-
-@pytest.mark.parametrize("name", SPEEDS)
-def test_bit_identical_to_two_face_formula(name):
-    # inside the front window: the WENO5 faces, bit for bit
-    u = _field()
-    speed = SPEEDS[name]()
-    (got,) = weno5_upwind_derivative([u], 0.01, [speed])
-    assert got.shape == u.shape
-    inside = _window_mask(u)
-    assert np.array_equal(_bits(got[inside]),
-                          _bits(two_face_reference(u, 0.01, speed)[inside]))
-
-
 @pytest.mark.parametrize("name", SPEEDS)
 def test_linear_face_outside_the_window(name):
     u = _field()
     speed = SPEEDS[name]()
     (got,) = weno5_upwind_derivative([u], 0.01, [speed])
-    outside = ~_window_mask(u)
-    assert np.array_equal(_bits(got[outside]),
-                          _bits(linear_reference(u, 0.01, speed)[outside]))
+    assert got.shape == u.shape
+    assert np.array_equal(_bits(got), _bits(linear_reference(u, 0.01, speed)))
 
 
 def test_linear_face_is_weno5_at_optimal_weights():
@@ -126,38 +90,20 @@ def test_linear_face_is_weno5_at_optimal_weights():
     q1 = v[0] / 3.0 - 7.0 * v[1] / 6.0 + 11.0 * v[2] / 6.0
     q2 = -v[1] / 6.0 + 5.0 * v[2] / 6.0 + v[3] / 3.0
     q3 = v[2] / 3.0 + 5.0 * v[3] / 6.0 - v[4] / 6.0
-    optimal = 0.1 * q1 + 0.6 * q2 + 0.3 * q3
+    optimal = GAMMAS[0] * q1 + GAMMAS[1] * q2 + GAMMAS[2] * q3
     got = linear_reference(_field(), 0.01, 1.0)
     assert np.allclose(got, optimal, rtol=0.0, atol=1e-12 * np.max(np.abs(d)))
-
-
-def test_window_centres_on_the_steepest_interval():
-    u = np.zeros(N)
-    u[200:] = 1.0  # one step: interval 199 between nodes 199 and 200
-    assert front_window(u) == (200 - K, 200 + K)
-    u[400:] += 1.0  # a tie at interval 399: the window spans both
-    assert front_window(u) == (200 - K, 400 + K)
-    u[N - 3:] += 1.0  # clipped at the grid end
-    assert front_window(u) == (200 - K, N)
-    assert front_window(np.full(N, 0.8)) == (0, 0)
-    u[300] = np.nan
-    assert front_window(u) == (0, 0)
-
-
-@pytest.mark.parametrize("tie", [False, True])
-def test_mirrored_field_gets_mirrored_window(tie):
-    u = _field()
-    if tie:
-        # integer values, so that the steps of +-1000 at intervals 99 and
-        # 349 tie exactly
-        u = np.round(100.0 * u)
-        u[100], u[350] = u[99], u[349]
-        u[100:] += 1000.0
-        u[350:] -= 1000.0
-    a, b = front_window(u)
-    assert front_window(-u[::-1]) == front_window(u[::-1]) == (N - b, N - a)
-    if tie:
-        assert (a, b) == (100 - K, 350 + K)
+    # on a quadratic field the three smoothness indicators are equal, so the
+    # nonlinear weights are the optimal ones and the two faces agree
+    x = np.linspace(-1.0, 1.0, N)
+    u = 3.0 * x * x - x
+    d = _slopes(u, 0.01)
+    inner = slice(3, N - 3)  # no ghost node in either stencil
+    for speed, v in ((1.0, [d[k:k + N] for k in range(5)]),
+                     (-1.0, [d[5 - k:5 - k + N] for k in range(5)])):
+        got = linear_reference(u, 0.01, speed)
+        assert np.allclose(got[inner], textbook_face(*v)[inner], rtol=0.0,
+                           atol=1e-12 * np.max(np.abs(d)))
 
 
 @pytest.mark.parametrize("name", ["all_positive", "four_runs", "random_signs",
@@ -171,42 +117,39 @@ def test_mirrored_field_gets_mirrored_derivative(name):
     assert np.array_equal(_bits(mirrored[::-1]), _bits(got))
 
 
-def test_constant_field_has_zero_derivative(reconstructed_nodes):
+def test_constant_field_has_zero_derivative():
     u = np.full(N, 0.8)
     for speed in (_quarters([-1.0, 1.0, -1.0, 1.0]), 1.0, -1.0):
         for got in weno5_upwind_derivative([u, 0.5 * u], 0.01, [speed, speed]):
             assert np.all(got == 0.0)
-    assert reconstructed_nodes == [0, 0]  # no front, no nonlinear face
-
-
-@pytest.fixture
-def reconstructed_nodes(monkeypatch):
-    count = [0, 0]  # nodes, calls
-
-    def counting_face(v):
-        count[0] += v.shape[1]
-        count[1] += 1
-        return _weno5_face(v)
-
-    monkeypatch.setattr(weno, "_weno5_face", counting_face)
-    return count
 
 
 @pytest.mark.parametrize("name", SPEEDS)
-def test_faces_reconstructed_only_where_used(name, reconstructed_nodes):
-    # nonlinear faces only on the front window, whatever the grid size
-    for n in (64, 100, 512, 4096, 8192):
+def test_faces_reconstructed_only_where_used(name, monkeypatch):
+    # each field forms the face of a side only if some node takes it, and
+    # at most once: one face where the speed has one sign, whatever the
+    # grid size
+    formed = []
+
+    def counting_face(d, left):
+        formed.append(left)
+        return linear_face(d, left)
+
+    linear_face = weno._linear_face
+    monkeypatch.setattr(weno, "_linear_face", counting_face)
+    for n in (64, 100, 512, 4096):
         speed = SPEEDS[name]()
         if np.ndim(speed):
             speed = np.resize(speed, n)
-        reconstructed_nodes[0] = 0
+        left = np.broadcast_to(np.asarray(speed) >= 0.0, (n,))
+        formed.clear()
         weno5_upwind_derivative([_field(n)], 0.01, [speed])
-        assert 0 < reconstructed_nodes[0] <= 2 * (2 * K + 1)
+        assert sorted(formed) == sorted({bool(lt) for lt in left})
 
 
 @pytest.mark.parametrize("name", SPEEDS)
 def test_batched_fields_equal_one_field_at_a_time(name):
-    # one nonlinear face call for all fields changes no bit of any of them
+    # the fields of one call do not change a bit of each other
     u = _field()
     fields = [u, np.full(N, 0.8), -u[::-1], np.cos(3.0 * u)]
     speeds = [SPEEDS[name](), SPEEDS["four_runs"](), -1.5,
@@ -218,92 +161,42 @@ def test_batched_fields_equal_one_field_at_a_time(name):
         assert np.array_equal(_bits(g), _bits(alone))
 
 
-@pytest.mark.parametrize("name", SPEEDS)
-def test_one_nonlinear_face_call_per_derivative_call(name, reconstructed_nodes):
-    u = _field()
-    speed = SPEEDS[name]()
-    for fields in ([u], [u, np.cos(3.0 * u)], [np.full(N, 0.8), u, -u[::-1]]):
-        reconstructed_nodes[:] = [0, 0]
-        weno5_upwind_derivative(fields, 0.01, [speed] * len(fields))
-        assert reconstructed_nodes[1] == 1
-        assert 0 < reconstructed_nodes[0] <= len(fields) * 2 * (2 * K + 1)
-    reconstructed_nodes[:] = [0, 0]
-    weno5_upwind_derivative([np.full(N, 0.8), np.zeros(N)], 0.01, [speed] * 2)
-    assert reconstructed_nodes == [0, 0]
-
-
-@settings(max_examples=300, deadline=None)
-@given(hs.data())
-def test_face_is_the_textbook_formula(data):
-    # every column bit for bit, for slopes of any size (zeros, constant
-    # columns, NaN, +-inf, 1e+-300), and a column's face does not depend on
-    # the other columns of the batch
-    m = data.draw(hs.integers(1, 130), label="m")
-    values = hs.floats(allow_nan=True, allow_infinity=True) | hs.sampled_from(
-        [0.0, -0.0, 1.0, 1e-300, -1e300])
-    v = data.draw(hnp.arrays(np.float64, (5, m), elements=values))
-    const = data.draw(hs.lists(hs.integers(0, m - 1), max_size=m))
-    v[:, const] = v[0, const]
-    # faces of -0 and +0
-    v = np.column_stack([v, np.full(5, -0.0), [-0.0, 0.0, -0.0, -0.0, 0.0]])
-    m += 2
-    scale = data.draw(hs.sampled_from([1.0, 1e-300, 1e300]))
-    sub = data.draw(hs.permutations(range(m)))[:data.draw(hs.integers(1, m))]
-    with np.errstate(all="ignore"):
-        v *= scale
-        want = textbook_face(*v)
-        got = _weno5_face(v)
-        alone = _weno5_face(v[:, sub])
-    # a NaN's sign bit may depend on the vector loop numpy picks
-    for a, b in ((got, want), (alone, got[sub])):
-        nan = np.isnan(b)
-        assert np.array_equal(np.isnan(a), nan)
-        assert np.array_equal(_bits(a[~nan]), _bits(b[~nan]))
-
-
-def _speed_layout(data, n, window):
-    """Transport speeds of one field: one-signed, a random mix of signs,
-    signed zeros and NaNs, or one sign change at an edge of the window."""
-    layout = data.draw(hs.sampled_from(["positive", "negative", "mixed",
-                                        "edge"]))
+def _speed_layout(data, n):
+    """Transport speeds of one field: one-signed, a scalar, a random mix of
+    signs, signed zeros and NaNs, or one sign change at any node."""
+    layout = data.draw(hs.sampled_from(["positive", "negative", "scalar",
+                                        "mixed", "change"]))
     if layout == "positive":
         return np.full(n, 0.7)
     if layout == "negative":
         return np.full(n, -2.4)
+    if layout == "scalar":
+        return data.draw(hs.sampled_from([-1.5, -0.0, 0.0, 1.5, np.nan]))
     if layout == "mixed":
         values = hs.sampled_from([-1.5, -0.0, 0.0, 0.7, np.nan])
         return np.array(data.draw(hs.lists(values, min_size=n, max_size=n)))
-    edge = data.draw(hs.sampled_from(window))
+    change = data.draw(hs.integers(0, n))
     sign = data.draw(hs.sampled_from([-1.0, 1.0]))
-    return np.where(np.arange(n) < edge, sign, -sign)
+    return np.where(np.arange(n) < change, sign, -sign)
 
 
 @settings(max_examples=200, deadline=None)
 @given(hs.data())
 def test_whole_kernel_matches_the_references(data):
-    # every node of every field, with the front anywhere (its window clipped
-    # within K nodes of an end) and any sign layout, in one batched call
+    # every node of every field, with a step anywhere (or none) and any sign
+    # layout, in one batched call
     n = data.draw(hs.integers(4, 400), label="n")
     x = np.linspace(-1.0, 1.0, n)
-    fields, speeds, windows = [], [], []
+    fields, speeds = [], []
     for _ in range(2):
-        # a step of height >= 2 at interval j outgrows every smooth interval
-        j = data.draw(hs.integers(0, n - 2), label="front")
-        height = data.draw(hs.floats(2.0, 1e3)) * data.draw(
-            hs.sampled_from([-1.0, 1.0]))
-        u = 0.3 * np.sin(5.0 * x) + np.where(np.arange(n) > j, height, 0.0)
-        window = (max(0, j + 1 - K), min(n, j + 1 + K))
-        assert front_window(u) == window
-        fields.append(u)
-        speeds.append(_speed_layout(data, n, window))
-        windows.append(window)
+        j = data.draw(hs.integers(0, n - 1), label="step")
+        height = data.draw(hs.floats(-1e3, 1e3))
+        fields.append(0.3 * np.sin(5.0 * x)
+                      + np.where(np.arange(n) > j, height, 0.0))
+        speeds.append(_speed_layout(data, n))
     got = weno5_upwind_derivative(fields, 0.01, speeds)
-    for g, u, c, (a, b) in zip(got, fields, speeds, windows):
-        inside = np.zeros(n, dtype=bool)
-        inside[a:b] = True
-        want = np.where(inside, two_face_reference(u, 0.01, c),
-                        linear_reference(u, 0.01, c))
-        assert np.array_equal(_bits(g), _bits(want))
+    for g, u, c in zip(got, fields, speeds):
+        assert np.array_equal(_bits(g), _bits(linear_reference(u, 0.01, c)))
 
 
 def explicit_c4(u, dx):
@@ -363,35 +256,14 @@ def test_fifth_order_on_smooth_field():
 
 
 def test_fifth_order_on_smooth_field_outside_the_window():
-    # a jump at x = 12.8 keeps the nonlinear faces there; the smooth nodes
-    # left of x = 8 take the linear face and converge at fifth order
+    # the stencils of the smooth nodes left of x = 8 stay out of the window
+    # of a jump at x = 12.8, and there the derivative converges at fifth order
     errs = []
     for n in (128, 256, 512):
         x = np.linspace(0.0, 16.0, n + 1)
         dx = x[1] - x[0]
         u = np.sin(x) + np.where(x >= 12.8, 10.0, 0.0)
-        a, _ = front_window(u)
-        assert x[a] > 8.0
         (d,) = weno5_upwind_derivative([u], dx, [1.0])
         errs.append(np.max(np.abs(d - np.cos(x))[3:n // 2]))
     orders = np.log2(np.asarray(errs[:-1]) / np.asarray(errs[1:]))
     assert np.all(orders > 4.7), orders
-
-
-@pytest.mark.parametrize("n_cells", [2048])
-def test_blowup_times_agree_with_all_weno_stepping(n_cells, monkeypatch):
-    # the linear faces change the stepping at truncation level only: over
-    # the resolution window T* moves by ~1e-14 relative
-    path = os.path.join(os.path.dirname(__file__), "..", "configs",
-                        "theorem_a1.json")
-    cfg = ExperimentConfig.load(path).solver.replace(n_cells=n_cells)
-    hybrid = eq.run_until_blowup(cfg)
-
-    def all_weno(fields, dx, speeds):
-        return [two_face_reference(u, dx, c) for u, c in zip(fields, speeds)]
-
-    monkeypatch.setattr(eq, "weno5_upwind_derivative", all_weno)
-    reference = eq.run_until_blowup(cfg)
-    assert hybrid.status == reference.status == "blew_up"
-    T, T_ref = (dg.blowup_time(r)[0] for r in (hybrid, reference))
-    assert abs(T - T_ref) <= 1e-11 * T_ref
