@@ -57,6 +57,9 @@ SLOPE_DT_FRAC = 0.05             # dt <= SLOPE_DT_FRAC / max|slope|
 DT_FLOOR = 1e-12                 # a smaller step bound stops the run: stalled
 CUT_INNER, CUT_OUTER = 0.4, 1.0  # initial profile cutoff radii, units tau0^-1/2
 POLE_MARGIN = math.pi / 16.0     # least distance of the domain from the pole
+# largest grid: 8 MiB per field array; the work grows as n_cells^2, so far
+# larger than any run that can finish
+MAX_CELLS = 2**20
 SUPPORT_TOL = 1e-11              # deviation from the background in the support
 STENCIL_REACH_CELLS = 12.5       # support growth beyond transport (see step)
 # default blowup_slope_cap, as a fraction of the max slope (2 L / dx)^(2/3) at
@@ -98,6 +101,8 @@ class SolverConfig:
             raise ConfigError("cfl must lie in (0, 1)")
         if self.n_cells < 64:
             raise ConfigError("n_cells too small")
+        if self.n_cells > MAX_CELLS:
+            raise ConfigError(f"n_cells={self.n_cells} exceeds {MAX_CELLS}")
         if not self.tau0 > 0:
             raise ConfigError("tau0 must be positive")
         if not self.record_every >= 1:
@@ -125,6 +130,16 @@ class SolverConfig:
             setattr(self, k, defaults[k])
         if not self.theta_min < 0 < self.theta_max:
             raise ConfigError("the co-moving domain must contain theta_hat = 0")
+        if not self.flat_mode:
+            # the absolute latitude grid + xi0 + drift t is affine in t, so
+            # its extremes over a run are at the grid ends at t = 0 and t_max
+            drift = self.frame_drift()
+            reach = max(abs(edge + self.xi0 + drift * t)
+                        for edge in (self.theta_min, self.theta_max)
+                        for t in (0.0, self.t_max))
+            if reach > 0.5 * math.pi - POLE_MARGIN:
+                raise ConfigError(f"the domain reaches latitude {reach:.4g} by "
+                                  "t_max, within the pole margin of pi/2")
         if self.blowup_slope_cap is None:
             # max slope ~ e^s and node spacing in y = dx e^{3s/2}
             L = BootstrapConstants(M=self.monitor_M, tau0=self.tau0,
@@ -378,9 +393,9 @@ def _sample_row(state: EquivariantState, grid_abs, fld, mod, slope, smax,
     far = np.abs(grid_abs - mod.xi) > delta
     row[f"ext_grad_{delta:g}"] = float(np.max(np.abs(slope[far])))
     try:
-        cons = constraints_from_field(grid_abs, state.w, mod.xi)
+        d3w = constraints_from_field(grid_abs, state.w, mod.xi)
         Z0, dZ0, d2Z0 = _z_origin_jet(grid_abs, state.z, mod.xi, mod.s)
-        ode = ode_rhs(cons, mod, bc, cfg.sigma_inf, Z0, dZ0, d2Z0,
+        ode = ode_rhs(d3w, mod, bc, cfg.sigma_inf, Z0, dZ0, d2Z0,
                       flat_mode=cfg.flat_mode)
     except DegenerateRhsError:
         ode = (None, None, None)

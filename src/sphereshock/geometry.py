@@ -31,13 +31,8 @@ def _check_skew(Q):
     return Q
 
 
-def shock_coords(u, psi):
-    """Shock-adapted straightening (u1, u2) -> (u1 - psi u2^2 / 2, u2)."""
-    u = np.asarray(u, dtype=float)
-    return np.array([u[0] - 0.5 * psi * u[1] ** 2, u[1]])
-
-
 def shock_coords_inverse(u_tilde, psi):
+    """Undo the straightening: (u~1, u~2) -> (u~1 + psi u~2^2 / 2, u~2)."""
     u_tilde = np.asarray(u_tilde, dtype=float)
     return np.array([u_tilde[0] + 0.5 * psi * u_tilde[1] ** 2, u_tilde[1]])
 
@@ -50,10 +45,6 @@ class GeometryFrame:
     lam: float
     lam_bracket: float
     J: float
-    N: np.ndarray
-    T: np.ndarray
-    thetaN: float
-    thetaT: float
     g: np.ndarray
     h: np.ndarray
     u: np.ndarray
@@ -64,10 +55,7 @@ class GeometryFrame:
 
 
 def frame_at(u_tilde, psi, Q, psi_dot=0.0, r0=1.0) -> GeometryFrame:
-    """Evaluate every frame quantity at a shock-adapted point.
-
-    N, T are components in the orthonormal chart frame E_i = phi^{-1} d/du_i.
-    """
+    """Evaluate every frame quantity at a shock-adapted point."""
     r0 = validate_r0(r0)
     Q = _check_skew(Q)
     u_tilde = np.asarray(u_tilde, dtype=float)
@@ -78,10 +66,6 @@ def frame_at(u_tilde, psi, Q, psi_dot=0.0, r0=1.0) -> GeometryFrame:
     lam = psi * u_tilde[1]
     lb = np.sqrt(1.0 + lam * lam)
     J = lb / phi
-    N = np.array([1.0, -lam]) / lb
-    T = np.array([lam, 1.0]) / lb
-    thetaN = -(u2 + lam * u1) / (2.0 * r0**2 * lb) + lam * psi / (phi * lb**3)
-    thetaT = (u1 - lam * u2) / (2.0 * r0**2 * lb) + psi / (phi * lb**3)
 
     q13, q23, q12 = Q[0, 2], Q[1, 2], Q[0, 1]
     radial = (q13 * u1 + q23 * u2) / (2.0 * r0)
@@ -93,8 +77,7 @@ def frame_at(u_tilde, psi, Q, psi_dot=0.0, r0=1.0) -> GeometryFrame:
     h = np.array([[radial, h12], [-h12, radial]])
 
     return GeometryFrame(phi=float(phi), lam=float(lam), lam_bracket=float(lb),
-                         J=float(J), N=N, T=T, thetaN=float(thetaN),
-                         thetaT=float(thetaT), g=g, h=h, u=u, u_tilde=u_tilde,
+                         J=float(J), g=g, h=h, u=u, u_tilde=u_tilde,
                          psi=psi, psi_dot=psi_dot, r0=r0)
 
 

@@ -45,25 +45,15 @@ class ModulationState:
         return -np.log(self.tau - self.t_tilde)
 
 
-@dataclass
-class OriginConstraints:
-    """Value and first three theta-derivatives of w at the tracked origin."""
-
-    w_at_xi: float
-    dw: float
-    d2w: float
-    d3w: float
-
-
-def constraints_from_field(grid, w, xi) -> OriginConstraints:
-    """Local-polynomial value/derivatives of w at grid coordinate xi."""
+def constraints_from_field(grid, w, xi):
+    """Local-polynomial third theta-derivative of w at grid coordinate xi,
+    the one origin value the ODE monitor reads."""
     grid = np.asarray(grid)
     dx = grid[1] - grid[0]
     if xi < grid[0] + 4 * dx or xi > grid[-1] - 4 * dx:
         raise MarginError(f"xi={xi} within 4 cells of the grid boundary")
-    vals = lagrange_value_and_derivs(grid, np.asarray(w), xi, nderiv=3, npts=8)
-    return OriginConstraints(w_at_xi=float(vals[0]), dw=float(vals[1]),
-                             d2w=float(vals[2]), d3w=float(vals[3]))
+    return float(lagrange_value_and_derivs(grid, np.asarray(w), xi, nderiv=3,
+                                           npts=8)[3])
 
 
 def track_extremal(grid, w, t_tilde, slope=None, tie_tol=1e-12):
@@ -101,18 +91,18 @@ def track_extremal(grid, w, t_tilde, slope=None, tie_tol=1e-12):
     return float(xi), kappa, float(tau), float(s_min)
 
 
-def ode_rhs(cons: OriginConstraints, mod: ModulationState, bc: BetaConstants,
+def ode_rhs(d3w, mod: ModulationState, bc: BetaConstants,
             sigma_inf, Z0, dZ0, d2Z0, flat_mode=False):
     """Origin-ODE right-hand sides (dkappa, dtau, dxi) / dt_tilde.
 
     Normalization W(0) = 0, dW(0) = -1, d2W(0) = 0 is assumed enforced by
-    the tracker; cons supplies only the third theta-derivative of w.
+    the tracker; d3w is the third theta-derivative of w at xi.
     Z-quantities are y-derivatives of Z at the origin.  The leading drift
     kappa + beta2*Z0 reduces to 2*beta3*sigma_inf at the background state.
     """
     s, btau, kappa, xi = mod.s, mod.beta_tau, mod.kappa, mod.xi
     es2 = np.exp(0.5 * s)
-    d3W0 = np.exp(-4.0 * s) * cons.d3w
+    d3W0 = np.exp(-4.0 * s) * d3w
     if abs(d3W0) < 0.1:
         raise DegenerateRhsError(f"d3W at origin = {d3W0}; extremal tracking must drive")
 

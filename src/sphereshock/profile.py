@@ -58,8 +58,7 @@ def w1d(y):
     """
     y = np.asarray(y, dtype=float)
     _require_finite(y)
-    scalar = y.ndim == 0
-    ya = np.abs(np.atleast_1d(y))
+    ya = np.abs(y)
 
     # Stable closed form for y >= 0:  -y/2 + r = (1/27)/(r + y/2).
     r = np.sqrt(1.0 / 27.0 + 0.25 * ya * ya)
@@ -72,8 +71,7 @@ def w1d(y):
     for _ in range(3):
         w = w - (w + w * w * w + ya) / (1.0 + 3.0 * w * w)
 
-    w = np.where(np.atleast_1d(y) < 0, -w, w)
-    return float(w[0]) if scalar else w.reshape(y.shape)
+    return np.where(y < 0, -w, w)
 
 
 def _w1d_derivs(w, upto=4):
@@ -88,20 +86,11 @@ def _w1d_derivs(w, upto=4):
     return out[:upto]
 
 
-def w1d_deriv(y, order):
-    """Order-n derivative (1 <= n <= 4) of the 1D profile."""
-    if not 1 <= order <= 4:
-        raise ValueError(f"w1d_deriv supports orders 1..4, got {order}")
-    w = np.asarray(w1d(y))
-    out = _w1d_derivs(w, order)[order - 1]
-    return float(out) if np.ndim(y) == 0 else out
-
-
 def w1d_jet(y, upto=2):
     """[W1d, W1d', ..., W1d^(upto)] sharing a single profile solve."""
     if not 0 <= upto <= 4:
         raise ValueError("w1d_jet supports orders 0..4")
-    w = np.asarray(w1d(y))
+    w = w1d(y)
     return [w, *_w1d_derivs(w, upto)]
 
 
@@ -119,7 +108,7 @@ def w2d_jet(y1, y2):
 
     b = np.sqrt(1.0 + y2 * y2)
     t = y1 / b**3
-    f0 = np.asarray(w1d(t))
+    f0 = w1d(t)
     f1, f2, f3, f4 = _w1d_derivs(f0)
 
     T = [[None] * 5 for _ in range(5)]
@@ -143,32 +132,12 @@ def w2d_jet(y1, y2):
     return T
 
 
-def w2d(y1, y2):
-    """2D blow-up profile W(y1, y2) = <y2> W1d(<y2>^-3 y1)."""
-    y1 = np.asarray(y1, dtype=float)
-    y2 = np.asarray(y2, dtype=float)
-    _require_finite(y1, y2)
-    b = np.sqrt(1.0 + y2 * y2)
-    out = b * np.asarray(w1d(y1 / b**3))
-    return float(out) if out.ndim == 0 else out
-
-
-def w2d_deriv(y1, y2, gamma):
-    """Partial derivative d1^g1 d2^g2 W for a multi-index with |gamma| <= 4."""
-    g1, g2 = int(gamma[0]), int(gamma[1])
-    if g1 < 0 or g2 < 0 or g1 + g2 > 4:
-        raise ValueError(f"unsupported multi-index {gamma!r}: need |gamma| <= 4")
-    out = np.asarray(w2d_jet(y1, y2)[g1][g2])
-    return float(out) if out.ndim == 0 else out
-
-
 def eta(y1, y2, p=1.0):
     """Anisotropic weight (1 + y1^2 + y2^6)^p matching the 3:1 blow-up scaling."""
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)
     _require_finite(y1, y2)
-    out = (1.0 + y1 * y1 + y2**6) ** p
-    return float(out) if out.ndim == 0 else out
+    return (1.0 + y1 * y1 + y2**6) ** p
 
 
 def selfsimilar_burgers_residual(y1, y2):
@@ -179,9 +148,8 @@ def selfsimilar_burgers_residual(y1, y2):
     """
     T = w2d_jet(y1, y2)
     w, d1, d2 = T[0][0], T[1][0], T[0][1]
-    out = np.asarray(-0.5 * w + (1.5 * np.asarray(y1, dtype=float) + w) * d1
-                     + 0.5 * np.asarray(y2, dtype=float) * d2)
-    return float(out) if out.ndim == 0 else out
+    return (-0.5 * w + (1.5 * np.asarray(y1, dtype=float) + w) * d1
+            + 0.5 * np.asarray(y2, dtype=float) * d2)
 
 
 def bound_margins(y1, y2):
@@ -206,7 +174,7 @@ def deriv_bound_margin(y1, y2, gamma):
     g1, g2 = int(gamma[0]), int(gamma[1])
     c = DERIV_BOUND_C[(g1, g2)]
     return (c * eta(y1, y2, deriv_bound_exponent(gamma))
-            - np.abs(w2d_deriv(y1, y2, (g1, g2))))
+            - np.abs(w2d_jet(y1, y2)[g1][g2]))
 
 
 def calibrate_deriv_bounds():

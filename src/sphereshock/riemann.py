@@ -52,10 +52,6 @@ class RiemannVars:
     z: float
     a: float
 
-    @property
-    def sigma(self):
-        return 0.5 * (self.w - self.z)
-
     def as_vector(self):
         return np.array([self.w, self.z, self.a], dtype=float)
 

@@ -55,10 +55,6 @@ class SelfSimField:
     wbar: list          # [Wbar, Wbar', Wbar''] on y[win]
     dW: dict = field(default_factory=dict)  # k -> d^k_y W
     dZ: dict = field(default_factory=dict)
-    kappa: float = 0.0
-    tau: float = 0.0
-    xi: float = 0.0
-    t_tilde: float = 0.0
     origin_jet: np.ndarray = None  # d^k_y W at y = 0, k = 0..7
 
 
@@ -84,9 +80,7 @@ def to_selfsimilar(grid_abs, w, z, mod: ModulationState, L) -> SelfSimField:
     win = compared_window(y, L)
     fld = SelfSimField(s=float(s), y=y, W=e12 * (w - mod.kappa), Z=z.copy(),
                        win=win, yb=np.sqrt(1.0 + y * y),
-                       wbar=profile.w1d_jet(y[win], upto=2),
-                       kappa=mod.kappa, tau=mod.tau, xi=mod.xi,
-                       t_tilde=mod.t_tilde)
+                       wbar=profile.w1d_jet(y[win], upto=2))
     dx = grid_abs[1] - grid_abs[0]
     for k, (dw, dz) in enumerate(zip(derivs_c4(w, dx), derivs_c4(z, dx)),
                                  start=1):
@@ -123,10 +117,6 @@ def compared_window(y, L):
 class BootstrapReport:
     margins: dict
     worst: dict
-
-    @property
-    def passed(self):
-        return all(m >= 0.0 for m in self.margins.values())
 
     def family(self, prefix):
         return {k: v for k, v in self.margins.items() if k.startswith(prefix)}

@@ -32,11 +32,9 @@ def bump(x, inner, outer):
     return smoothstep((outer - np.abs(x)) / (outer - inner))
 
 
-def lagrange_fit(x, f, x0, npts=6):
-    """Coefficients of the local Lagrange polynomial through npts nodes nearest x0.
-
-    Returns c with p(x) = sum c_k (x - x0)^k; c_k = p^{(k)}(x0)/k!.
-    """
+def lagrange_value_and_derivs(x, f, x0, nderiv=3, npts=6):
+    """Value and derivatives 1..nderiv at x0 of the local Lagrange polynomial
+    through the npts nodes of the samples f(x) nearest x0."""
     x = np.asarray(x)
     f = np.asarray(f)
     if len(x) < npts:
@@ -45,12 +43,7 @@ def lagrange_fit(x, f, x0, npts=6):
     lo = min(max(i - npts // 2, 0), len(x) - npts)
     xs = x[lo:lo + npts] - x0
     V = np.vander(xs, npts, increasing=True)
-    return np.linalg.solve(V, f[lo:lo + npts])
-
-
-def lagrange_value_and_derivs(x, f, x0, nderiv=3, npts=6):
-    """Interpolated value and derivatives 1..nderiv of samples f(x) at x0."""
-    c = lagrange_fit(x, f, x0, npts=npts)
+    c = np.linalg.solve(V, f[lo:lo + npts])  # c_k = p^(k)(x0) / k!
     fact = 1.0
     out = [c[0]]
     for k in range(1, nderiv + 1):

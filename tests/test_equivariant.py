@@ -41,7 +41,12 @@ def test_config_validation():
                 # truthy string ran in flat mode
                 dict(n_cells=1024.0), dict(n_cells=True),
                 dict(record_every=2.5), dict(record_every=True),
-                dict(flat_mode="no"), dict(flat_mode=1)):
+                dict(flat_mode="no"), dict(flat_mode=1),
+                # once accepted: the first ended in an _ArrayMemoryError, the
+                # second in a PoleProximityError at the first step; the
+                # third reaches the pole margin only by t_max
+                dict(n_cells=100_000_000_000), dict(n_cells=eq.MAX_CELLS + 1),
+                dict(theta_max=1.3, n_cells=8192), dict(theta_max=1.1)):
         with pytest.raises(eq.ConfigError):
             eq.SolverConfig(**bad)
     # once a TypeError from the comparison that validates them (a string,

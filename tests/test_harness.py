@@ -413,15 +413,20 @@ def test_cli_simulate_emit_selfsim_writes_the_snapshots_once(tmp_path):
     ('{"solver": ', [], "cannot read {cfg}: Expecting value"),
     ("[1, 2]", [], "config refused: a config must be a JSON object"),
     ({"solver": 3}, [],
-     "config refused: the 'solver' block must be a JSON object")],
+     "config refused: the 'solver' block must be a JSON object"),
+    ({"solver": {"n_cells": 100_000_000_000}}, [],
+     "config refused: n_cells=100000000000 exceeds 1048576"),
+    ({"solver": {"theta_max": 1.3, "n_cells": 8192}}, [],
+     "config refused: the domain reaches latitude 1.586 by t_max")],
     ids=["config", "flag", "theta_range", "missing", "not_json", "not_object",
-         "block_not_object"])
+         "block_not_object", "n_cells_unbounded", "pole"])
 def test_cli_simulate_refuses_a_bad_config_in_one_line(tmp_path, capsys, doc,
                                                        argv, refusal):
     # each once ended in a traceback: the first two a ConfigError, the
     # missing, the malformed and the non-object file and block a
-    # FileNotFoundError, a JSONDecodeError and a TypeError; the theta range
-    # was refused after the output directory had been made
+    # FileNotFoundError, a JSONDecodeError and a TypeError, the unbounded
+    # n_cells an _ArrayMemoryError and the pole a PoleProximityError; the
+    # theta range was refused after the output directory had been made
     cfg_path = tmp_path / "cfg.json"
     if isinstance(doc, dict):
         doc = json.dumps({**doc, "out_dir": str(tmp_path / "run")})
@@ -498,19 +503,21 @@ def test_cli_diagnose_refuses_a_schema_9_header(tmp_path, capsys):
      "object"),
     ('{"type": "header", "config": {"solver": {"theta_min": "x"}}}\n',
      "{path}: header config refused: theta_min must be of type float"),
+    ('{"type": "header", "config": {"solver": {"n_cells": 100000000000}}}\n',
+     "{path}: header config refused: n_cells=100000000000 exceeds 1048576"),
     # a solver block that from_dict accepts takes the defaults it leaves out
     ('{"type": "header", "config": {"solver": {}}}\n',
      "edge contact      : none\n"
      "diagnostics undefined: run ended with status 'unknown'")],
     ids=["empty", "no_solver", "missing", "not_json", "not_object",
          "config_not_object", "diagnostics_not_object", "bad_solver_value",
-         "solver_block_empty"])
+         "n_cells_unbounded", "solver_block_empty"])
 def test_cli_diagnose_without_a_run_header(tmp_path, capsys, text, refusal):
     # the first two and the last once ended in a KeyError traceback from
     # edge_contact_time, config_not_object in an AttributeError one, and
-    # diagnostics_not_object was refused as a run before schema 10; the
-    # others ended in a FileNotFoundError, a JSONDecodeError and an
-    # AttributeError traceback
+    # diagnostics_not_object was refused as a run before schema 10,
+    # n_cells_unbounded ended in an _ArrayMemoryError; the others ended in a
+    # FileNotFoundError, a JSONDecodeError and an AttributeError traceback
     path = tmp_path / "run.jsonl"
     if text is not None:
         path.write_text(text)

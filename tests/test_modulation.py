@@ -4,23 +4,31 @@ import pytest
 from sphereshock import equivariant as eq
 from sphereshock import modulation as md
 from sphereshock.riemann import betas
+from sphereshock.util import lagrange_value_and_derivs
+
+
+def _origin_jet(grid, w, xi):
+    # the 8-node interpolant that constraints_from_field reads d3w from
+    return lagrange_value_and_derivs(grid, w, xi, nderiv=3, npts=8)
 
 
 def test_constraints_polynomial_exact():
     grid = np.linspace(-1.0, 1.0, 201)
     w = 1.0 + 2.0 * grid + 3.0 * grid**2
-    cons = md.constraints_from_field(grid, w, 0.0)
-    assert cons.w_at_xi == pytest.approx(1.0, abs=1e-12)
-    assert cons.dw == pytest.approx(2.0, abs=1e-10)
-    assert cons.d2w == pytest.approx(6.0, abs=1e-8)
-    assert cons.d3w == pytest.approx(0.0, abs=1e-6)
+    w0, dw, d2w, d3w = _origin_jet(grid, w, 0.0)
+    assert w0 == pytest.approx(1.0, abs=1e-12)
+    assert dw == pytest.approx(2.0, abs=1e-10)
+    assert d2w == pytest.approx(6.0, abs=1e-8)
+    assert d3w == pytest.approx(0.0, abs=1e-6)
+    assert md.constraints_from_field(grid, w, 0.0) == d3w
 
 
 def test_constraints_constant_field():
     grid = np.linspace(-1.0, 1.0, 101)
-    cons = md.constraints_from_field(grid, np.full_like(grid, 4.2), 0.3)
-    assert (cons.w_at_xi, cons.dw, cons.d2w, cons.d3w) == \
+    w = np.full_like(grid, 4.2)
+    assert tuple(_origin_jet(grid, w, 0.3)) == \
         pytest.approx((4.2, 0.0, 0.0, 0.0), abs=1e-9)
+    assert md.constraints_from_field(grid, w, 0.3) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_constraints_margin_error():
@@ -34,8 +42,8 @@ def test_constraints_refinement_order():
     for n in (101, 201, 401):
         grid = np.linspace(-1.0, 1.0, n)
         w = np.sin(3 * grid)
-        cons = md.constraints_from_field(grid, w, 0.1234)
-        grid_err.append(abs(cons.d2w - (-9 * np.sin(3 * 0.1234))))
+        d2w = _origin_jet(grid, w, 0.1234)[2]
+        grid_err.append(abs(d2w - (-9 * np.sin(3 * 0.1234))))
     assert grid_err[0] > 4 * grid_err[1] > 16 * grid_err[2]
 
 
@@ -89,13 +97,12 @@ def test_ode_rhs_background_cancellation():
     # with the G-part suppressed (huge d3W0), dkappa collapses to zero
     bc = betas(3.0)
     sig = 1.2
-    cons = md.OriginConstraints(w_at_xi=sig, dw=-100.0, d2w=0.0,
-                                d3w=1e30 * np.exp(4.0 * _mod_state().s))
-    dk, dtau, dxi = md.ode_rhs(cons, _mod_state(kappa=sig), bc, sig,
+    d3w = 1e30 * np.exp(4.0 * _mod_state().s)
+    dk, dtau, dxi = md.ode_rhs(d3w, _mod_state(kappa=sig), bc, sig,
                                Z0=-sig, dZ0=0.0, d2Z0=0.0)
     assert dk == pytest.approx(0.0, abs=1e-20)
     # the same state with a nonzero forcing imbalance does not cancel
-    dk2, _, _ = md.ode_rhs(cons, _mod_state(kappa=sig + 0.1), bc, sig,
+    dk2, _, _ = md.ode_rhs(d3w, _mod_state(kappa=sig + 0.1), bc, sig,
                            Z0=-sig, dZ0=0.0, d2Z0=0.0)
     assert abs(dk2) > 1e-3
 
@@ -103,9 +110,8 @@ def test_ode_rhs_background_cancellation():
 def test_ode_rhs_drift_at_background():
     bc = betas(3.0)
     sig = 1.2
-    cons = md.OriginConstraints(w_at_xi=sig, dw=-100.0, d2w=0.0,
-                                d3w=6.0 * np.exp(4.0 * _mod_state().s))
-    _, dtau, dxi = md.ode_rhs(cons, _mod_state(kappa=sig), bc, sig,
+    d3w = 6.0 * np.exp(4.0 * _mod_state().s)
+    _, dtau, dxi = md.ode_rhs(d3w, _mod_state(kappa=sig), bc, sig,
                               Z0=-sig, dZ0=0.0, d2Z0=0.0, flat_mode=True)
     assert dtau == pytest.approx(0.0, abs=1e-12)
     assert dxi == pytest.approx(2.0 * bc.beta3 * sig, rel=1e-12)
@@ -115,9 +121,8 @@ def test_ode_rhs_correctionless_drift_identity():
     # all corrections zero: dxi = kappa + beta2 Z0 = (1 - beta2) sigma = 2 b3 s
     bc = betas(1.8)
     sig = 1.7
-    cons = md.OriginConstraints(w_at_xi=sig, dw=-100.0, d2w=0.0,
-                                d3w=6.0 * np.exp(4.0 * _mod_state().s))
-    _, dtau, dxi = md.ode_rhs(cons, _mod_state(kappa=sig), bc, sig,
+    d3w = 6.0 * np.exp(4.0 * _mod_state().s)
+    _, dtau, dxi = md.ode_rhs(d3w, _mod_state(kappa=sig), bc, sig,
                               Z0=-sig, dZ0=0.0, d2Z0=0.0, flat_mode=True)
     assert dxi == pytest.approx((1.0 - bc.beta2) * sig, rel=1e-12)
     assert dtau == pytest.approx(0.0, abs=1e-12)
@@ -126,18 +131,16 @@ def test_ode_rhs_correctionless_drift_identity():
 def test_ode_rhs_uniform_z_dtau():
     # uniform Z and vanishing forcing derivatives: dtau = e^{s/2} b2 dZ0 = 0
     bc = betas(2.0)
-    cons = md.OriginConstraints(w_at_xi=1.0, dw=-100.0, d2w=0.0,
-                                d3w=6.0 * np.exp(4.0 * _mod_state().s))
-    _, dtau, _ = md.ode_rhs(cons, _mod_state(kappa=1.0), bc, 1.0,
+    d3w = 6.0 * np.exp(4.0 * _mod_state().s)
+    _, dtau, _ = md.ode_rhs(d3w, _mod_state(kappa=1.0), bc, 1.0,
                             Z0=-1.0, dZ0=0.0, d2Z0=0.0, flat_mode=True)
     assert dtau == 0.0
 
 
 def test_ode_rhs_degenerate_guard():
     bc = betas(3.0)
-    cons = md.OriginConstraints(w_at_xi=1.0, dw=-100.0, d2w=0.0, d3w=0.0)
     with pytest.raises(md.DegenerateRhsError):
-        md.ode_rhs(cons, _mod_state(), bc, 1.0, Z0=-1.0, dZ0=0.0, d2Z0=0.0)
+        md.ode_rhs(0.0, _mod_state(), bc, 1.0, Z0=-1.0, dZ0=0.0, d2Z0=0.0)
 
 
 def test_cross_validate_flat_run():

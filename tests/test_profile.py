@@ -40,16 +40,14 @@ def test_w1d_rejects_nonfinite():
 
 
 def test_w1d_deriv_origin_values():
-    assert pf.w1d_deriv(0.0, 1) == pytest.approx(-1.0, abs=1e-12)
-    assert pf.w1d_deriv(0.0, 2) == pytest.approx(0.0, abs=1e-12)
-    assert pf.w1d_deriv(0.0, 3) == pytest.approx(6.0, abs=1e-12)
-    assert pf.w1d_deriv(0.0, 4) == pytest.approx(0.0, abs=1e-12)
+    assert pf.w1d_jet(0.0, 4)[1:] == pytest.approx([-1.0, 0.0, 6.0, 0.0],
+                                                  abs=1e-12)
 
 
 def test_w1d_deriv_order_contract():
-    for bad in (0, 5, -1):
+    for bad in (5, -1):
         with pytest.raises(ValueError):
-            pf.w1d_deriv(1.0, bad)
+            pf.w1d_jet(1.0, bad)
 
 
 def _fd_1d(order, y, h):
@@ -69,44 +67,37 @@ def test_w1d_deriv_matches_finite_differences(order, h, c):
     # central stencils carry O(h^2) truncation with a constant set by the
     # next-two derivative of the profile (up to ~3e3 near the origin)
     y = np.linspace(-4.0, 4.0, 81)
-    an = pf.w1d_deriv(y, order)
+    an = pf.w1d_jet(y, order)[order]
     err_h = np.max(np.abs(_fd_1d(order, y, h) - an))
     err_h2 = np.max(np.abs(_fd_1d(order, y, h / 2) - an))
     assert err_h < c * h**2
     assert err_h2 < c * (h / 2) ** 2
 
 
+def _w2d(y1, y2):
+    return pf.w2d_jet(y1, y2)[0][0]
+
+
 def test_w2d_reductions():
-    assert pf.w2d(0.0, 5.0) == pytest.approx(0.0, abs=1e-13)
-    assert pf.w2d(2.0, 0.0) == pytest.approx(pf.w1d(2.0), abs=1e-14)
+    assert _w2d(0.0, 5.0) == pytest.approx(0.0, abs=1e-13)
+    assert _w2d(2.0, 0.0) == pytest.approx(pf.w1d(2.0), abs=1e-14)
 
 
 @given(finite_y, finite_y)
 def test_w2d_parity(y1, y2):
-    assert pf.w2d(-y1, y2) == pytest.approx(-pf.w2d(y1, y2), abs=1e-11)
-    assert pf.w2d(y1, -y2) == pytest.approx(pf.w2d(y1, y2), abs=1e-11)
+    assert _w2d(-y1, y2) == pytest.approx(-_w2d(y1, y2), abs=1e-11)
+    assert _w2d(y1, -y2) == pytest.approx(_w2d(y1, y2), abs=1e-11)
 
 
 def test_w2d_deriv_origin_table():
-    assert pf.w2d_deriv(0, 0, (1, 0)) == pytest.approx(-1.0, abs=1e-12)
-    assert pf.w2d_deriv(0, 0, (0, 1)) == pytest.approx(0.0, abs=1e-12)
-    assert pf.w2d_deriv(0, 0, (2, 0)) == pytest.approx(0.0, abs=1e-12)
-    assert pf.w2d_deriv(0, 0, (1, 1)) == pytest.approx(0.0, abs=1e-12)
-    assert pf.w2d_deriv(0, 0, (0, 2)) == pytest.approx(0.0, abs=1e-12)
-    assert pf.w2d_deriv(0, 0, (3, 0)) == pytest.approx(6.0, abs=1e-12)
-    assert pf.w2d_deriv(0, 0, (1, 2)) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_w2d_deriv_rejects_high_order():
-    with pytest.raises(ValueError):
-        pf.w2d_deriv(0.0, 0.0, (3, 2))
-    with pytest.raises(ValueError):
-        pf.w2d_deriv(0.0, 0.0, (-1, 0))
+    T = pf.w2d_jet(0.0, 0.0)
+    for (g1, g2), value in (((1, 0), -1.0), ((0, 1), 0.0), ((2, 0), 0.0),
+                            ((1, 1), 0.0), ((0, 2), 0.0), ((3, 0), 6.0),
+                            ((1, 2), 2.0)):
+        assert T[g1][g2] == pytest.approx(value, abs=1e-12), (g1, g2)
 
 
 def _fd_mixed(g1, g2, a, b, h):
-    def f(x, y):
-        return pf.w2d(x, y)
     def dx(fun, n):
         if n == 0:
             return fun
@@ -117,7 +108,7 @@ def _fd_mixed(g1, g2, a, b, h):
             return fun
         inner = dy(fun, n - 1)
         return lambda x, y: (inner(x, y + h) - inner(x, y - h)) / (2 * h)
-    return dy(dx(f, g1), g2)(a, b)
+    return dy(dx(_w2d, g1), g2)(a, b)
 
 
 @pytest.mark.parametrize("gamma", [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
@@ -130,7 +121,7 @@ def test_w2d_deriv_matches_nested_finite_differences(gamma):
     # keep clear of |y1| ~ 0 where the FD oracle itself is noisiest
     pts = [(0.5, -0.7), (2.0, 1.5), (-4.0, 2.0), (9.0, -3.0), (1.3, 0.2)]
     for a, b in pts:
-        an = pf.w2d_deriv(a, b, gamma)
+        an = pf.w2d_jet(a, b)[g1][g2]
         assert abs(_fd_mixed(g1, g2, a, b, h) - an) < c * h**2
         assert abs(_fd_mixed(g1, g2, a, b, h / 2) - an) < c * (h / 2) ** 2
 

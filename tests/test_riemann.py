@@ -62,7 +62,6 @@ def test_to_phys_examples():
 def test_vacuum_boundary_flagged():
     R = rm.RiemannVars(1.0, 1.0, 0.3)
     assert rm.to_phys(R, 0.7).S == 0.0
-    assert R.sigma == 0.0
 
 
 def test_round_trip_identity():

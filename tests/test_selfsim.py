@@ -26,11 +26,11 @@ def make_field(n=4096, tau0=1e-2, kappa=1.2, xi=0.26, t=0.0, perturb=None):
     return grid, w, z, mod
 
 
-def from_selfsimilar(fld):
+def from_selfsimilar(fld, mod):
     """Inverse map back to (theta_abs, w, z)."""
     e32 = np.exp(1.5 * fld.s)
     e12 = np.exp(0.5 * fld.s)
-    return fld.y / e32 + fld.xi, fld.W / e12 + fld.kappa, fld.Z.copy()
+    return fld.y / e32 + mod.xi, fld.W / e12 + mod.kappa, fld.Z.copy()
 
 
 def bootstrap_report(grid, w, z, mod, consts):
@@ -46,7 +46,7 @@ def profile_distance(grid, w, z, mod, consts):
 def test_round_trip_identity():
     grid, w, z, mod = make_field()
     fld = ss.to_selfsimilar(grid, w, z, mod, L)
-    g2, w2, z2 = from_selfsimilar(fld)
+    g2, w2, z2 = from_selfsimilar(fld, mod)
     assert np.max(np.abs(g2 - grid)) < 1e-13
     assert np.max(np.abs(w2 - w)) < 1e-13
     assert np.max(np.abs(z2 - z)) < 1e-13
@@ -76,7 +76,7 @@ def test_derivative_chain_rule():
     sel = np.zeros(len(fld.y), dtype=bool)
     sel[3:-3] = True  # edge-padded stencils are invalid on the outer nodes
     for k in (1, 2):
-        exact = profile.w1d_deriv(fld.y[sel], k)
+        exact = profile.w1d_jet(fld.y[sel], 2)[k]
         assert np.max(np.abs(fld.dW[k][sel] - exact)) < 1e-5
 
 
@@ -95,7 +95,7 @@ def test_scaled_profile_fails_w_bound():
     consts = ss.BootstrapConstants(M=100.0, tau0=1e-2, sigma_inf=1.2)
     rep = bootstrap_report(grid, w, z, mod, consts)
     assert rep.margins["ba_w_0"] < 0.0
-    assert not rep.passed
+    assert not rep.family_passed("ba_w_")
 
 
 def test_z_bound_violation_detected():

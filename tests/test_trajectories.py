@@ -1,7 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from sphereshock import equivariant as eq
 from sphereshock import trajectories as tr
+from sphereshock.config import ExperimentConfig
+from sphereshock.selfsim import BootstrapConstants
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_linear_field_exact_exponential():
@@ -163,6 +170,28 @@ def test_frozen_field_needs_two_slices(n):
         tr.FrozenTransportField(4.0 + np.arange(n),
                                 [np.linspace(-1.0, 1.0, 5)] * n,
                                 [np.zeros(5)] * n)
+
+
+def test_criterion_9_paths_stay_on_the_frozen_field():
+    # criterion 9's g_w paths, from l <= |y0| <= 2, on the theorem_a1 run at
+    # 1024 cells (4096 cells holds as well): every node lies inside the
+    # y-range of the two slices that bracket it in s, where the field
+    # interpolates snapshot data instead of extrapolating it as a constant
+    cfg = ExperimentConfig.load(CONFIGS / "theorem_a1.json").solver.replace(
+        n_cells=1024)
+    rec = eq.run_until_blowup(cfg)
+    assert rec.status == "blew_up"
+    field = tr.FrozenTransportField.from_snapshots(rec.snapshots, key="g_w")
+    s_lo, s_hi = field.s_span
+    lo = np.array([y[0] for y in field.y_slices])
+    hi = np.array([y[-1] for y in field.y_slices])
+    mags = np.geomspace(BootstrapConstants(M=cfg.monitor_M).l, 2.0, 25)
+    for y0 in np.concatenate([mags, -mags]):
+        path = tr.integrate_trajectory(field, s_lo, y0, s_hi, tol=1e-9)
+        i = np.clip(np.searchsorted(field.s_slices, path.s) - 1, 0,
+                    len(field.s_slices) - 2)
+        for j in (i, i + 1):
+            assert np.all((lo[j] <= path.y) & (path.y <= hi[j])), y0
 
 
 def test_start_outside_escape_box_is_refused():
