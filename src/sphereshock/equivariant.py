@@ -62,6 +62,11 @@ POLE_MARGIN = math.pi / 16.0     # least distance of the domain from the pole
 MAX_CELLS = 2**20
 SUPPORT_TOL = 1e-11              # deviation from the background in the support
 STENCIL_REACH_CELLS = 12.5       # support growth beyond transport (see step)
+# nodes by which a step widens the state's window: four RK4 stages of the
+# 3-node stencil reach, plus the 3 nodes at each unclipped end of the stepped
+# range that stay at the background through stage 4, so that their
+# edge-padded ghosts are the real neighbours
+WINDOW_MARGIN = 4 * 3 + 3
 # default blowup_slope_cap, as a fraction of the max slope (2 L / dx)^(2/3) at
 # which the zoom frame can stretch the grid spacing past the compared window
 # |y| <= L; at 0.9 of it runs of 1024 to 4096 cells still end unresolved
@@ -179,6 +184,13 @@ class EquivariantState:
     # the step that made this state (its stage 4) for the next step's stage 1
     tan: np.ndarray = dataclasses.field(default=None, init=False, repr=False,
                                         compare=False)
+    # [lo, hi): outside it w and z hold the background's bits (sigma_inf,
+    # -sigma_inf), so that a step leaves them as they are.  Set by the step
+    # that made this state; a state built from its fields, initial_data's
+    # included, derives it from them on first use.  Writing to w or z in
+    # place outside it breaks the invariant.
+    window: tuple = dataclasses.field(default=None, init=False, repr=False,
+                                      compare=False)
 
     @property
     def dx(self):
@@ -192,13 +204,38 @@ class EquivariantState:
         return 0.5 * (self.w - self.z)
 
 
+def _off_background(w, z, sigma_inf, at=0):
+    """[lo, hi) + at around the nodes whose w or z is not the background's
+    bits, NaN included.  An empty window is (at, at)."""
+    off = np.flatnonzero((w != sigma_inf) | (z != -sigma_inf))
+    if off.size == 0:
+        return at, at
+    return at + int(off[0]), at + int(off[-1]) + 1
+
+
+def stepped_range(state: EquivariantState, sigma_inf) -> slice:
+    """The nodes that a step of state updates and that the per-step
+    reductions read: state.window, derived from the fields on first use,
+    widened by WINDOW_MARGIN and clipped to the grid.  Every node outside it
+    holds the background's bits, and so does each unclipped end of it."""
+    if state.window is None:
+        state.window = _off_background(state.w, state.z, sigma_inf)
+    lo, hi = state.window
+    return slice(max(lo - WINDOW_MARGIN, 0),
+                 min(hi + WINDOW_MARGIN, state.grid.size))
+
+
 def support_bounds(state: EquivariantState, sigma_inf):
-    """Co-moving extent of the deviation from the background steady state."""
-    dev = np.maximum(np.abs(state.w - sigma_inf), np.abs(state.z + sigma_inf))
+    """Co-moving extent of the deviation from the background steady state,
+    read on the stepped range: outside it the deviation is 0."""
+    r = stepped_range(state, sigma_inf)
+    dev = np.maximum(np.abs(state.w[r] - sigma_inf),
+                     np.abs(state.z[r] + sigma_inf))
     idx = np.flatnonzero(dev > SUPPORT_TOL)
     if len(idx) == 0:
         return None, None
-    return float(state.grid[idx[0]]), float(state.grid[idx[-1]])
+    return (float(state.grid[r.start + idx[0]]),
+            float(state.grid[r.start + idx[-1]]))
 
 
 def initial_data(cfg: SolverConfig) -> EquivariantState:
@@ -226,10 +263,17 @@ def initial_data(cfg: SolverConfig) -> EquivariantState:
                             frame_drift=cfg.frame_drift())
 
 
+def _speed(u, v, beta2, xi_dot):
+    """u + b2 v - xi_dot: the speed of u, paired with v, in the drifting
+    frame.  IEEE addition commutes, so _speed(z, w) has the bits of
+    b2 w + z - xi_dot."""
+    return u + beta2 * v - xi_dot
+
+
 def transport_speeds(w, z, beta2, xi_dot):
     """Characteristic speeds of the w- and z-equations in a frame drifting
     at xi_dot: the diagonal (w + b2 z, b2 w + z) of the Riemann system."""
-    return w + beta2 * z - xi_dot, beta2 * w + z - xi_dot
+    return _speed(w, z, beta2, xi_dot), _speed(z, w, beta2, xi_dot)
 
 
 @dataclass
@@ -237,7 +281,7 @@ class StepLimit:
     """The largest legal step of a state and the speeds it was formed from."""
     dt: float
     vmax: float           # max(|cw|, |cz|): the support-growth reach speed
-    cw: np.ndarray
+    cw: np.ndarray        # on the nodes of stepped_range(state, sigma_inf)
     cz: np.ndarray
 
 
@@ -247,10 +291,14 @@ def step_limit(state: EquivariantState, mod: ModulationState, bc,
     RK4 stability on the fastest field, and the accuracy bound on the steep
     field w alone.  In flat mode w is the fastest field, so the accuracy
     bound binds; in curved runs the smooth field z is the fastest, so the
-    stability bound binds."""
-    cw, cz = transport_speeds(state.w, state.z, bc.beta2, mod.xi_dot)
-    vw = float(np.max(np.abs(cw)))
-    vmax = max(vw, float(np.max(np.abs(cz))))
+    stability bound binds.
+
+    The maxima read the stepped range alone: every node outside it has the
+    speeds of that range's outer nodes, so they are the whole grid's."""
+    r = stepped_range(state, cfg.sigma_inf)
+    cw, cz = transport_speeds(state.w[r], state.z[r], bc.beta2, mod.xi_dot)
+    vw = float(np.abs(cw).max())
+    vmax = max(vw, float(np.abs(cz).max()))
     dx = state.dx
     dt = min(RK4_COURANT * dx / max(vmax, 1e-30), cfg.cfl * dx / max(vw, 1e-30))
     return StepLimit(dt=dt, vmax=vmax, cw=cw, cz=cz)
@@ -262,7 +310,8 @@ def _tan_theta(state: EquivariantState, cfg: SolverConfig, t):
     if cfg.flat_mode:
         return None
     theta = state.theta_abs(t)
-    if np.max(np.abs(theta)) > 0.5 * math.pi - POLE_MARGIN:
+    # theta increases along the grid, so its largest |theta| is at an end
+    if max(abs(theta[0]), abs(theta[-1])) > 0.5 * math.pi - POLE_MARGIN:
         raise PoleProximityError("domain within the pole margin of theta = pi/2")
     return np.tan(theta)
 
@@ -275,17 +324,20 @@ def rhs(state: EquivariantState, mod: ModulationState, bc, cfg: SolverConfig,
     it, so the system is a simple wave: z is a Riemann invariant at the
     background, w alone is differenced and dz/dt is None.
     speeds = (cw, cz) of (w, z) and tan = _tan_theta(state, cfg, t) may be
-    passed by a caller that has them already.
+    passed by a caller that has them already.  w and z may be the nodes of a
+    range of the grid, as step passes them, with the speeds and tan of the
+    same nodes; the derivatives take the whole grid's state.dx.
     """
     w = state.w if w is None else w
     z = state.z if z is None else z
     t = state.t_tilde if t is None else t
-    cw, cz = (transport_speeds(w, z, bc.beta2, mod.xi_dot) if speeds is None
-              else speeds)
-    if cfg.flat_mode:
+    if cfg.flat_mode:  # no stage reads cz
+        cw = _speed(w, z, bc.beta2, mod.xi_dot) if speeds is None else speeds[0]
         (dwx,) = weno5_upwind_derivative((w,), state.dx, (cw,))
         force = 0.0
     else:
+        cw, cz = (transport_speeds(w, z, bc.beta2, mod.xi_dot)
+                  if speeds is None else speeds)
         dwx, dzx = weno5_upwind_derivative((w, z), state.dx, (cw, cz))
         tan = _tan_theta(state, cfg, t) if tan is None else tan
         force = np.subtract(w, z)
@@ -314,12 +366,20 @@ def step(state: EquivariantState, mod: ModulationState, dt, bc, cfg: SolverConfi
     """One classical RK4 advance; enforces the step limit and the finite
     propagation property of the support.
 
+    Only the nodes of stepped_range(state) are stepped; the rest hold the
+    background, where every upwind slope is 0 and w + z is 0, so that
+    stepping them would leave their bits.  The range's edge-padded ghosts
+    are the real neighbours, and every stage differences with the whole
+    grid's dx (a slice's own spacing can differ from it by an ulp).  The new
+    state's window is the part of the range that has left the background.
+
     In flat mode rhs returns dz/dt as None, and every stage and the new
     state take the state's own z array: a flat step does no arithmetic on z.
 
     limit = step_limit(state, mod, bc, cfg) and support = support_bounds of
     state may be passed by a caller that has them already.
     """
+    r = stepped_range(state, cfg.sigma_inf)
     if limit is None:
         limit = step_limit(state, mod, bc, cfg)
     if dt > limit.dt * (1.0 + 1e-9):
@@ -328,25 +388,47 @@ def step(state: EquivariantState, mod: ModulationState, dt, bc, cfg: SolverConfi
         lo0, hi0 = (support_bounds(state, cfg.sigma_inf)
                     if support is None else support)
 
-    t, w, z = state.t_tilde, state.w, state.z
+    t, w, z = state.t_tilde, state.w[r], state.z[r]
     t_half = t + 0.5 * dt
+    tan = state.tan if state.tan is not None else _tan_theta(state, cfg, t)
     tan_half = _tan_theta(state, cfg, t_half)
     tan_end = _tan_theta(state, cfg, t + dt)
+
+    def on_range(a):
+        return None if a is None else a[r]
 
     def stage_z(k, h):
         return z if k is None else z + h * k
 
     f = functools.partial(rhs, state, mod, bc, cfg)
-    k1w, k1z = f(t, w, z, speeds=(limit.cw, limit.cz), tan=state.tan)
-    k2w, k2z = f(t_half, w + 0.5 * dt * k1w, stage_z(k1z, 0.5 * dt), tan=tan_half)
-    k3w, k3z = f(t_half, w + 0.5 * dt * k2w, stage_z(k2z, 0.5 * dt), tan=tan_half)
-    k4w, k4z = f(t + dt, w + dt * k3w, stage_z(k3z, dt), tan=tan_end)
-    w1 = w + dt / 6.0 * (k1w + 2 * k2w + 2 * k3w + k4w)
-    z1 = z if k1z is None else z + dt / 6.0 * (k1z + 2 * k2z + 2 * k3z + k4z)
+    k1w, k1z = f(t, w, z, speeds=(limit.cw, limit.cz), tan=on_range(tan))
+    k2w, k2z = f(t_half, w + 0.5 * dt * k1w, stage_z(k1z, 0.5 * dt),
+                 tan=on_range(tan_half))
+    k3w, k3z = f(t_half, w + 0.5 * dt * k2w, stage_z(k2z, 0.5 * dt),
+                 tan=on_range(tan_half))
+    k4w, k4z = f(t + dt, w + dt * k3w, stage_z(k3z, dt), tan=on_range(tan_end))
+    w1 = state.w.copy()
+    w1[r] = w + dt / 6.0 * (k1w + 2 * k2w + 2 * k3w + k4w)
+    if k1z is None:
+        z1 = state.z
+    else:
+        z1 = state.z.copy()
+        z1[r] = z + dt / 6.0 * (k1z + 2 * k2z + 2 * k3z + k4z)
     new = EquivariantState(grid=state.grid, w=w1, z=z1, t_tilde=t + dt,
                            xi0=state.xi0, frame_drift=state.frame_drift)
     new.tan = tan_end
+    new.window = _off_background(w1[r], z1[r], cfg.sigma_inf, r.start)
 
+    if check_support:
+        # the margin, checked: within 3 nodes of an unclipped end of the
+        # range, a ghost would no longer be the real neighbour.  A
+        # non-finite node is the run loop's numerical failure instead.
+        lo, hi = new.window
+        near_end = lo < hi and ((r.start > 0 and lo < r.start + 3) or
+                                (r.stop < state.grid.size and hi > r.stop - 3))
+        if near_end and np.all(np.isfinite(w1[r])) and np.all(np.isfinite(z1[r])):
+            raise SupportGrowthError(
+                "the deviation reached the last 3 nodes of the stepped range")
     if check_support and lo0 is not None:
         lo1, hi1 = support_bounds(new, cfg.sigma_inf)
         # one RK4 step applies the six-node stencil (u[i-3..i+2] or
@@ -430,28 +512,35 @@ def run_until_blowup(cfg: SolverConfig) -> RunRecord:
                               t_tilde=0.0, xi_dot=drift)
 
     while True:
-        w, z = state.w, state.z
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(z))):
+        # the per-step checks read the stepped range: every node outside it
+        # holds the background, finite and with w - z = 2 sigma_inf, and a
+        # c4 slope equal to that of the range's outer nodes
+        r = stepped_range(state, cfg.sigma_inf)
+        w, z = state.w[r], state.z[r]
+        if not (np.isfinite(w).all() and np.isfinite(z).all()):
             status = "numerical_failure"
             break
-        if np.min(w - z) <= 0.0:
+        if (w - z).min() <= 0.0:
             status = "vacuum"
             break
 
-        slope = deriv1_c4(w, dx)
-        smax_grid = float(np.max(np.abs(slope)))
+        sample_step = (step_i % cfg.record_every == 0)
+        # a sample's tracker and exterior gradient read the whole grid
+        slope = deriv1_c4(state.w if sample_step else w, dx)
+        smax_grid = float(np.abs(slope).max())
         limit = step_limit(state, mod_pde, bc, cfg)
         dt_base = min(limit.dt, SLOPE_DT_FRAC / smax_grid)
         dt = min(dt_base, cfg.t_max - state.t_tilde)
 
-        sample_step = (step_i % cfg.record_every == 0)
         hit_cap = smax_grid >= cfg.blowup_slope_cap
         stalled = dt_base < DT_FLOOR
         hit_tmax = state.t_tilde >= cfg.t_max * (1.0 - 1e-12)
         stopping = hit_cap or stalled or hit_tmax
         if sample_step or stopping:
+            if not sample_step:
+                slope = deriv1_c4(state.w, dx)
             xi_loc, kappa, tau, smin = track_extremal(
-                state.grid, w, state.t_tilde, slope=slope)
+                state.grid, state.w, state.t_tilde, slope=slope)
             xi_abs = xi_loc + cfg.xi0 + drift * state.t_tilde
             if state.t_tilde > prev_t:
                 dta = (tau - prev_tau) / (state.t_tilde - prev_t)

@@ -21,11 +21,12 @@ def _pad_edge(u, k):
 
 def _slopes(u, dx):
     """d[j] = (up[j+1] - up[j]) / dx over u edge-padded with 3 ghost nodes,
-    built from diff(u) without forming the padding."""
-    du = np.diff(u)
-    d = np.empty(u.size + 5, dtype=np.result_type(du, dx))
+    differenced straight into the result without forming the padding."""
+    d = np.empty(u.size + 5, dtype=np.result_type(u, dx))
     d[:3] = (u[0] - u[0]) / dx
-    np.divide(du, dx, out=d[3:-3])
+    inner = d[3:-3]
+    np.subtract(u[1:], u[:-1], out=inner)
+    np.divide(inner, dx, out=inner)
     d[-3:] = (u[-1] - u[-1]) / dx
     return d
 
@@ -40,11 +41,17 @@ def _linear_face(d, left):
     return np.correlate(d[:0:-1], _LINEAR)[::-1]
 
 
-def _upwind(left, face):
-    """face(True) where `left` holds and face(False) elsewhere, forming only
-    the faces that some node takes."""
-    if left.all():
+def _upwind(speed, shape, face):
+    """face(True) where speed >= 0 and face(False) elsewhere, NaN included,
+    forming only the faces that some node takes.  The one-sign tests come
+    first; a NaN fails both, so its field forms the mask, in which it leans
+    right."""
+    speed = np.asarray(speed)
+    if speed.min() >= 0.0:
         return face(True)
+    if speed.max() < 0.0:
+        return face(False)
+    left = np.greater_equal(speed, 0.0, out=np.empty(shape, dtype=bool))
     if not left.any():
         return face(False)
     return np.where(left, face(True), face(False))
@@ -65,8 +72,7 @@ def weno5_upwind_derivative(fields, dx, speeds):
     for u, speed in zip(fields, speeds):
         u = np.asarray(u)
         d = _slopes(u, dx)
-        left = np.greater_equal(speed, 0.0, out=np.empty(u.shape, dtype=bool))
-        outs.append(_upwind(left, lambda lt: _linear_face(d, lt)))
+        outs.append(_upwind(speed, u.shape, lambda lt: _linear_face(d, lt)))
     return outs
 
 

@@ -329,6 +329,107 @@ def test_stage_one_reuses_the_last_stage_tan(monkeypatch):
         assert np.array_equal(_bits(fresh.z), _bits(b.z))
 
 
+def _whole_grid_step(st, mod, dt, bc, cfg):
+    """Classical RK4 with rhs on every node of the grid: the reference that
+    the stepped range must reproduce bit for bit."""
+    t = st.t_tilde
+
+    def f(t, w, z):
+        return eq.rhs(st, mod, bc, cfg, t, w, z)
+
+    def stage_z(k, h):
+        return st.z if k is None else st.z + h * k
+
+    k1w, k1z = f(t, st.w, st.z)
+    k2w, k2z = f(t + 0.5 * dt, st.w + 0.5 * dt * k1w, stage_z(k1z, 0.5 * dt))
+    k3w, k3z = f(t + 0.5 * dt, st.w + 0.5 * dt * k2w, stage_z(k2z, 0.5 * dt))
+    k4w, k4z = f(t + dt, st.w + dt * k3w, stage_z(k3z, dt))
+    w = st.w + dt / 6.0 * (k1w + 2 * k2w + 2 * k3w + k4w)
+    z = st.z if k1z is None else st.z + dt / 6.0 * (k1z + 2 * k2z + 2 * k3z + k4z)
+    return w, z
+
+
+def _sharp_z_state(cfg):
+    """The background with z raised by 0.01 on nodes [200, 300): a step's
+    deviation then spreads the full stencil reach, 4 x 3 nodes in the
+    direction z travels (left), without rounding away."""
+    st = eq.initial_data(cfg)
+    st.w[:] = cfg.sigma_inf
+    st.z[:] = -cfg.sigma_inf
+    st.z[200:300] += 0.01
+    return eq.EquivariantState(st.grid, st.w, st.z, 0.0, st.xi0, st.frame_drift)
+
+
+# (flat mode, gamma, n_cells, steps, initial state): the initial data, a
+# late curved run whose window reaches the left grid end, a state built
+# from fields alone, and a sharp z step
+WINDOW_CASES = {
+    "flat_gamma3": (True, 3.0, 1024, 40, "initial"),
+    "flat_gamma2": (True, 2.0, 1024, 40, "initial"),
+    "curved_gamma3": (False, 3.0, 1024, 40, "initial"),
+    "curved_gamma2": (False, 2.0, 1024, 40, "initial"),
+    "curved_left_end": (False, 3.0, 512, 140, "initial"),
+    "from_fields": (False, 3.0, 512, 20, "fields"),
+    "sharp_z": (False, 3.0, 512, 1, "sharp"),
+}
+
+
+@pytest.mark.parametrize("case", WINDOW_CASES)
+def test_windowed_step_matches_the_whole_grid_step(case):
+    # every node of w and z keeps the whole-grid step's bits, and the
+    # window holds every node that left the background; the ghosts of the
+    # range are exact, and its stages difference with the whole grid's dx
+    flat, gamma, n_cells, steps, start = WINDOW_CASES[case]
+    cfg = eq.SolverConfig(n_cells=n_cells, gamma=gamma, flat_mode=flat)
+    bc = betas(gamma)
+    mod = make_mod(cfg)
+    st = eq.initial_data(cfg)
+    if start == "fields":
+        for _ in range(60):
+            lim = eq.step_limit(st, mod, bc, cfg)
+            st = eq.step(st, mod, lim.dt, bc, cfg, limit=lim)
+        st = eq.EquivariantState(st.grid, st.w.copy(), st.z.copy(), st.t_tilde,
+                                 st.xi0, st.frame_drift)
+    elif start == "sharp":
+        st = _sharp_z_state(cfg)
+    ranges = []
+    for _ in range(steps):
+        lim = eq.step_limit(st, mod, bc, cfg)
+        r = eq.stepped_range(st, cfg.sigma_inf)
+        ranges.append(r)
+        w, z = _whole_grid_step(st, mod, lim.dt, bc, cfg)
+        st = eq.step(st, mod, lim.dt, bc, cfg, check_support=True, limit=lim)
+        assert np.array_equal(_bits(st.w), _bits(w))
+        assert np.array_equal(_bits(st.z), _bits(z))
+        lo, hi = st.window
+        assert r.start <= lo <= hi <= r.stop
+        assert np.all(st.w[:lo] == cfg.sigma_inf) and np.all(st.w[hi:] == cfg.sigma_inf)
+        assert np.all(st.z[:lo] == -cfg.sigma_inf) and np.all(st.z[hi:] == -cfg.sigma_inf)
+    assert all(r.stop - r.start < n_cells for r in ranges)
+    if case == "curved_left_end":
+        assert ranges[0].start > 0 and ranges[-1].start == 0 == st.window[0]
+    if case == "sharp_z":
+        # the deviation reached 12 nodes left of the window, 3 inside the
+        # range
+        assert st.window[0] == 200 - 12 == ranges[0].start + 3
+
+
+def test_the_window_margin_is_checked(monkeypatch):
+    # one node less than the stencil reach plus 3 leaves the sharp step's
+    # deviation within 3 nodes of the range's end, and step refuses it
+    cfg = eq.SolverConfig(n_cells=512)
+    bc = betas(cfg.gamma)
+    mod = make_mod(cfg)
+    assert eq.WINDOW_MARGIN == 4 * 3 + 3
+    monkeypatch.setattr(eq, "WINDOW_MARGIN", 4 * 3 + 2)
+    st = _sharp_z_state(cfg)
+    lim = eq.step_limit(st, mod, bc, cfg)
+    with pytest.raises(eq.SupportGrowthError, match="last 3 nodes"):
+        eq.step(st, mod, lim.dt, bc, cfg, limit=lim)
+    # a step that does not check the support takes the margin on trust
+    eq.step(st, mod, lim.dt, bc, cfg, check_support=False, limit=lim)
+
+
 def test_step_cfl_contract():
     cfg = eq.SolverConfig(n_cells=512)
     st = eq.initial_data(cfg)
@@ -394,7 +495,10 @@ def test_step_limit_takes_the_smaller_bound():
     lim = eq.step_limit(st, mod, bc, cfg)
     assert lim.dt == min(stability, accuracy) == stability  # z is fastest
     assert lim.vmax == vmax
-    assert np.array_equal(lim.cw, cw) and np.array_equal(lim.cz, cz)
+    # the speeds of the stepped range, which holds the maxima
+    r = eq.stepped_range(st, cfg.sigma_inf)
+    assert 0 < r.start and r.stop < cfg.n_cells
+    assert np.array_equal(lim.cw, cw[r]) and np.array_equal(lim.cz, cz[r])
     # the old single bound stays legal, so callers that step at it still can
     assert cfg.cfl * st.dx / vmax < lim.dt
     eq.step(st, mod, lim.dt, bc, cfg)

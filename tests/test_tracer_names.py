@@ -43,9 +43,27 @@ def _traced(run):
     return spans, calls, tracer.counts, tracer.spans
 
 
-def test_traced_names_stay_on_their_call_paths():
+def _record_stepped_widths(monkeypatch, cfg):
+    """The width of each step's stepped range, counted outside the tracer:
+    the state's window widened by WINDOW_MARGIN, clipped to the grid."""
+    widths = []
+    step = eq.step
+
+    def recording_step(state, *args, **kwargs):
+        new = step(state, *args, **kwargs)
+        lo, hi = state.window
+        widths.append(min(hi + eq.WINDOW_MARGIN, cfg.n_cells)
+                      - max(lo - eq.WINDOW_MARGIN, 0))
+        return new
+
+    monkeypatch.setattr(eq, "step", recording_step)
+    return widths
+
+
+def test_traced_names_stay_on_their_call_paths(monkeypatch):
     cfg = eq.SolverConfig(n_cells=1024, tau0=1e-2, record_every=8,
                           blowup_slope_cap=300.0, emit_selfsim_ds=0.4)
+    widths = _record_stepped_widths(monkeypatch, cfg)
 
     def run():
         rec = eq.run_until_blowup(cfg)
@@ -55,12 +73,13 @@ def test_traced_names_stay_on_their_call_paths():
 
     spans, calls, counts, records = _traced(run)
     # the kernel counters the benchmark reports: one rhs and one kernel call
-    # per RK4 stage, each differencing w and z on every node
+    # per RK4 stage, each differencing w and z on the step's stepped range
     steps = calls.get("equivariant.step", 0)
-    assert steps > 0
+    assert steps > 0 and len(widths) == steps
     kernel = calls.get("weno.weno5_upwind_derivative")
     assert calls.get("equivariant.rhs") == kernel == 4 * steps
-    assert counts["weno.weno5_nodes"] == 2 * cfg.n_cells * kernel
+    assert counts["weno.weno5_nodes"] == 2 * 4 * sum(widths)
+    assert counts["weno.weno5_nodes"] < 2 * cfg.n_cells * kernel
     for name in (*spans._MONITORS, "util.lagrange_value_and_derivs",
                  "profile.w1d_jet", "weno.deriv1_c4"):
         assert calls.get(name, 0) > 0, name
@@ -70,17 +89,19 @@ def test_traced_names_stay_on_their_call_paths():
                for name, _, _, parent in records if name == "profile.w1d_jet")
 
 
-def test_flat_run_stays_on_the_traced_names():
+def test_flat_run_stays_on_the_traced_names(monkeypatch):
     # the flat_oracle workload's path: one rhs and one kernel call per RK4
-    # stage, and every sampling monitor
+    # stage, differencing w alone on the stepped range, and every sampling
+    # monitor
     cfg = eq.SolverConfig(n_cells=256, flat_mode=True, blowup_slope_cap=150.0)
+    widths = _record_stepped_widths(monkeypatch, cfg)
     spans, calls, counts, _ = _traced(lambda: eq.run_until_blowup(cfg))
     steps = calls.get("equivariant.step", 0)
-    assert steps > 0
+    assert steps > 0 and len(widths) == steps
     assert (calls.get("equivariant.rhs") == 4 * steps
             == calls.get("weno.weno5_upwind_derivative"))
+    assert counts["weno.weno5_nodes"] == 4 * sum(widths)
     for name in (*spans._MONITORS, "equivariant.support_bounds",
                  "util.lagrange_value_and_derivs", "profile.w1d_jet",
                  "weno.deriv1_c4"):
         assert calls.get(name, 0) > 0, name
-    assert counts["weno.weno5_nodes"] > 0
