@@ -180,10 +180,6 @@ class EquivariantState:
     t_tilde: float
     xi0: float
     frame_drift: float
-    # tan of the absolute latitude at t_tilde after the pole check, left by
-    # the step that made this state (its stage 4) for the next step's stage 1
-    tan: np.ndarray = dataclasses.field(default=None, init=False, repr=False,
-                                        compare=False)
     # [lo, hi): outside it w and z hold the background's bits (sigma_inf,
     # -sigma_inf), so that a step leaves them as they are.  Set by the step
     # that made this state; a state built from its fields, initial_data's
@@ -304,16 +300,17 @@ def step_limit(state: EquivariantState, mod: ModulationState, bc,
     return StepLimit(dt=dt, vmax=vmax, cw=cw, cz=cz)
 
 
-def _tan_theta(state: EquivariantState, cfg: SolverConfig, t):
-    """tan of the absolute latitude at time t after the pole check; None in
-    flat mode, which has no curvature forcing."""
+def _tan_theta(state: EquivariantState, cfg: SolverConfig, t, r=slice(None)):
+    """tan of the absolute latitude at time t on the nodes r, after the pole
+    check; None in flat mode, which has no curvature forcing."""
     if cfg.flat_mode:
         return None
-    theta = state.theta_abs(t)
+    shift = state.frame_drift * t
     # theta increases along the grid, so its largest |theta| is at an end
-    if max(abs(theta[0]), abs(theta[-1])) > 0.5 * math.pi - POLE_MARGIN:
+    if max(abs(state.grid[0] + state.xi0 + shift),
+           abs(state.grid[-1] + state.xi0 + shift)) > 0.5 * math.pi - POLE_MARGIN:
         raise PoleProximityError("domain within the pole margin of theta = pi/2")
-    return np.tan(theta)
+    return np.tan(state.grid[r] + state.xi0 + shift)
 
 
 def rhs(state: EquivariantState, mod: ModulationState, bc, cfg: SolverConfig,
@@ -323,10 +320,10 @@ def rhs(state: EquivariantState, mod: ModulationState, bc, cfg: SolverConfig,
     The curvature forcing is (b3/2)(w^2 - z^2) tan(theta).  Flat mode drops
     it, so the system is a simple wave: z is a Riemann invariant at the
     background, w alone is differenced and dz/dt is None.
-    speeds = (cw, cz) of (w, z) and tan = _tan_theta(state, cfg, t) may be
-    passed by a caller that has them already.  w and z may be the nodes of a
-    range of the grid, as step passes them, with the speeds and tan of the
-    same nodes; the derivatives take the whole grid's state.dx.
+    speeds = (cw, cz) of (w, z) and tan = _tan_theta(state, cfg, t, r) may
+    be passed by a caller that has them already.  w and z may be the nodes
+    r of the grid, as step passes them, with the speeds and tan of the same
+    nodes; the derivatives take the whole grid's state.dx.
     """
     w = state.w if w is None else w
     z = state.z if z is None else z
@@ -390,23 +387,20 @@ def step(state: EquivariantState, mod: ModulationState, dt, bc, cfg: SolverConfi
 
     t, w, z = state.t_tilde, state.w[r], state.z[r]
     t_half = t + 0.5 * dt
-    tan = state.tan if state.tan is not None else _tan_theta(state, cfg, t)
-    tan_half = _tan_theta(state, cfg, t_half)
-    tan_end = _tan_theta(state, cfg, t + dt)
-
-    def on_range(a):
-        return None if a is None else a[r]
+    tan = _tan_theta(state, cfg, t, r)
+    tan_half = _tan_theta(state, cfg, t_half, r)
+    tan_end = _tan_theta(state, cfg, t + dt, r)
 
     def stage_z(k, h):
         return z if k is None else z + h * k
 
     f = functools.partial(rhs, state, mod, bc, cfg)
-    k1w, k1z = f(t, w, z, speeds=(limit.cw, limit.cz), tan=on_range(tan))
+    k1w, k1z = f(t, w, z, speeds=(limit.cw, limit.cz), tan=tan)
     k2w, k2z = f(t_half, w + 0.5 * dt * k1w, stage_z(k1z, 0.5 * dt),
-                 tan=on_range(tan_half))
+                 tan=tan_half)
     k3w, k3z = f(t_half, w + 0.5 * dt * k2w, stage_z(k2z, 0.5 * dt),
-                 tan=on_range(tan_half))
-    k4w, k4z = f(t + dt, w + dt * k3w, stage_z(k3z, dt), tan=on_range(tan_end))
+                 tan=tan_half)
+    k4w, k4z = f(t + dt, w + dt * k3w, stage_z(k3z, dt), tan=tan_end)
     w1 = state.w.copy()
     w1[r] = w + dt / 6.0 * (k1w + 2 * k2w + 2 * k3w + k4w)
     if k1z is None:
@@ -416,7 +410,6 @@ def step(state: EquivariantState, mod: ModulationState, dt, bc, cfg: SolverConfi
         z1[r] = z + dt / 6.0 * (k1z + 2 * k2z + 2 * k3z + k4z)
     new = EquivariantState(grid=state.grid, w=w1, z=z1, t_tilde=t + dt,
                            xi0=state.xi0, frame_drift=state.frame_drift)
-    new.tan = tan_end
     new.window = _off_background(w1[r], z1[r], cfg.sigma_inf, r.start)
 
     if check_support:
@@ -449,9 +442,17 @@ def _z_origin_jet(grid_abs, z, xi_abs, s):
 def _sample_row(state: EquivariantState, grid_abs, fld, mod, slope, smax,
                 dt_next, bc, cfg: SolverConfig, consts, holder_den):
     """The recorded scalars of one sample: modulation, bootstrap margins,
-    profile distances, support extent, exterior gradient, ODE monitor.
+    profile distances, support extent, exterior gradient, ODE monitor and
+    beta_tau = 1/(1 - ode_dtau), or 1 where the ODE is degenerate.
     grid_abs is state.theta_abs(), formed once by the caller, and holder_den
     is holder_denominators(state.grid), formed once per run."""
+    try:
+        d3w = constraints_from_field(grid_abs, state.w, mod.xi)
+        Z0, dZ0, d2Z0 = _z_origin_jet(grid_abs, state.z, mod.xi, mod.s)
+        ode = ode_rhs(d3w, mod, bc, cfg.sigma_inf, Z0, dZ0, d2Z0,
+                      flat_mode=cfg.flat_mode)
+    except DegenerateRhsError:
+        ode = (None, None, None)
     ba = bootstrap_report(fld, consts)
     dist = profile_distance(fld, consts)
     w0r, dw0r = normalization_check(fld)
@@ -459,7 +460,8 @@ def _sample_row(state: EquivariantState, grid_abs, fld, mod, slope, smax,
                xi=mod.xi, max_slope=smax,
                min_sigma=float(np.min(state.sigma())),
                holder_w=holder_seminorm(holder_den, state.w),
-               dt=dt_next, beta_tau=mod.beta_tau,
+               dt=dt_next,
+               beta_tau=1.0 if ode[1] is None else 1.0 / (1.0 - ode[1]),
                w0_resid=w0r, dw0_resid=dw0r,
                prof_inner=dist["inner_sup"],
                prof_weighted=dist["weighted_sup"],
@@ -474,13 +476,6 @@ def _sample_row(state: EquivariantState, grid_abs, fld, mod, slope, smax,
     delta = 0.25 * (cfg.theta_max - cfg.theta_min)
     far = np.abs(grid_abs - mod.xi) > delta
     row[f"ext_grad_{delta:g}"] = float(np.max(np.abs(slope[far])))
-    try:
-        d3w = constraints_from_field(grid_abs, state.w, mod.xi)
-        Z0, dZ0, d2Z0 = _z_origin_jet(grid_abs, state.z, mod.xi, mod.s)
-        ode = ode_rhs(d3w, mod, bc, cfg.sigma_inf, Z0, dZ0, d2Z0,
-                      flat_mode=cfg.flat_mode)
-    except DegenerateRhsError:
-        ode = (None, None, None)
     row["ode_dkappa"], row["ode_dtau"], row["ode_dxi"] = ode
     return row
 
@@ -501,12 +496,8 @@ def run_until_blowup(cfg: SolverConfig) -> RunRecord:
                                 sigma_inf=cfg.sigma_inf)
     holder_den = holder_denominators(state.grid)
 
-    dx = state.grid[1] - state.grid[0]
     status = None
     step_i = 0
-    prev_tau = cfg.tau0
-    prev_t = 0.0
-    beta_tau = 1.0
     next_snap_s = -math.log(cfg.tau0)
     mod_pde = ModulationState(kappa=cfg.kappa0, tau=cfg.tau0, xi=cfg.xi0,
                               t_tilde=0.0, xi_dot=drift)
@@ -526,7 +517,7 @@ def run_until_blowup(cfg: SolverConfig) -> RunRecord:
 
         sample_step = (step_i % cfg.record_every == 0)
         # a sample's tracker and exterior gradient read the whole grid
-        slope = deriv1_c4(state.w if sample_step else w, dx)
+        slope = deriv1_c4(state.w if sample_step else w, state.dx)
         smax_grid = float(np.abs(slope).max())
         limit = step_limit(state, mod_pde, bc, cfg)
         dt_base = min(limit.dt, SLOPE_DT_FRAC / smax_grid)
@@ -538,17 +529,12 @@ def run_until_blowup(cfg: SolverConfig) -> RunRecord:
         stopping = hit_cap or stalled or hit_tmax
         if sample_step or stopping:
             if not sample_step:
-                slope = deriv1_c4(state.w, dx)
+                slope = deriv1_c4(state.w, state.dx)
             xi_loc, kappa, tau, smin = track_extremal(
                 state.grid, state.w, state.t_tilde, slope=slope)
             xi_abs = xi_loc + cfg.xi0 + drift * state.t_tilde
-            if state.t_tilde > prev_t:
-                dta = (tau - prev_tau) / (state.t_tilde - prev_t)
-                beta_tau = float(np.clip(1.0 / (1.0 - dta), 0.5, 2.0))
             mod = ModulationState(kappa=kappa, tau=tau, xi=xi_abs,
-                                  t_tilde=state.t_tilde, xi_dot=drift,
-                                  beta_tau=beta_tau)
-            prev_tau, prev_t = tau, state.t_tilde
+                                  t_tilde=state.t_tilde, xi_dot=drift)
             grid_abs = state.theta_abs()
             fld = to_selfsimilar(grid_abs, state.w, state.z, mod, consts.L)
             if fld.win.start == fld.win.stop:
@@ -565,7 +551,7 @@ def run_until_blowup(cfg: SolverConfig) -> RunRecord:
                 xi_dot = row["ode_dxi"]
                 record.add_snapshot(s=fld.s, t_tilde=state.t_tilde,
                                     kappa=mod.kappa, tau=mod.tau, xi=mod.xi,
-                                    beta_tau=mod.beta_tau,
+                                    beta_tau=row["beta_tau"],
                                     xi_dot=drift if xi_dot is None else xi_dot,
                                     beta2=bc.beta2, y=fld.y, W=fld.W, Z=fld.Z)
                 next_snap_s += cfg.emit_selfsim_ds

@@ -20,7 +20,8 @@ class MarginError(ValueError):
 
 
 class DegenerateRhsError(RuntimeError):
-    """Third y-derivative of W at the origin too small for the xi ODE."""
+    """Third y-derivative of W at the origin too small for the xi ODE, or a
+    tau rate with no positive beta_tau = 1/(1 - dtau)."""
 
 
 class AmbiguousExtremumWarning(UserWarning):
@@ -34,7 +35,6 @@ class ModulationState:
     xi: float
     t_tilde: float
     xi_dot: float = 0.0
-    beta_tau: float = 1.0
 
     def __post_init__(self):
         if not self.tau > self.t_tilde:
@@ -99,8 +99,11 @@ def ode_rhs(d3w, mod: ModulationState, bc: BetaConstants,
     the tracker; d3w is the third theta-derivative of w at xi.
     Z-quantities are y-derivatives of Z at the origin.  The leading drift
     kappa + beta2*Z0 reduces to 2*beta3*sigma_inf at the background state.
+    The forcing terms carry beta_tau, which every rate divides back out, so
+    none is formed.  dtau >= 1 or NaN, where no positive
+    beta_tau = 1/(1 - dtau) exists, raises DegenerateRhsError.
     """
-    s, btau, kappa, xi = mod.s, mod.beta_tau, mod.kappa, mod.xi
+    s, kappa, xi = mod.s, mod.kappa, mod.xi
     es2 = np.exp(0.5 * s)
     d3W0 = np.exp(-4.0 * s) * d3w
     if abs(d3W0) < 0.1:
@@ -114,20 +117,22 @@ def ode_rhs(d3w, mod: ModulationState, bc: BetaConstants,
         sec2_xi = 1.0 + tan_xi * tan_xi
 
     ksq = (kappa - Z0) * ((kappa - sigma_inf) + (Z0 + sigma_inf))  # kappa^2 - Z0^2
-    pref = 0.5 * btau * bc.beta3 / es2
+    pref = 0.5 * bc.beta3 / es2
     F0 = pref * tan_xi * ksq
     dF0 = pref * (sec2_xi * ksq / es2**3 + tan_xi * (-2 * kappa / es2 - 2 * Z0 * dZ0))
     d2F0 = pref * (2 * tan_xi * sec2_xi * ksq / es2**6
                    + 2 * sec2_xi / es2**3 * (-2 * kappa / es2 - 2 * Z0 * dZ0)
                    + tan_xi * (2 / es2**2 - 2 * (dZ0 * dZ0 + Z0 * d2Z0)))
 
-    dG0 = btau * es2 * bc.beta2 * dZ0
-    d2G0 = btau * es2 * bc.beta2 * d2Z0
+    dG0 = es2 * bc.beta2 * dZ0
+    d2G0 = es2 * bc.beta2 * d2Z0
     G0 = (d2F0 + d2G0) / d3W0
 
-    dkappa = es2 / btau * (F0 + G0)
-    dtau = (dF0 + dG0) / btau
-    dxi = kappa + bc.beta2 * Z0 - G0 / (btau * es2)
+    dkappa = es2 * (F0 + G0)
+    dtau = dF0 + dG0
+    if not dtau < 1.0:
+        raise DegenerateRhsError(f"dtau = {dtau}; beta_tau = 1/(1 - dtau) is not positive")
+    dxi = kappa + bc.beta2 * Z0 - G0 / es2
     return float(dkappa), float(dtau), float(dxi)
 
 

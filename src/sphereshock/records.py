@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-SCHEMA_VERSION = 16
+SCHEMA_VERSION = 17
 
 
 def _jsonable(obj):

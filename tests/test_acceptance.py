@@ -314,11 +314,9 @@ def test_z_field_drift_property(crit5_run):
     field_z = tr.FrozenTransportField.from_snapshots(rec.snapshots, key="g_z")
     s_lo, s_hi = field_z.s_span
     beta3 = betas(cfg.gamma).beta3
-    worst = math.inf
+    # every path enters the gated region, so each gives a margin
     for y0 in (-1.0, 0.0, 1.0, 5.0):
         path = tr.integrate_trajectory(field_z, s_lo, y0, s_hi, tol=1e-9,
                                        escape_box=(-1e6, 1e6))
         m = tr.z_drift_certificate(field_z, path, beta3, cfg.kappa0)
-        if m is not None:
-            worst = min(worst, m)
-    assert worst == math.inf or worst >= 0.0
+        assert m is not None and m >= 0.0, (y0, m)

@@ -300,27 +300,30 @@ def test_flat_step_whose_w_overflows_keeps_z(monkeypatch):
     assert np.all(rec.final_state.z == -cfg.sigma_inf)
 
 
-def test_stage_one_reuses_the_last_stage_tan(monkeypatch):
-    # two tan(theta) per curved step, and the bits of forming three
+def test_curved_step_forms_three_range_tans(monkeypatch):
+    # tan(theta) at t, t + dt/2 and t + dt, each on the stepped range alone,
+    # and the bits of a state built from the fields alone
     cfg = eq.SolverConfig(n_cells=512)
     bc = betas(cfg.gamma)
     mod = make_mod(cfg)
-    calls = []
+    sizes = []
     tan_theta = eq._tan_theta
 
-    def counting_tan(st, c, t):
-        calls.append(t)
-        return tan_theta(st, c, t)
+    def counting_tan(st, c, t, r):
+        tan = tan_theta(st, c, t, r)
+        sizes.append(tan.size)
+        return tan
 
     monkeypatch.setattr(eq, "_tan_theta", counting_tan)
-    reused = [eq.initial_data(cfg)]
+    states, ranges = [eq.initial_data(cfg)], []
     for _ in range(30):
-        lim = eq.step_limit(reused[-1], mod, bc, cfg)
-        reused.append(eq.step(reused[-1], mod, lim.dt, bc, cfg, limit=lim))
-    # the first step has no stage-4 tan to take
-    assert len(calls) == 3 + 2 * 29
-    for a, b in zip(reused, reused[1:]):
-        # a state built from the fields alone carries no tan
+        r = eq.stepped_range(states[-1], cfg.sigma_inf)
+        ranges.append(r.stop - r.start)
+        lim = eq.step_limit(states[-1], mod, bc, cfg)
+        states.append(eq.step(states[-1], mod, lim.dt, bc, cfg, limit=lim))
+    assert sizes == [n for n in ranges for _ in range(3)]
+    assert max(ranges) < cfg.n_cells
+    for a, b in zip(states, states[1:]):
         fresh = eq.EquivariantState(a.grid, a.w, a.z, a.t_tilde, a.xi0,
                                     a.frame_drift)
         lim = eq.step_limit(fresh, mod, bc, cfg)
@@ -747,6 +750,52 @@ def _run_from(monkeypatch, w, z):
                                 frame_drift=cfg.frame_drift())
     monkeypatch.setattr(eq, "initial_data", lambda c: state)
     return eq.run_until_blowup(cfg)
+
+
+def test_flat_run_records_beta_tau_one():
+    # in flat mode tau' = 0 on every sample, so beta_tau = 1/(1 - tau') = 1
+    rec = eq.run_until_blowup(eq.SolverConfig(n_cells=1024, flat_mode=True))
+    assert rec.status == "blew_up" and len(rec.samples) > 50
+    assert all(r["beta_tau"] == 1.0 for r in rec.samples)
+
+
+def test_beta_tau_is_the_tau_equation_of_each_sample():
+    # beta_tau = 1/(1 - ode_dtau) of the sample's own ODE monitor, and each
+    # snapshot carries its sample's value into the transport fields
+    rec = eq.run_until_blowup(eq.SolverConfig(n_cells=512, emit_selfsim_ds=0.2))
+    assert rec.status == "blew_up" and len(rec.snapshots) >= 5
+    for r in rec.samples:
+        assert r["ode_dtau"] is not None
+        assert _bits(r["beta_tau"]) == _bits(1.0 / (1.0 - r["ode_dtau"]))
+        assert 0.99 < r["beta_tau"] < 1.0
+    by_t = {r["t_tilde"]: r["beta_tau"] for r in rec.samples}
+    for snap in rec.snapshots:
+        assert _bits(snap["beta_tau"]) == _bits(by_t[snap["t_tilde"]])
+
+
+def test_degenerate_sample_records_beta_tau_one(monkeypatch):
+    # the background's beta_tau and null rates where the ODE is degenerate;
+    # the run goes on as before
+    cfg = eq.SolverConfig(n_cells=512)
+    want = eq.run_until_blowup(cfg)
+    calls = []
+    ode_rhs = eq.ode_rhs
+
+    def degenerate_once(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise eq.DegenerateRhsError("degenerate")
+        return ode_rhs(*args, **kwargs)
+
+    monkeypatch.setattr(eq, "ode_rhs", degenerate_once)
+    rec = eq.run_until_blowup(cfg)
+    assert rec.summary == want.summary and len(rec.samples) == len(want.samples)
+    row = rec.samples[2]
+    assert row["beta_tau"] == 1.0
+    assert row["ode_dkappa"] is row["ode_dtau"] is row["ode_dxi"] is None
+    for i, (got, ref) in enumerate(zip(rec.samples, want.samples)):
+        if i != 2:
+            assert got == ref
 
 
 def test_run_vacuum_detection(monkeypatch):

@@ -87,9 +87,8 @@ def test_track_extremal_burgers_tau_constant():
     assert np.max(np.abs(taus - cfg.tau0)) < 2e-5
 
 
-def _mod_state(kappa=1.2, tau=1e-2, xi=0.26, t=0.0, beta_tau=1.0):
-    return md.ModulationState(kappa=kappa, tau=tau, xi=xi, t_tilde=t,
-                              beta_tau=beta_tau)
+def _mod_state(kappa=1.2, tau=1e-2, xi=0.26, t=0.0):
+    return md.ModulationState(kappa=kappa, tau=tau, xi=xi, t_tilde=t)
 
 
 def test_ode_rhs_background_cancellation():
@@ -141,6 +140,22 @@ def test_ode_rhs_degenerate_guard():
     bc = betas(3.0)
     with pytest.raises(md.DegenerateRhsError):
         md.ode_rhs(0.0, _mod_state(), bc, 1.0, Z0=-1.0, dZ0=0.0, d2Z0=0.0)
+
+
+def test_ode_rhs_refuses_a_tau_rate_of_one_or_more():
+    # flat mode at gamma = 2: dtau = e^{s/2} b2 dZ0, and no positive
+    # beta_tau = 1/(1 - dtau) exists from dtau = 1 up
+    bc = betas(2.0)
+    mod = _mod_state(kappa=1.0)
+    d3w = 6.0 * np.exp(4.0 * mod.s)
+    unit = 1.0 / (np.exp(0.5 * mod.s) * bc.beta2)
+    _, dtau, _ = md.ode_rhs(d3w, mod, bc, 1.0, Z0=-1.0, dZ0=0.5 * unit,
+                            d2Z0=0.0, flat_mode=True)
+    assert dtau == pytest.approx(0.5, rel=1e-12)
+    for dZ0 in (2.0 * unit, 1e3 * unit, np.nan):
+        with pytest.raises(md.DegenerateRhsError, match="dtau"):
+            md.ode_rhs(d3w, mod, bc, 1.0, Z0=-1.0, dZ0=dZ0, d2Z0=0.0,
+                       flat_mode=True)
 
 
 def test_cross_validate_flat_run():
