@@ -15,38 +15,23 @@ class DiagnosticUndefinedError(ValueError):
     """Not enough usable samples for the requested fit."""
 
 
-def holder_denominators(x):
-    """[(sep, |x[i+sep] - x[i]|^(1/3))] for the dyadic separations
-    sep = 1, 2, 4, ... < len(x) of a strictly increasing grid x: the part
-    of holder_seminorm that depends on the grid alone, formed once per
-    grid."""
-    x = np.asarray(x, dtype=float)
-    if len(x) < 3:
-        raise DiagnosticUndefinedError("holder_seminorm needs at least 3 samples")
-    if not np.all(np.diff(x) > 0):
-        raise DiagnosticUndefinedError("holder_seminorm needs a strictly "
-                                       "increasing grid")
-    terms = []
-    sep = 1
-    while sep < len(x):
-        terms.append((sep, np.abs(x[sep:] - x[:-sep]) ** (1.0 / 3.0)))
-        sep *= 2
-    return terms
-
-
-def holder_seminorm(denominators, f):
+def holder_seminorm(f, dx):
     """Stratified-pair estimate of the C^{1/3} seminorm
-    sup |f(a)-f(b)| / |a-b|^(1/3) of f sampled on the grid x, given
-    denominators = holder_denominators(x).
+    sup |f(a)-f(b)| / |a-b|^(1/3) of f sampled on a uniform grid of spacing
+    dx.
 
-    Uses all adjacent pairs plus dyadic separations (O(N log N) pairs); the
-    dense all-pairs oracle validates this at small N.
+    Uses all adjacent pairs plus dyadic separations sep = 1, 2, 4, ...
+    (O(N log N) pairs): the max |f[i+sep] - f[i]| of each, divided by
+    (sep dx)^(1/3).  The dense all-pairs oracle validates this at small N.
     """
     f = np.asarray(f, dtype=float)
     best = 0.0
-    for sep, den in denominators:
-        best = max(best, float(np.max(np.abs(f[sep:] - f[:-sep]) / den)))
-    return best
+    sep = 1
+    while sep < len(f):
+        diff = float(np.max(np.abs(f[sep:] - f[:-sep])))
+        best = max(best, diff / (sep * dx) ** (1.0 / 3.0))
+        sep *= 2
+    return float(best)
 
 
 def resolution_window(tau0, dx):
@@ -59,8 +44,10 @@ def fit_bounds(record):
     """(rw/10, rw) with rw = resolution_window(tau0, dx) of the record's
     grid: the max_slope bounds of fit_window."""
     solver = record.config["solver"]
-    dx = (solver["theta_max"] - solver["theta_min"]) / (solver["n_cells"] - 1)
-    hi = resolution_window(solver["tau0"], dx)
+    # initial_data's grid and dx
+    grid = np.linspace(solver["theta_min"], solver["theta_max"],
+                       solver["n_cells"])
+    hi = resolution_window(solver["tau0"], float(grid[1] - grid[0]))
     return hi / 10.0, hi
 
 

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import profile
-from .diagnostics import holder_denominators, holder_seminorm
+from .diagnostics import holder_seminorm
 from .modulation import (DegenerateRhsError, ModulationState,
                          constraints_from_field, ode_rhs, track_extremal)
 from .records import RunRecord
@@ -149,7 +149,8 @@ class SolverConfig:
             # max slope ~ e^s and node spacing in y = dx e^{3s/2}
             L = BootstrapConstants(M=self.monitor_M, tau0=self.tau0,
                                    sigma_inf=self.sigma_inf).L
-            dx = (self.theta_max - self.theta_min) / (self.n_cells - 1)
+            grid = np.linspace(self.theta_min, self.theta_max, self.n_cells)
+            dx = float(grid[1] - grid[0])  # initial_data's dx
             self._derived.append("blowup_slope_cap")
             self.blowup_slope_cap = WINDOW_CAP_FRAC * (2.0 * L / dx) ** (2.0 / 3.0)
         if not (self.blowup_slope_cap > 0 and self.t_max > 0):
@@ -191,13 +192,6 @@ class EquivariantState:
     @property
     def dx(self):
         return self.grid[1] - self.grid[0]
-
-    def theta_abs(self, t=None):
-        t = self.t_tilde if t is None else t
-        return self.grid + self.xi0 + self.frame_drift * t
-
-    def sigma(self):
-        return 0.5 * (self.w - self.z)
 
 
 def _off_background(w, z, sigma_inf, at=0):
@@ -433,22 +427,23 @@ def step(state: EquivariantState, mod: ModulationState, dt, bc, cfg: SolverConfi
     return new
 
 
-def _z_origin_jet(grid_abs, z, xi_abs, s):
-    vals = lagrange_value_and_derivs(grid_abs, z, xi_abs, nderiv=2, npts=8)
+def _z_origin_jet(grid, z, xi_hat, s):
+    vals = lagrange_value_and_derivs(grid, z, xi_hat, nderiv=2, npts=8)
     e32 = math.exp(-1.5 * s)
     return float(vals[0]), float(vals[1]) * e32, float(vals[2]) * e32**2
 
 
-def _sample_row(state: EquivariantState, grid_abs, fld, mod, slope, smax,
-                dt_next, bc, cfg: SolverConfig, consts, holder_den):
+def _sample_row(state: EquivariantState, xi_hat, fld, mod, slope, smax,
+                min_sigma, dt_next, bc, cfg: SolverConfig, consts):
     """The recorded scalars of one sample: modulation, bootstrap margins,
     profile distances, support extent, exterior gradient, ODE monitor and
     beta_tau = 1/(1 - ode_dtau), or 1 where the ODE is degenerate.
-    grid_abs is state.theta_abs(), formed once by the caller, and holder_den
-    is holder_denominators(state.grid), formed once per run."""
+    xi_hat is the tracked shock location on the co-moving grid state.grid,
+    where every local fit reads it; mod.xi is the same point in absolute
+    latitude.  min_sigma is the caller's min (w - z) / 2."""
     try:
-        d3w = constraints_from_field(grid_abs, state.w, mod.xi)
-        Z0, dZ0, d2Z0 = _z_origin_jet(grid_abs, state.z, mod.xi, mod.s)
+        d3w = constraints_from_field(state.grid, state.w, xi_hat)
+        Z0, dZ0, d2Z0 = _z_origin_jet(state.grid, state.z, xi_hat, mod.s)
         ode = ode_rhs(d3w, mod, bc, cfg.sigma_inf, Z0, dZ0, d2Z0,
                       flat_mode=cfg.flat_mode)
     except DegenerateRhsError:
@@ -458,8 +453,8 @@ def _sample_row(state: EquivariantState, grid_abs, fld, mod, slope, smax,
     w0r, dw0r = normalization_check(fld)
     row = dict(t_tilde=state.t_tilde, s=mod.s, kappa=mod.kappa, tau=mod.tau,
                xi=mod.xi, max_slope=smax,
-               min_sigma=float(np.min(state.sigma())),
-               holder_w=holder_seminorm(holder_den, state.w),
+               min_sigma=min_sigma,
+               holder_w=holder_seminorm(state.w, state.dx),
                dt=dt_next,
                beta_tau=1.0 if ode[1] is None else 1.0 / (1.0 - ode[1]),
                w0_resid=w0r, dw0_resid=dw0r,
@@ -474,7 +469,7 @@ def _sample_row(state: EquivariantState, grid_abs, fld, mod, slope, smax,
     # sup outside a quarter domain width of xi; under half the width, the
     # far set is never empty
     delta = 0.25 * (cfg.theta_max - cfg.theta_min)
-    far = np.abs(grid_abs - mod.xi) > delta
+    far = np.abs(state.grid - xi_hat) > delta
     row[f"ext_grad_{delta:g}"] = float(np.max(np.abs(slope[far])))
     row["ode_dkappa"], row["ode_dtau"], row["ode_dxi"] = ode
     return row
@@ -494,7 +489,6 @@ def run_until_blowup(cfg: SolverConfig) -> RunRecord:
     record = RunRecord(config={"solver": asdict(cfg)})
     consts = BootstrapConstants(M=cfg.monitor_M, tau0=cfg.tau0,
                                 sigma_inf=cfg.sigma_inf)
-    holder_den = holder_denominators(state.grid)
 
     status = None
     step_i = 0
@@ -505,13 +499,15 @@ def run_until_blowup(cfg: SolverConfig) -> RunRecord:
     while True:
         # the per-step checks read the stepped range: every node outside it
         # holds the background, finite and with w - z = 2 sigma_inf, and a
-        # c4 slope equal to that of the range's outer nodes
+        # c4 slope equal to that of the range's outer nodes.  Each end of the
+        # range is a background node, so its min of w - z is the grid's.
         r = stepped_range(state, cfg.sigma_inf)
         w, z = state.w[r], state.z[r]
         if not (np.isfinite(w).all() and np.isfinite(z).all()):
             status = "numerical_failure"
             break
-        if (w - z).min() <= 0.0:
+        min_wz = float((w - z).min())
+        if min_wz <= 0.0:
             status = "vacuum"
             break
 
@@ -530,27 +526,27 @@ def run_until_blowup(cfg: SolverConfig) -> RunRecord:
         if sample_step or stopping:
             if not sample_step:
                 slope = deriv1_c4(state.w, state.dx)
-            xi_loc, kappa, tau, smin = track_extremal(
+            xi_hat, kappa, tau, smin = track_extremal(
                 state.grid, state.w, state.t_tilde, slope=slope)
-            xi_abs = xi_loc + cfg.xi0 + drift * state.t_tilde
-            mod = ModulationState(kappa=kappa, tau=tau, xi=xi_abs,
+            mod = ModulationState(kappa=kappa, tau=tau,
+                                  xi=xi_hat + cfg.xi0 + drift * state.t_tilde,
                                   t_tilde=state.t_tilde, xi_dot=drift)
-            grid_abs = state.theta_abs()
-            fld = to_selfsimilar(grid_abs, state.w, state.z, mod, consts.L)
+            fld = to_selfsimilar(state.grid, xi_hat, state.w, state.z, mod,
+                                 consts.L)
             if fld.win.start == fld.win.stop:
                 # the zoom frame has stretched the grid spacing past |y| <= L:
                 # no node is left to compare with the profile
                 status = "unresolved"
                 break
-            row = _sample_row(state, grid_abs, fld, mod, slope, abs(smin), dt,
-                              bc, cfg, consts, holder_den)
+            row = _sample_row(state, xi_hat, fld, mod, slope, abs(smin),
+                              0.5 * min_wz, dt, bc, cfg, consts)
             record.add_sample(**row)
             if cfg.emit_selfsim_ds is not None and mod.s >= next_snap_s:
                 # fld is new for each sample and nothing writes to it, so its
                 # arrays are stored uncopied
                 xi_dot = row["ode_dxi"]
                 record.add_snapshot(s=fld.s, t_tilde=state.t_tilde,
-                                    kappa=mod.kappa, tau=mod.tau, xi=mod.xi,
+                                    kappa=mod.kappa, tau=mod.tau, xi_hat=xi_hat,
                                     beta_tau=row["beta_tau"],
                                     xi_dot=drift if xi_dot is None else xi_dot,
                                     beta2=bc.beta2, y=fld.y, W=fld.W, Z=fld.Z)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import diagnostics as dg
 from .config import ConfigError, ExperimentConfig, header_config
-from .equivariant import initial_data, run_until_blowup
+from .equivariant import run_until_blowup
 from .records import RunRecord, config_hash, write_field_csv
 from .selfsim import zoom_coordinate
 # unused here, but perfbench/spans.py wraps harness.write_selfsim_csv, and its
@@ -22,8 +22,9 @@ from .selfsim import zoom_coordinate
 from .records import write_selfsim_csv  # noqa: F401
 
 
-# the first schema whose snapshots hold the zoom-frame state alone
-SNAPSHOT_SCHEMA = 14
+# the first schema whose snapshots centre the zoom frame at xi_hat on the
+# co-moving grid
+SNAPSHOT_SCHEMA = 18
 
 
 class SnapshotReadError(ValueError):
@@ -46,8 +47,8 @@ def _save_snapshots(record: RunRecord, out_dir):
 def load_snapshots(out_dir):
     """Rebuild the snapshot list persisted by run_experiment: W and Z from
     snapshots.npz, the scalars from snapshots_meta.json, and y from the
-    solver config in the run.jsonl header, formed on the grid and in the
-    frame of the run's initial state as the run formed it."""
+    solver config in the run.jsonl header, formed on the co-moving grid at
+    xi_hat as the run formed it."""
     for name in ("snapshots.npz", "snapshots_meta.json", "run.jsonl"):
         if not os.path.exists(os.path.join(out_dir, name)):
             raise SnapshotReadError(f"{out_dir} holds no {name}: rerun it "
@@ -71,13 +72,14 @@ def load_snapshots(out_dir):
         cfg = header_config(path, header.get("config", {}), version)
     except ConfigError as err:
         raise SnapshotReadError(str(err)) from None
-    frame = initial_data(cfg.solver)
+    solver = cfg.solver
+    grid = np.linspace(solver.theta_min, solver.theta_max, solver.n_cells)
     with open(os.path.join(out_dir, "snapshots_meta.json")) as f:
         meta = json.load(f)
     snaps = []
     with np.load(os.path.join(out_dir, "snapshots.npz")) as data:
         for i, m in enumerate(meta):
-            y = zoom_coordinate(frame.theta_abs(m["t_tilde"]), m["xi"], m["s"])
+            y = zoom_coordinate(grid, m["xi_hat"], m["s"])
             snaps.append({**m, "y": y, "W": data[f"snap{i}_W"],
                           "Z": data[f"snap{i}_Z"]})
     return snaps
@@ -112,7 +114,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunRecord:
                    "finished_unix": time.time()}, f, indent=1)
 
     _save_snapshots(record, out_dir)
-    if hasattr(record, "final_state"):
+    if record.final_state is not None:
         st = record.final_state
         write_field_csv(os.path.join(out_dir, "final_fields.csv"),
                         st.grid, st.w, st.z)

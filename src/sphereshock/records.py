@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-SCHEMA_VERSION = 17
+SCHEMA_VERSION = 18
 
 
 def _jsonable(obj):
@@ -41,6 +41,8 @@ class RunRecord:
     status: str = "running"
     summary: dict = field(default_factory=dict)
     schema_version: int | None = SCHEMA_VERSION  # None: read with no header
+    # the run's last EquivariantState; None on a record read from disk
+    final_state: object = field(default=None, compare=False, repr=False)
 
     def add_sample(self, **row):
         if self.samples and row["t_tilde"] <= self.samples[-1]["t_tilde"]:

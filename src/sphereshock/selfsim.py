@@ -58,30 +58,32 @@ class SelfSimField:
     origin_jet: np.ndarray = None  # d^k_y W at y = 0, k = 0..7
 
 
-def to_selfsimilar(grid_abs, w, z, mod: ModulationState, L) -> SelfSimField:
-    """Map physical fields on an absolute-theta grid into the zoom frame.
+def to_selfsimilar(grid, xi_hat, w, z, mod: ModulationState,
+                   L) -> SelfSimField:
+    """Map physical fields on the uniform grid the solver steps into the zoom
+    frame centred at the shock location xi_hat on that grid.
 
-    y = (theta - xi) e^{3s/2}, W = e^{s/2}(w - kappa), Z = z.  Derivative
-    arrays are produced by differencing in theta and rescaling by powers of
-    e^{3s/2}, never by differencing the stretched y-grid.  The compared
-    window |y| <= L, <y> and the profile jet on that window are formed here,
-    once per sample, as is the origin jet: the one 8-node interpolant of W
-    at y = 0 that every origin monitor reads.
+    y = (grid - xi_hat) e^{3s/2}, W = e^{s/2}(w - kappa), Z = z.  Derivative
+    arrays are produced by differencing with the grid's one dx and rescaling
+    by powers of e^{3s/2}, never by differencing the stretched y-grid.  The
+    compared window |y| <= L, <y> and the profile jet on that window are
+    formed here, once per sample, as is the origin jet: the one 8-node
+    interpolant of W at y = 0 that every origin monitor reads.
     """
     if not mod.tau > mod.t_tilde:
         raise PastBlowupError("self-similar frame undefined at or past blow-up")
-    grid_abs = np.asarray(grid_abs)
+    grid = np.asarray(grid)
     w = np.asarray(w)
     z = np.asarray(z)
     s = mod.s
     e32 = np.exp(1.5 * s)
     e12 = np.exp(0.5 * s)
-    y = zoom_coordinate(grid_abs, mod.xi, s)
+    y = zoom_coordinate(grid, xi_hat, s)
     win = compared_window(y, L)
     fld = SelfSimField(s=float(s), y=y, W=e12 * (w - mod.kappa), Z=z.copy(),
                        win=win, yb=np.sqrt(1.0 + y * y),
                        wbar=profile.w1d_jet(y[win], upto=2))
-    dx = grid_abs[1] - grid_abs[0]
+    dx = grid[1] - grid[0]
     for k, (dw, dz) in enumerate(zip(derivs_c4(w, dx), derivs_c4(z, dx)),
                                  start=1):
         dw *= e12 * e32 ** -k
@@ -92,9 +94,9 @@ def to_selfsimilar(grid_abs, w, z, mod: ModulationState, L) -> SelfSimField:
     return fld
 
 
-def zoom_coordinate(grid_abs, xi, s):
-    """y = (theta - xi) e^{3s/2} of the absolute-theta nodes grid_abs."""
-    return (grid_abs - xi) * np.exp(1.5 * s)
+def zoom_coordinate(grid, xi_hat, s):
+    """y = (grid - xi_hat) e^{3s/2} of the co-moving nodes grid."""
+    return (grid - xi_hat) * np.exp(1.5 * s)
 
 
 def _taylor(jet, y):

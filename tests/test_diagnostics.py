@@ -129,8 +129,8 @@ def holder_seminorm_dense(x, f):
     return float(np.max(df[mask] / dx[mask] ** (1.0 / 3.0)))
 
 
-def holder_seminorm_uncached(x, f):
-    """The stratified estimator with its denominators formed on every call."""
+def holder_seminorm_pairwise(x, f):
+    """The stratified estimator with each pair's own |x[i+sep] - x[i]|."""
     best = 0.0
     sep = 1
     while sep < len(x):
@@ -146,21 +146,20 @@ def holder_seminorm_uncached(x, f):
 def test_holder_seminorm_cube_root():
     x = np.linspace(-1.0, 1.0, 20001)
     f = np.cbrt(x)
-    val = dg.holder_seminorm(dg.holder_denominators(x), f)
+    val = dg.holder_seminorm(f, x[1] - x[0])
     assert val == pytest.approx(2.0 ** (2.0 / 3.0), rel=1e-3)
 
 
 def test_holder_seminorm_constant_zero():
     x = np.linspace(0.0, 1.0, 100)
-    den = dg.holder_denominators(x)
-    assert dg.holder_seminorm(den, np.ones_like(x)) == 0.0
+    assert dg.holder_seminorm(np.ones_like(x), x[1] - x[0]) == 0.0
 
 
 def test_holder_estimator_vs_dense_oracle():
     rng = np.random.default_rng(3)
     x = np.linspace(0.0, 1.0, 257)
     f = np.cumsum(rng.normal(size=257)) * 0.01
-    est = dg.holder_seminorm(dg.holder_denominators(x), f)
+    est = dg.holder_seminorm(f, x[1] - x[0])
     dense = holder_seminorm_dense(x, f)
     assert est <= dense + 1e-12
     assert est >= 0.5 * dense  # stratified pairs capture the bulk
@@ -169,32 +168,24 @@ def test_holder_estimator_vs_dense_oracle():
 def test_holder_monotone_under_refinement():
     x = np.linspace(-1.0, 1.0, 101)
     f = np.cbrt(x)
-    v1 = dg.holder_seminorm(dg.holder_denominators(x), f)
+    v1 = dg.holder_seminorm(f, x[1] - x[0])
     v2 = holder_seminorm_dense(x, f)
     assert v1 <= v2 + 1e-12
 
 
-def test_holder_denominators_follow_the_grid():
-    # denominators formed once per grid give the estimator of the loop that
-    # forms them on every call, on a uniform grid and on a random one
+def test_holder_seminorm_reads_one_dx():
+    # one (sep dx)^(1/3) per separation gives, to rounding, the estimator
+    # that divides each pair by its own node distance on the same grid
     rng = np.random.default_rng(11)
     n = 301
-    grids = [np.linspace(0.0, 1.0, n), np.sort(rng.uniform(-2.0, 3.0, n))]
-    dens = [dg.holder_denominators(x) for x in grids]
-    for i in range(8):
-        x = grids[i % 2]
-        f = np.cbrt(x - 0.3) + 0.01 * rng.standard_normal(n)
-        val = dg.holder_seminorm(dens[i % 2], f)
-        assert val == holder_seminorm_uncached(x, f)
-        assert val <= holder_seminorm_dense(x, f) + 1e-12
-    # fewer than 3 samples, a repeated node (some pairs coincide) and a
-    # grid that is not increasing are refused
-    repeated = grids[1].copy()
-    repeated[100] = repeated[101]
-    for x in (np.arange(2.0), repeated, grids[0][::-1],
-              np.array([0.0, 1.0, np.nan])):
-        with pytest.raises(dg.DiagnosticUndefinedError):
-            dg.holder_denominators(x)
+    for lo, hi in ((0.0, 1.0), (-2e-2, 2e-2), (0.2, 0.3)):
+        x = np.linspace(lo, hi, n)
+        for _ in range(4):
+            f = np.cbrt(x - 0.3 * (lo + hi)) + 0.01 * rng.standard_normal(n)
+            val = dg.holder_seminorm(f, x[1] - x[0])
+            assert val == pytest.approx(holder_seminorm_pairwise(x, f),
+                                        rel=1e-12)
+            assert val <= holder_seminorm_dense(x, f) * (1.0 + 1e-12)
 
 
 def test_location_report_zero_drift():

@@ -216,7 +216,7 @@ def test_rhs_keeps_the_bits_of_the_textbook_combination(case):
     force = 0.0
     if not cfg.flat_mode:
         force = (0.5 * bc.beta3 * (st.w - st.z) * (st.w + st.z)
-                 * np.tan(st.theta_abs()))
+                 * np.tan(st.grid + st.xi0 + st.frame_drift * st.t_tilde))
     dw, dz = eq.rhs(st, mod, bc, cfg)
     # a flat rhs differences w alone: the bits of differencing it beside z
     assert np.array_equal(_bits(dw), _bits(-cw * dwx + force))

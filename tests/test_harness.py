@@ -13,7 +13,8 @@ from sphereshock import cli
 from sphereshock import diagnostics as dg
 from sphereshock.config import ConfigError, ExperimentConfig, print_defaults
 from sphereshock.equivariant import SolverConfig, initial_data
-from sphereshock.harness import load_snapshots, run_experiment, sweep
+from sphereshock.harness import (SnapshotReadError, load_snapshots,
+                                 run_experiment, sweep)
 from sphereshock.profile import DERIV_BOUND_C
 from sphereshock.records import (SCHEMA_VERSION, RunRecord, config_hash,
                                  write_field_csv, write_selfsim_csv)
@@ -171,7 +172,7 @@ def test_run_experiment_artifacts(tmp_path):
         assert required in names
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["status"] == "blew_up"
-    assert summary["schema_version"] == SCHEMA_VERSION == 17
+    assert summary["schema_version"] == SCHEMA_VERSION == 18
     assert "T_star" in summary and "seed" not in summary
     assert "edge_contact_t" in summary
     # the exterior gradient is taken outside a quarter of the domain width
@@ -180,8 +181,8 @@ def test_run_experiment_artifacts(tmp_path):
             == [f"ext_grad_{delta:g}"])
     snaps = load_snapshots(tmp_path)
     assert len(snaps) >= 2
-    assert set(snaps[0]) == {"s", "t_tilde", "kappa", "tau", "xi", "beta_tau",
-                             "xi_dot", "beta2", "y", "W", "Z"}
+    assert set(snaps[0]) == {"s", "t_tilde", "kappa", "tau", "xi_hat",
+                             "beta_tau", "xi_dot", "beta2", "y", "W", "Z"}
 
 
 def test_summary_nulls_both_fits_when_the_window_is_unresolved(tmp_path):
@@ -577,6 +578,22 @@ def test_cli_trajectories_without_snapshots(tmp_path, capsys):
                      "--seeds", str(seeds)]) == 2
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 1 and "emit_selfsim_ds" in out[0]
+
+
+def test_load_snapshots_refuses_a_schema_17_directory(tmp_path):
+    # schema 17 centred its snapshots at the absolute xi, on the absolute
+    # grid; its files name no xi_hat
+    run_experiment(small_config(tmp_path, n_cells=512))
+    meta = json.loads((tmp_path / "snapshots_meta.json").read_text())
+    for m in meta:
+        m["xi"] = m.pop("xi_hat")
+    (tmp_path / "snapshots_meta.json").write_text(json.dumps(meta))
+    header, *samples = (tmp_path / "run.jsonl").read_text().splitlines(True)
+    (tmp_path / "run.jsonl").write_text("".join(
+        [header.replace(f'"schema_version": {SCHEMA_VERSION}',
+                        '"schema_version": 17')] + samples))
+    with pytest.raises(SnapshotReadError, match="schema 17.*rerun it"):
+        load_snapshots(tmp_path)
 
 
 def test_cli_trajectories_on_a_one_snapshot_run(tmp_path, capsys):

@@ -8,6 +8,7 @@ from sphereshock import profile
 from sphereshock import selfsim as ss
 from sphereshock import equivariant as eq
 from sphereshock.modulation import ModulationState
+from sphereshock.weno import derivs_c4
 
 L = ss.BootstrapConstants(M=100.0, tau0=1e-2).L  # for tests that read no margin
 
@@ -27,25 +28,25 @@ def make_field(n=4096, tau0=1e-2, kappa=1.2, xi=0.26, t=0.0, perturb=None):
 
 
 def from_selfsimilar(fld, mod):
-    """Inverse map back to (theta_abs, w, z)."""
+    """Inverse map back to (grid, w, z)."""
     e32 = np.exp(1.5 * fld.s)
     e12 = np.exp(0.5 * fld.s)
     return fld.y / e32 + mod.xi, fld.W / e12 + mod.kappa, fld.Z.copy()
 
 
 def bootstrap_report(grid, w, z, mod, consts):
-    fld = ss.to_selfsimilar(grid, w, z, mod, consts.L)
+    fld = ss.to_selfsimilar(grid, mod.xi, w, z, mod, consts.L)
     return ss.bootstrap_report(fld, consts)
 
 
 def profile_distance(grid, w, z, mod, consts):
-    fld = ss.to_selfsimilar(grid, w, z, mod, consts.L)
+    fld = ss.to_selfsimilar(grid, mod.xi, w, z, mod, consts.L)
     return ss.profile_distance(fld, consts)
 
 
 def test_round_trip_identity():
     grid, w, z, mod = make_field()
-    fld = ss.to_selfsimilar(grid, w, z, mod, L)
+    fld = ss.to_selfsimilar(grid, mod.xi, w, z, mod, L)
     g2, w2, z2 = from_selfsimilar(fld, mod)
     assert np.max(np.abs(g2 - grid)) < 1e-13
     assert np.max(np.abs(w2 - w)) < 1e-13
@@ -55,7 +56,7 @@ def test_round_trip_identity():
 def test_uniform_w_maps_to_zero():
     grid = np.linspace(0.2, 0.3, 512)
     mod = ModulationState(kappa=0.9, tau=1e-2, xi=0.25, t_tilde=0.0)
-    fld = ss.to_selfsimilar(grid, np.full_like(grid, 0.9),
+    fld = ss.to_selfsimilar(grid, mod.xi, np.full_like(grid, 0.9),
                             np.full_like(grid, -0.9), mod, L)
     assert np.max(np.abs(fld.W)) == 0.0
 
@@ -67,12 +68,12 @@ def test_past_blowup_rejected():
     mod = ModulationState(kappa=1.0, tau=0.5, xi=0.5, t_tilde=0.4)
     mod.tau = 0.3  # corrupt after construction
     with pytest.raises(ss.PastBlowupError):
-        ss.to_selfsimilar(grid, grid, grid, mod, L)
+        ss.to_selfsimilar(grid, mod.xi, grid, grid, mod, L)
 
 
 def test_derivative_chain_rule():
     grid, w, z, mod = make_field()
-    fld = ss.to_selfsimilar(grid, w, z, mod, L)
+    fld = ss.to_selfsimilar(grid, mod.xi, w, z, mod, L)
     sel = np.zeros(len(fld.y), dtype=bool)
     sel[3:-3] = True  # edge-padded stencils are invalid on the outer nodes
     for k in (1, 2):
@@ -145,7 +146,7 @@ def test_profile_distance_scales_linearly():
 
 def test_normalization_check_on_profile():
     grid, w, z, mod = make_field()
-    fld = ss.to_selfsimilar(grid, w, z, mod, L)
+    fld = ss.to_selfsimilar(grid, mod.xi, w, z, mod, L)
     w0r, dw0r = ss.normalization_check(fld)
     assert w0r < 1e-10
     assert dw0r < 1e-8
@@ -183,7 +184,7 @@ def test_origin_jet_reads_a_septic_exactly():
     c = np.array([0.0, -1.0, 0.5, 3.0, -2.0, 1.0, 0.25, -0.5])
     y = (grid - mod.xi) * e32
     W = np.polynomial.polynomial.polyval(y, c)
-    fld = ss.to_selfsimilar(grid, 0.9 + W / np.exp(0.5 * mod.s),
+    fld = ss.to_selfsimilar(grid, mod.xi, 0.9 + W / np.exp(0.5 * mod.s),
                             np.full_like(grid, -0.9), mod, L)
     fact = np.cumprod([1.0, 1, 2, 3, 4, 5, 6, 7])
     np.testing.assert_allclose(fld.origin_jet, c * fact, rtol=1e-6, atol=1e-9)
@@ -204,7 +205,7 @@ def test_profile_evaluated_on_the_compared_window_only(monkeypatch):
         return w1d_jet(y, upto)
 
     monkeypatch.setattr(profile, "w1d_jet", counting)
-    fld = ss.to_selfsimilar(grid, w, z, mod, consts.L)
+    fld = ss.to_selfsimilar(grid, mod.xi, w, z, mod, consts.L)
     inL = np.zeros(len(fld.y), dtype=bool)
     inL[3:-3] = np.abs(fld.y[3:-3]) <= consts.L
     assert np.array_equal(np.flatnonzero(inL), np.arange(len(fld.y))[fld.win])
@@ -236,6 +237,32 @@ def test_one_compared_window_per_sample(monkeypatch):
                                         blowup_slope_cap=150.0))
     assert len(frames) > 2
     assert windows == list(range(1, len(frames) + 1))
+
+
+def test_a_run_differences_with_the_solvers_dx(monkeypatch):
+    # every sample's y-derivatives are the solver grid's c4 differences,
+    # taken with state.dx and rescaled, bit for bit; the frame does not
+    # form a grid of its own
+    pairs = []
+    sample_row = eq._sample_row
+
+    def recording_row(state, xi_hat, fld, *args):
+        pairs.append((state, xi_hat, fld))
+        return sample_row(state, xi_hat, fld, *args)
+
+    monkeypatch.setattr(eq, "_sample_row", recording_row)
+    eq.run_until_blowup(eq.SolverConfig(n_cells=512, record_every=8,
+                                        blowup_slope_cap=150.0))
+    assert len(pairs) > 2
+    for state, xi_hat, fld in pairs:
+        e12, e32 = np.exp(0.5 * fld.s), np.exp(1.5 * fld.s)
+        dws = derivs_c4(state.w, state.dx)
+        dzs = derivs_c4(state.z, state.dx)
+        for k in range(1, 5):
+            want_w = dws[k - 1] * (e12 * e32 ** -k)
+            assert np.array_equal(fld.dW[k], want_w, equal_nan=True), k
+            assert np.array_equal(fld.dZ[k], dzs[k - 1] * e32 ** -k), k
+        assert np.array_equal(fld.y, (state.grid - xi_hat) * e32)
 
 
 CONSTANT_BOUNDS = ("ba_w_3", "ba_w_4", "ba_z_0", "ba_z_1", "ba_z_2", "ba_z_3",
@@ -296,7 +323,7 @@ def _random_fields():
         z = z + 10.0 ** rng.uniform(-12, -1) * rng.standard_normal(len(z))
         if case == 5:
             w[len(w) // 2 + 3] = np.nan      # a NaN in W, dW and the jet
-        fld = ss.to_selfsimilar(grid, w, z, mod, consts.L)
+        fld = ss.to_selfsimilar(grid, mod.xi, w, z, mod, consts.L)
         if case == 7:
             fld.origin_jet = fld.origin_jet.copy()
             fld.origin_jet[3] = np.nan
