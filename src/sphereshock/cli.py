@@ -85,9 +85,10 @@ def cmd_sweep(args):
 
 def cmd_diagnose(args):
     from .config import ConfigError, header_config
-    from .diagnostics import (DiagnosticUndefinedError, blowup_report,
+    from .diagnostics import (DiagnosticUndefinedError,
+                              background_blowup_time, blowup_report,
                               edge_contact_time, fit_bounds, fit_window,
-                              fit_window_span)
+                              fit_window_span, tightest_margin)
     from .records import RunRecord
     rec = _read(args.record, RunRecord.read_jsonl)
     try:
@@ -100,6 +101,10 @@ def cmd_diagnose(args):
     contact = edge_contact_time(rec)
     print("edge contact      : "
           + ("none" if contact is None else f"t~ = {contact:.8g}"))
+    tight = tightest_margin(rec)
+    print("tightest margin   : " + ("none recorded" if tight is None else
+          f"{tight['name']} {tight['margin']:+.4g} at y = {tight['y']:.6g}, "
+          f"t~ = {tight['t_tilde']:.8g}"))
     try:
         rep = blowup_report(rec, holder_cap=diag.holder_cap,
                             rate_tol=diag.rate_tol)
@@ -110,11 +115,15 @@ def cmd_diagnose(args):
     print(f"fit window        : max_slope in [{lo:.4g}, {hi:.4g}], "
           f"{len(fit_window(rec))} samples, span {fit_window_span(rec):.1f}x")
     print(f"T*                : {rep.T_star:.8g}")
+    tau0, T_bg = cfg.solver.tau0, background_blowup_time(cfg.solver)
+    print(f"T* closed form    : {T_bg:.8g} (T* - it: "
+          f"{(rep.T_star - T_bg) / tau0**2:+.3e} tau0^2)")
     print(f"tau tracker (end) : {rep.tau_tracker:.8g}")
     print(f"rate exponent     : {rep.rate_exponent:+.4f} "
           f"(span {rep.rate_span:.1f}x)")
     print(f"xi*               : {rep.xi_star:.8g}")
-    print(f"holder seminorm   : {rep.holder_seminorm_max:.4f}")
+    print(f"holder seminorm   : {rep.holder_seminorm_max:.4f} "
+          "(dyadic estimate, a lower bound)")
     print(f"min sigma         : {rep.min_sigma:.4f}")
     for name, ok in rep.flags.items():
         print(f"  [{'PASS' if ok else 'FAIL'}] {name}")

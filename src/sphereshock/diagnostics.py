@@ -93,6 +93,34 @@ def blowup_time(record):
     return float(coef[0]), float(tau[-1]), resid
 
 
+def background_blowup_time(cfg):
+    """T* of the paper's tau equation at the background, in closed form.
+
+    With kappa = sigma_inf, Z = -sigma_inf and dZ = 0 the tau equation
+    reduces to u' = -b3 kappa0 tan(xi) u - 1 for u = tau - t, with
+    xi = xi0 + drift t and drift = 2 b3 kappa0, cfg.frame_drift().  It is
+    linear in u, so tau meets t at the root T of
+    int_0^T (cos xi0 / cos(xi0 + drift t))^(1/2) dt = tau0, found here by
+    Newton's method on a 16-point Gauss-Legendre rule.  To leading
+    order T = tau0 - (1/2) b3 kappa0 tan(xi0) tau0^2.  cfg is a
+    SolverConfig; in flat mode, which has no curvature, T is tau0.
+    """
+    if cfg.flat_mode:
+        return cfg.tau0
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    drift = cfg.frame_drift()
+
+    def factor(t):  # the integrating factor of the u equation
+        return np.sqrt(np.cos(cfg.xi0) / np.cos(cfg.xi0 + drift * t))
+
+    T = cfg.tau0
+    for _ in range(8):
+        half = 0.5 * T
+        integral = half * float(np.dot(weights, factor(half * (nodes + 1.0))))
+        T -= (integral - cfg.tau0) / float(factor(T))
+    return float(T)
+
+
 def blowup_time_refined(record):
     """blowup_time(record)[0], under the name the benchmark still reads."""
     return blowup_time(record)[0]
@@ -153,6 +181,21 @@ def edge_contact_time(record):
         if lo is not None and (lo <= grid[3] or hi >= grid[-4]):
             return s["t_tilde"]
     return None
+
+
+def tightest_margin(record):
+    """The run's smallest bootstrap margin, {name, margin, y, t_tilde}: of
+    the samples' own smallest members (ba_tightest at ba_tightest_y), the
+    smallest, the first on a tie.  None when no sample records one, as
+    before schema 19."""
+    best = None
+    for s in record.samples:
+        name = s.get("ba_tightest")
+        if name is not None and (best is None
+                                 or s["ba_margins"][name] < best["margin"]):
+            best = {"name": name, "margin": s["ba_margins"][name],
+                    "y": s["ba_tightest_y"], "t_tilde": s["t_tilde"]}
+    return best
 
 
 def vacuum_check(record, sigma_inf):

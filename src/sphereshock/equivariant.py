@@ -52,7 +52,7 @@ class OracleDomainError(ValueError):
 # Courant number of the stability bound on the fastest field: below the RK4
 # limit of the linear fifth-order upwind operator, 1.732 (Motamed, Macdonald &
 # Ruuth, J. Sci. Comput. 47, 2011); tests/test_equivariant.py recomputes it
-RK4_COURANT = 1.2
+RK4_COURANT = 1.5
 SLOPE_DT_FRAC = 0.05             # dt <= SLOPE_DT_FRAC / max|slope|
 DT_FLOOR = 1e-12                 # a smaller step bound stops the run: stalled
 CUT_INNER, CUT_OUTER = 0.4, 1.0  # initial profile cutoff radii, units tau0^-1/2
@@ -435,8 +435,9 @@ def _z_origin_jet(grid, z, xi_hat, s):
 
 def _sample_row(state: EquivariantState, xi_hat, fld, mod, slope, smax,
                 min_sigma, dt_next, bc, cfg: SolverConfig, consts):
-    """The recorded scalars of one sample: modulation, bootstrap margins,
-    profile distances, support extent, exterior gradient, ODE monitor and
+    """The recorded scalars of one sample: modulation, bootstrap margins
+    with the name and y of the smallest (the first on a tie), profile
+    distances, support extent, exterior gradient, ODE monitor and
     beta_tau = 1/(1 - ode_dtau), or 1 where the ODE is degenerate.
     xi_hat is the tracked shock location on the co-moving grid state.grid,
     where every local fit reads it; mod.xi is the same point in absolute
@@ -449,6 +450,7 @@ def _sample_row(state: EquivariantState, xi_hat, fld, mod, slope, smax,
     except DegenerateRhsError:
         ode = (None, None, None)
     ba = bootstrap_report(fld, consts)
+    tightest = min(ba.margins, key=ba.margins.get)
     dist = profile_distance(fld, consts)
     w0r, dw0r = normalization_check(fld)
     row = dict(t_tilde=state.t_tilde, s=mod.s, kappa=mod.kappa, tau=mod.tau,
@@ -462,6 +464,7 @@ def _sample_row(state: EquivariantState, xi_hat, fld, mod, slope, smax,
                prof_weighted=dist["weighted_sup"],
                prof_weighted_grad=dist["weighted_grad_sup"],
                ba_margins=ba.margins,
+               ba_tightest=tightest, ba_tightest_y=ba.worst[tightest],
                ba_w_pass=ba.family_passed("ba_w_"),
                ba_z_pass=ba.family_passed("ba_z_"))
     lo, hi = support_bounds(state, cfg.sigma_inf)

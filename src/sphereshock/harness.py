@@ -99,6 +99,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunRecord:
     record = run_until_blowup(config.solver)
     record.config = config.to_dict()
     record.summary["edge_contact_t"] = dg.edge_contact_time(record)
+    record.summary["ba_tightest"] = dg.tightest_margin(record)
     # both read diagnostics.fit_window, so both are defined or both null
     record.summary.update(T_star=None, fit_window_span=None)
     try:

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from sphereshock import diagnostics as dg
+from sphereshock import equivariant as eq
 from sphereshock.records import RunRecord
+from sphereshock.riemann import betas
 
 
 def synthetic_burgers_record(tau0=1e-2, n=400, slope0=100.0, slope_end=2000.0,
@@ -211,3 +215,62 @@ def test_vacuum_check():
     assert out["pass"] and out["min_sigma"] == 1.2
     bad = dg.vacuum_check(rec, sigma_inf=3.0)
     assert not bad["pass"]
+
+
+def _rk4_background_blowup_time(cfg, n=2000):
+    """The root of u = tau - t in u' = -b3 kappa0 tan(xi0 + drift t) u - 1,
+    u(0) = tau0, by classical RK4 on its inverse t(u): dt/du = 1/u', from
+    u = tau0 down to u = 0, where t is the blow-up time."""
+    a = 0.5 * cfg.frame_drift()
+
+    def dt_du(u, t):
+        return 1.0 / (-a * math.tan(cfg.xi0 + 2.0 * a * t) * u - 1.0)
+
+    h = -cfg.tau0 / n
+    u, t = cfg.tau0, 0.0
+    for _ in range(n):
+        k1 = dt_du(u, t)
+        k2 = dt_du(u + 0.5 * h, t + 0.5 * h * k1)
+        k3 = dt_du(u + 0.5 * h, t + 0.5 * h * k2)
+        k4 = dt_du(u + h, t + h * k3)
+        u, t = u + h, t + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return t
+
+
+@pytest.mark.parametrize("gamma, xi0, tau0", [
+    (3.0, math.pi / 12, 1e-2), (3.0, math.pi / 12, 5e-3),
+    (3.0, math.pi / 8, 1e-2), (2.0, math.pi / 16, 1e-2)])
+def test_background_blowup_time_solves_the_tau_equation(gamma, xi0, tau0):
+    cfg = eq.SolverConfig(gamma=gamma, xi0=xi0, tau0=tau0, n_cells=256)
+    T = dg.background_blowup_time(cfg)
+    assert abs(T - _rk4_background_blowup_time(cfg)) <= 1e-12 * tau0
+    # the expansion of the root in tau0: the sphere's curvature brings the
+    # shock forward by (1/2) b3 kappa0 tan(xi0) tau0^2, and the next term
+    # is -(b3 kappa0)^2 tau0^3 / 3
+    a = betas(gamma).beta3 * cfg.kappa0
+    leading = tau0 - 0.5 * a * math.tan(xi0) * tau0**2
+    assert abs(T - leading) <= 0.5 * a**2 * tau0**3
+    assert abs(T - leading + a**2 * tau0**3 / 3.0) <= 0.05 * tau0**4
+    if (gamma, xi0, tau0) == (3.0, math.pi / 12, 1e-2):
+        assert (T - tau0) / tau0**2 == pytest.approx(-0.08158, abs=1e-5)
+
+
+def test_background_blowup_time_is_tau0_in_flat_mode():
+    cfg = eq.SolverConfig(flat_mode=True, n_cells=256, tau0=7e-3)
+    assert dg.background_blowup_time(cfg) == 7e-3
+
+
+@pytest.mark.parametrize("tau0, bound", [(1e-2, 3e-3), (5e-3, 6e-3)])
+def test_fit_blowup_time_meets_the_closed_form(tau0, bound):
+    # a criterion-6 row at 2048 cells: the fit of the tracked tau reads T*
+    # late by 2.69e-3 tau0^2 at tau0 = 1e-2 and 5.53e-3 tau0^2 at 5e-3
+    # (8192 cells: 6.2e-4 and 8.2e-4); at gamma = 3 the z term of the tau
+    # equation is 0, so the background's root is the reference
+    n = 2048
+    cap = 1.35 * dg.resolution_window(tau0, 3.0 * tau0 / (n - 1))
+    cfg = eq.SolverConfig(n_cells=n, tau0=tau0, t_max=1.6 * tau0,
+                          theta_min=-1.5 * tau0, theta_max=1.5 * tau0,
+                          blowup_slope_cap=cap)
+    rec = eq.run_until_blowup(cfg)
+    gap = (dg.blowup_time(rec)[0] - dg.background_blowup_time(cfg)) / tau0**2
+    assert 0.0 < gap <= bound

@@ -11,6 +11,7 @@ import pytest
 
 from sphereshock import cli
 from sphereshock import diagnostics as dg
+from sphereshock import equivariant as eq
 from sphereshock.config import ConfigError, ExperimentConfig, print_defaults
 from sphereshock.equivariant import SolverConfig, initial_data
 from sphereshock.harness import (SnapshotReadError, load_snapshots,
@@ -172,7 +173,7 @@ def test_run_experiment_artifacts(tmp_path):
         assert required in names
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["status"] == "blew_up"
-    assert summary["schema_version"] == SCHEMA_VERSION == 18
+    assert summary["schema_version"] == SCHEMA_VERSION == 19
     assert "T_star" in summary and "seed" not in summary
     assert "edge_contact_t" in summary
     # the exterior gradient is taken outside a quarter of the domain width
@@ -183,6 +184,37 @@ def test_run_experiment_artifacts(tmp_path):
     assert len(snaps) >= 2
     assert set(snaps[0]) == {"s", "t_tilde", "kappa", "tau", "xi_hat",
                              "beta_tau", "xi_dot", "beta2", "y", "W", "Z"}
+
+
+def test_summary_names_the_tightest_bootstrap_margin(tmp_path, monkeypatch,
+                                                    capsys):
+    # each sample records its smallest ba_margins member and that member's
+    # y from its bootstrap report; the summary keeps the run's smallest,
+    # and diagnose prints it
+    reports = []
+
+    def kept(fld, consts, report=eq.bootstrap_report):
+        reports.append(report(fld, consts))
+        return reports[-1]
+
+    monkeypatch.setattr(eq, "bootstrap_report", kept)
+    rec = run_experiment(small_config(tmp_path, emit_selfsim_ds=None))
+    assert len(reports) == len(rec.samples) > 10
+    best = None
+    for s, rep in zip(rec.samples, reports):
+        margins = s["ba_margins"]
+        assert margins[s["ba_tightest"]] == min(margins.values())
+        assert s["ba_tightest_y"] == rep.worst[s["ba_tightest"]]
+        if best is None or min(margins.values()) < best["margin"]:
+            best = {"name": s["ba_tightest"], "margin": min(margins.values()),
+                    "y": s["ba_tightest_y"], "t_tilde": s["t_tilde"]}
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["ba_tightest"] == best
+    capsys.readouterr()
+    cli.main(["diagnose", str(tmp_path / "run.jsonl")])
+    assert (f"tightest margin   : {best['name']} {best['margin']:+.4g} at "
+            f"y = {best['y']:.6g}, t~ = {best['t_tilde']:.8g}\n"
+            in capsys.readouterr().out)
 
 
 def test_summary_nulls_both_fits_when_the_window_is_unresolved(tmp_path):
@@ -509,6 +541,7 @@ def test_cli_diagnose_refuses_a_schema_9_header(tmp_path, capsys):
     # a solver block that from_dict accepts takes the defaults it leaves out
     ('{"type": "header", "config": {"solver": {}}}\n',
      "edge contact      : none\n"
+     "tightest margin   : none recorded\n"
      "diagnostics undefined: run ended with status 'unknown'")],
     ids=["empty", "no_solver", "missing", "not_json", "not_object",
          "config_not_object", "diagnostics_not_object", "bad_solver_value",

@@ -8,10 +8,10 @@ bump in w and a bump in z carried at z's background speed.  The residual
 range; outside it the bumps' tails round to the background's bits, and the
 source's step increments round away there.  So the stepped fields must
 reproduce (w*, z*) to the scheme's formal order.  Over 256 -> 512 -> 1024
-cells w converges at 4.98 and 5.00 (gamma = 3) and 4.99 and 5.03
-(gamma = 2): the fifth-order space error dominates it.  z moves at Courant
-number 1.2, so RK4's fourth-order time error takes over: 4.11 and 4.04,
-and 4.13 and 4.05.
+cells w converges at 4.98 and 5.01 (gamma = 3) and 5.01 and 4.67
+(gamma = 2), near the fifth order of the space error.  z moves at Courant
+number 1.5, so RK4's fourth-order time error takes over: 4.04 and 4.01,
+and 4.06 and 4.01.
 """
 
 import math
