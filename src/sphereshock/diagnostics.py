@@ -40,14 +40,18 @@ def resolution_window(tau0, dx):
     return (0.02 * tau0**2 / (150.0 * dx**4)) ** 0.2
 
 
+def _grid(record):
+    """initial_data's grid of the record's solver config, and its dx."""
+    solver = record.config["solver"]
+    grid = np.linspace(solver["theta_min"], solver["theta_max"],
+                       solver["n_cells"])
+    return grid, float(grid[1] - grid[0])
+
+
 def fit_bounds(record):
     """(rw/10, rw) with rw = resolution_window(tau0, dx) of the record's
     grid: the max_slope bounds of fit_window."""
-    solver = record.config["solver"]
-    # initial_data's grid and dx
-    grid = np.linspace(solver["theta_min"], solver["theta_max"],
-                       solver["n_cells"])
-    hi = resolution_window(solver["tau0"], float(grid[1] - grid[0]))
+    hi = resolution_window(record.config["solver"]["tau0"], _grid(record)[1])
     return hi / 10.0, hi
 
 
@@ -173,9 +177,7 @@ def edge_contact_time(record):
     """First sample t_tilde whose deviation support lies within the WENO5
     stencil reach (3 nodes) of either grid end, else None.  Past it the
     edge-replicated ghosts are no longer exact."""
-    solver = record.config["solver"]
-    grid = np.linspace(solver["theta_min"], solver["theta_max"],
-                       solver["n_cells"])
+    grid = _grid(record)[0]
     for s in record.samples:
         lo, hi = s.get("support_lo"), s.get("support_hi")
         if lo is not None and (lo <= grid[3] or hi >= grid[-4]):
@@ -198,6 +200,48 @@ def tightest_margin(record):
     return best
 
 
+def profile_convergence(record):
+    """Criterion 7, with dy = dx e^{3s/2}: once s - s0 >= 0.5, prof_inner
+    stays under max(its envelope up to then, 0.05 dy^4 + 1e-10), a floor
+    where the tracked-kappa offset enters the zoom frame at the
+    interpolation level e^{s/2} O(dtheta^4 curvature) ~ dy^4; the last
+    prof_inner is at most tau0^(1/3); and w0_resid and dw0_resid stay
+    within 10 dy^2: norm_used, the largest share of it either takes, is at
+    most 1."""
+    s = record.series("s")
+    dy = _grid(record)[1] * np.exp(1.5 * s)
+    inner = record.series("prof_inner")
+    post = s - s[0] >= 0.5
+    envelope = max(np.max(inner[:int(np.argmax(post)) + 1]), 1e-10)
+    out = {"monotone": bool(np.all(inner[post] <= np.maximum(
+               envelope, 0.05 * dy[post] ** 4 + 1e-10))),
+           "inner_end": float(inner[-1]),
+           "cap": record.config["solver"]["tau0"] ** (1.0 / 3.0),
+           "norm_used": float(max(np.max(record.series(k) / (10.0 * dy**2))
+                                  for k in ("w0_resid", "dw0_resid")))}
+    out["normalization"] = out["norm_used"] <= 1.0
+    out["pass"] = (out["monotone"] and out["inner_end"] <= out["cap"]
+                   and out["normalization"])
+    return out
+
+
+def bootstrap_families(record):
+    """Criterion 10: for each family, ba_w and ba_z, whether its ba_*_pass
+    holds on every sample, and its smallest margin over the run as
+    {name, margin, t_tilde}, the first on a tie, or None without samples.
+    The samples record no y for it."""
+    out = {fam: {"pass": all(s[fam + "_pass"] for s in record.samples),
+                 "worst": min(({"name": name, "margin": m,
+                                "t_tilde": s["t_tilde"]}
+                               for s in record.samples
+                               for name, m in s["ba_margins"].items()
+                               if name.startswith(fam + "_")),
+                              key=lambda w: w["margin"], default=None)}
+           for fam in ("ba_w", "ba_z")}
+    out["pass"] = out["ba_w"]["pass"] and out["ba_z"]["pass"]
+    return out
+
+
 def vacuum_check(record, sigma_inf):
     """Global minimum of sigma over the run; pass iff >= sigma_inf / 2."""
     min_sigma = float(np.min(record.series("min_sigma")))
@@ -209,12 +253,13 @@ def vacuum_check(record, sigma_inf):
 class BlowupReport:
     T_star: float
     tau_tracker: float
-    rate_exponent: float
-    rate_span: float
+    rate_exponent: float | None  # None, with rate_note, where undefined
+    rate_span: float | None
     xi_star: float
     holder_seminorm_max: float
     min_sigma: float
     flags: dict = field(default_factory=dict)
+    rate_note: str | None = None
 
     @property
     def passed(self):
@@ -223,30 +268,33 @@ class BlowupReport:
 
 def blowup_report(record, holder_cap, rate_tol=0.05) -> BlowupReport:
     """Assemble the full verdict for a completed blow-up run.  T* must lie
-    within the 2 M tau0^2 time budget of tau0."""
+    within the 2 M tau0^2 time budget of tau0.  An undefined T* raises
+    DiagnosticUndefinedError; an undefined rate fails the rate flags."""
     solver = record.config["solver"]
-    sigma_inf = solver["sigma_inf"]
-    tau0 = solver["tau0"]
-    beta3 = betas(solver["gamma"]).beta3
-    M = solver["monitor_M"]
-    xi0 = solver["xi0"]
-    kappa0 = sigma_inf
+    sigma_inf, tau0, M = solver["sigma_inf"], solver["tau0"], solver["monitor_M"]
 
     T_star, tau_end, _ = blowup_time(record)
-    rate, span = rate_fit(record, T_star)
-    loc = location_report(record, xi0, kappa0, beta3, M, tau0)
+    rate = span = note = None
+    try:
+        rate, span = rate_fit(record, T_star)
+    except DiagnosticUndefinedError as err:
+        note = str(err)
+    loc = location_report(record, solver["xi0"], sigma_inf,
+                          betas(solver["gamma"]).beta3, M, tau0)
     vac = vacuum_check(record, sigma_inf)
     holder_max = float(np.max(record.series("holder_w")))
 
     flags = {
         "blow_up_time": abs(T_star - tau0) <= 2.0 * M * tau0**2,
-        "rate": abs(rate + 1.0) <= rate_tol,
-        "rate_span_decade": span >= 10.0,
+        "rate": rate is not None and abs(rate + 1.0) <= rate_tol,
+        "rate_span_decade": span is not None and span >= 10.0,
         "location": loc["pass"],
         "vacuum": vac["pass"],
         "holder": holder_max <= holder_cap,
+        "profile_convergence": profile_convergence(record)["pass"],
+        "bootstrap": bootstrap_families(record)["pass"],
     }
     return BlowupReport(T_star=T_star, tau_tracker=tau_end, rate_exponent=rate,
                         rate_span=span, xi_star=float(record.series("xi")[-1]),
                         holder_seminorm_max=holder_max, min_sigma=vac["min_sigma"],
-                        flags=flags)
+                        flags=flags, rate_note=note)

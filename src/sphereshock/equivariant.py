@@ -437,7 +437,7 @@ def _sample_row(state: EquivariantState, xi_hat, fld, mod, slope, smax,
                 min_sigma, dt_next, bc, cfg: SolverConfig, consts):
     """The recorded scalars of one sample: modulation, bootstrap margins
     with the name and y of the smallest (the first on a tie), profile
-    distances, support extent, exterior gradient, ODE monitor and
+    distance, support extent, exterior gradient, ODE monitor and
     beta_tau = 1/(1 - ode_dtau), or 1 where the ODE is degenerate.
     xi_hat is the tracked shock location on the co-moving grid state.grid,
     where every local fit reads it; mod.xi is the same point in absolute
@@ -451,7 +451,6 @@ def _sample_row(state: EquivariantState, xi_hat, fld, mod, slope, smax,
         ode = (None, None, None)
     ba = bootstrap_report(fld, consts)
     tightest = min(ba.margins, key=ba.margins.get)
-    dist = profile_distance(fld, consts)
     w0r, dw0r = normalization_check(fld)
     row = dict(t_tilde=state.t_tilde, s=mod.s, kappa=mod.kappa, tau=mod.tau,
                xi=mod.xi, max_slope=smax,
@@ -460,9 +459,7 @@ def _sample_row(state: EquivariantState, xi_hat, fld, mod, slope, smax,
                dt=dt_next,
                beta_tau=1.0 if ode[1] is None else 1.0 / (1.0 - ode[1]),
                w0_resid=w0r, dw0_resid=dw0r,
-               prof_inner=dist["inner_sup"],
-               prof_weighted=dist["weighted_sup"],
-               prof_weighted_grad=dist["weighted_grad_sup"],
+               prof_inner=profile_distance(fld, consts),
                ba_margins=ba.margins,
                ba_tightest=tightest, ba_tightest_y=ba.worst[tightest],
                ba_w_pass=ba.family_passed("ba_w_"),

@@ -140,13 +140,17 @@ def _sweep_row(config: ExperimentConfig, overrides, out_root):
         row["status"] = rec.status
         row["T_star"] = rec.summary.get("T_star")
         try:
-            row["rate"] = dg.rate_fit(rec, rec.summary.get("T_star"))[0]
-        except dg.DiagnosticUndefinedError:
-            row["rate"] = ""
-        row["min_sigma"] = float(np.min(rec.series("min_sigma")))
+            rate = dg.blowup_report(
+                rec, holder_cap=config.diagnostics.holder_cap,
+                rate_tol=config.diagnostics.rate_tol).rate_exponent
+        except dg.DiagnosticUndefinedError:  # no T*, so no rate
+            rate = None
+        row["rate"] = "" if rate is None else rate
+        row["min_sigma"] = dg.vacuum_check(
+            rec, config.solver.sigma_inf)["min_sigma"]
         row["holder_max"] = float(np.max(rec.series("holder_w")))
-        row["ba_w_ok"] = all(s["ba_w_pass"] for s in rec.samples)
-        row["ba_z_ok"] = all(s["ba_z_pass"] for s in rec.samples)
+        ba = dg.bootstrap_families(rec)
+        row["ba_w_ok"], row["ba_z_ok"] = ba["ba_w"]["pass"], ba["ba_z"]["pass"]
     except Exception as err:  # crash isolation: a bad run keeps its row
         row["status"] = "error"
         row["error"] = repr(err)

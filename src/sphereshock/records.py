@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-SCHEMA_VERSION = 19
+SCHEMA_VERSION = 20
 
 
 def _jsonable(obj):

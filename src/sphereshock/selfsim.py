@@ -1,5 +1,5 @@
 """Self-similar variables: rescaling of physical runs into the zoom frame,
-bootstrap inequality monitors, and weighted distance to the blow-up profile.
+bootstrap inequality monitors, and the distance to the blow-up profile.
 """
 
 from __future__ import annotations
@@ -120,11 +120,9 @@ class BootstrapReport:
     margins: dict
     worst: dict
 
-    def family(self, prefix):
-        return {k: v for k, v in self.margins.items() if k.startswith(prefix)}
-
     def family_passed(self, prefix):
-        return all(v >= 0.0 for v in self.family(prefix).values())
+        return all(v >= 0.0 for k, v in self.margins.items()
+                   if k.startswith(prefix))
 
 
 def _min_margin(bound, quantity, y):
@@ -190,23 +188,10 @@ def bootstrap_report(fld: SelfSimField,
 
 
 def profile_distance(fld: SelfSimField, consts: BootstrapConstants):
-    """Weighted sup distances between W and the blow-up profile.
-
-    Returns {inner_sup, weighted_sup, weighted_grad_sup}: the |y| <= l sup of
-    |W - Wbar| through the origin jet, and the <y>^(-1/3)- and
-    <y>^(2/3)-weighted sups on the compared window |y| <= L.
-    """
-    win, wbar = fld.win, fld.wbar
-    yb = fld.yb[win]
-    inner = float(np.max(np.abs(_taylor(fld.origin_jet, consts.distance_y)
-                                - consts.distance_wbar)))
-    return {
-        "inner_sup": inner,
-        "weighted_sup": float(np.max(yb ** (-1.0 / 3.0)
-                                     * np.abs(fld.W[win] - wbar[0]))),
-        "weighted_grad_sup": float(np.max(yb ** (2.0 / 3.0)
-                                          * np.abs(fld.dW[1][win] - wbar[1]))),
-    }
+    """The |y| <= l sup of |W - Wbar|, W through the origin jet.  On the
+    compared window |y| <= L, ba_wt_0 and ba_wt_1 bound the distance."""
+    return float(np.max(np.abs(_taylor(fld.origin_jet, consts.distance_y)
+                               - consts.distance_wbar)))
 
 
 def normalization_check(fld: SelfSimField):

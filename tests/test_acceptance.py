@@ -195,14 +195,14 @@ def test_criterion_4_oracle_equivalence():
 
 
 def test_criterion_5_blowup_rate(crit5_run):
-    cfg, rec = crit5_run
+    _, rec = crit5_run
     assert rec.status == "blew_up"
-    T_star, _, _ = dg.blowup_time(rec)
-    rate, span = dg.rate_fit(rec, T_star)
+    rep = dg.blowup_report(rec, HOLDER_CAP, 0.05)
     wall = rec.summary["wall_seconds"]
-    ok = abs(rate + 1.0) <= 0.05 and span >= 10.0 and wall <= 300.0
+    ok = rep.flags["rate"] and rep.flags["rate_span_decade"] and wall <= 300.0
     assert _report(5, "blow-up rate exponent", ok,
-                   f"rate={rate:+.4f} span={span:.1f}x wall={wall:.0f}s")
+                   f"rate={rep.rate_exponent:+.4f} span={rep.rate_span:.1f}x "
+                   f"wall={wall:.0f}s")
 
 
 def test_criterion_6_blowup_time_scaling(sweep_runs):
@@ -221,48 +221,20 @@ def test_criterion_6_blowup_time_scaling(sweep_runs):
 
 
 def test_criterion_7_profile_convergence(crit5_run):
-    cfg, rec = crit5_run
-    s = rec.series("s")
-    s0 = s[0]
-    dx = (cfg.theta_max - cfg.theta_min) / (cfg.n_cells - 1)
-    dy = dx * np.exp(1.5 * s)
-
-    inner = rec.series("prof_inner")
-    post = s - s0 >= 0.5
-    i0 = int(np.argmax(post))
-    envelope = max(np.max(inner[:i0 + 1]), 1e-10)
-    # measurement floor: the tracked-kappa offset enters the zoom frame at
-    # the interpolation level e^{s/2} O(dtheta^4 curvature) ~ dy^4
-    floor = 0.05 * dy**4 + 1e-10
-    mono_ok = bool(np.all(inner[post] <= np.maximum(envelope, floor[post])))
-    final_ok = inner[-1] <= cfg.tau0 ** (1.0 / 3.0)
-
-    w0r = rec.series("w0_resid")
-    dw0r = rec.series("dw0_resid")
-    norm_budget = 10.0 * dy**2
-    norm_ok = bool(np.all(w0r <= norm_budget) and np.all(dw0r <= norm_budget))
-
-    ok = mono_ok and final_ok and norm_ok
-    assert _report(7, "profile convergence + normalization", ok,
-                   f"inner_end={inner[-1]:.2e} (cap {cfg.tau0**(1/3):.2e}) "
-                   f"mono={mono_ok} norm={norm_ok}")
+    _, rec = crit5_run
+    prof = dg.profile_convergence(rec)
+    assert _report(7, "profile convergence + normalization", prof["pass"],
+                   f"inner_end={prof['inner_end']:.2e} (cap {prof['cap']:.2e}) "
+                   f"mono={prof['monotone']} norm={prof['normalization']}")
 
 
 def test_criterion_8_physical_conclusions(crit5_run, sweep_runs):
     runs, _ = sweep_runs
-    all_records = [crit5_run] + [runs[t] for t in SWEEP_TAU0]
-    vac_ok = holder_ok = loc_ok = True
-    holder_max = 0.0
-    for cfg, rec in all_records:
-        vac = dg.vacuum_check(rec, cfg.sigma_inf)
-        vac_ok &= vac["pass"]
-        hol = float(np.max(rec.series("holder_w")))
-        holder_max = max(holder_max, hol)
-        holder_ok &= hol <= HOLDER_CAP
-        beta3 = betas(cfg.gamma).beta3
-        loc = dg.location_report(rec, cfg.xi0, cfg.kappa0, beta3,
-                                 MONITOR_M, cfg.tau0)
-        loc_ok &= loc["pass"]
+    reports = [dg.blowup_report(rec, HOLDER_CAP, 0.05)
+               for _, rec in [crit5_run] + [runs[t] for t in SWEEP_TAU0]]
+    vac_ok, holder_ok, loc_ok = (all(r.flags[k] for r in reports)
+                                 for k in ("vacuum", "holder", "location"))
+    holder_max = max(r.holder_seminorm_max for r in reports)
     ok = vac_ok and holder_ok and loc_ok
     assert _report(8, "vacuum/holder/location", ok,
                    f"vacuum={vac_ok} holder_max={holder_max:.3f} "
@@ -297,15 +269,10 @@ def test_criterion_9_trajectory_lemmas(crit5_run):
 
 def test_criterion_10_bootstrap_monitor(crit5_run):
     _, rec = crit5_run
-    w_ok = all(s["ba_w_pass"] for s in rec.samples)
-    z_ok = all(s["ba_z_pass"] for s in rec.samples)
-    worst_w = min(min(v for k, v in s["ba_margins"].items()
-                      if k.startswith("ba_w_")) for s in rec.samples)
-    worst_z = min(min(v for k, v in s["ba_margins"].items()
-                      if k.startswith("ba_z_")) for s in rec.samples)
-    ok = w_ok and z_ok
-    assert _report(10, "bootstrap inequalities along the run", ok,
-                   f"min BA-W margin={worst_w:.3f} min BA-Z margin={worst_z:.3f}")
+    ba = dg.bootstrap_families(rec)
+    assert _report(10, "bootstrap inequalities along the run", ba["pass"],
+                   f"min BA-W margin={ba['ba_w']['worst']['margin']:.3f} "
+                   f"min BA-Z margin={ba['ba_z']['worst']['margin']:.3f}")
 
 
 def test_z_field_drift_property(crit5_run):

@@ -102,9 +102,7 @@ def test_every_fit_reads_the_resolution_window_alone():
         return rec
 
     base = synthetic_burgers_record()
-    solver = base.config["solver"]
-    rw = dg.resolution_window(solver["tau0"], (solver["theta_max"]
-                              - solver["theta_min"]) / (solver["n_cells"] - 1))
+    rw = dg.fit_bounds(base)[1]
     slope = base.series("max_slope")
     inside = (slope >= rw / 10.0) & (slope <= rw)
     assert 10 <= np.count_nonzero(inside) < len(slope)

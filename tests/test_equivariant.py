@@ -738,7 +738,7 @@ def test_empty_compared_window_stops_unresolved():
     assert rec.summary["steps"] > 0
     last = rec.samples[-1]
     assert last["max_slope"] < cfg.blowup_slope_cap
-    assert np.isfinite(last["prof_weighted"])
+    assert np.isfinite(last["prof_inner"])
 
 
 def _run_from(monkeypatch, w, z):
