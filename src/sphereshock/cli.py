@@ -87,9 +87,8 @@ def cmd_diagnose(args):
     from .config import ConfigError, header_config
     from .diagnostics import (DiagnosticUndefinedError,
                               background_blowup_time, blowup_report,
-                              bootstrap_families, edge_contact_time,
-                              fit_bounds, fit_window, fit_window_span,
-                              profile_convergence, tightest_margin)
+                              edge_contact_time, fit_bounds, fit_window,
+                              fit_window_span, tightest_margin)
     from .records import RunRecord
     rec = _read(args.record, RunRecord.read_jsonl)
     try:
@@ -106,12 +105,6 @@ def cmd_diagnose(args):
     print("tightest margin   : " + ("none recorded" if tight is None else
           f"{tight['name']} {tight['margin']:+.4g} at y = {tight['y']:.6g}, "
           f"t~ = {tight['t_tilde']:.8g}"))
-    families = bootstrap_families(rec)
-    for fam in ("ba_w", "ba_z"):
-        worst = families[fam]["worst"]
-        print(f"min {fam}_* margin : " + ("none recorded" if worst is None else
-              f"{worst['name']} {worst['margin']:+.4g} at "
-              f"t~ = {worst['t_tilde']:.8g}"))
     try:
         rep = blowup_report(rec, holder_cap=diag.holder_cap,
                             rate_tol=diag.rate_tol)
@@ -133,10 +126,10 @@ def cmd_diagnose(args):
     print(f"holder seminorm   : {rep.holder_seminorm_max:.4f} "
           "(dyadic estimate, a lower bound)")
     print(f"min sigma         : {rep.min_sigma:.4f}")
-    prof = profile_convergence(rec)
-    print(f"profile distance  : {prof['inner_end']:.3g} at the end (cap "
-          f"{prof['cap']:.3g}); normalization at {prof['norm_used']:.3f} "
-          "of 10 dy^2")
+    for fam in ("ba_w", "ba_z"):
+        worst = rep.bootstrap[fam]["worst"]
+        print(f"min {fam}_* margin : {worst['name']} {worst['margin']:+.4g} "
+              f"at t~ = {worst['t_tilde']:.8g}")
     for name, ok in rep.flags.items():
         print(f"  [{'PASS' if ok else 'FAIL'}] {name}")
     return 0 if rep.passed else 1

@@ -206,8 +206,7 @@ def profile_convergence(record):
     where the tracked-kappa offset enters the zoom frame at the
     interpolation level e^{s/2} O(dtheta^4 curvature) ~ dy^4; the last
     prof_inner is at most tau0^(1/3); and w0_resid and dw0_resid stay
-    within 10 dy^2: norm_used, the largest share of it either takes, is at
-    most 1."""
+    within 10 dy^2."""
     s = record.series("s")
     dy = _grid(record)[1] * np.exp(1.5 * s)
     inner = record.series("prof_inner")
@@ -217,9 +216,8 @@ def profile_convergence(record):
                envelope, 0.05 * dy[post] ** 4 + 1e-10))),
            "inner_end": float(inner[-1]),
            "cap": record.config["solver"]["tau0"] ** (1.0 / 3.0),
-           "norm_used": float(max(np.max(record.series(k) / (10.0 * dy**2))
-                                  for k in ("w0_resid", "dw0_resid")))}
-    out["normalization"] = out["norm_used"] <= 1.0
+           "normalization": all(bool(np.all(record.series(k) <= 10.0 * dy**2))
+                                for k in ("w0_resid", "dw0_resid"))}
     out["pass"] = (out["monotone"] and out["inner_end"] <= out["cap"]
                    and out["normalization"])
     return out
@@ -228,15 +226,14 @@ def profile_convergence(record):
 def bootstrap_families(record):
     """Criterion 10: for each family, ba_w and ba_z, whether its ba_*_pass
     holds on every sample, and its smallest margin over the run as
-    {name, margin, t_tilde}, the first on a tie, or None without samples.
-    The samples record no y for it."""
+    {name, margin, t_tilde}, the first on a tie."""
     out = {fam: {"pass": all(s[fam + "_pass"] for s in record.samples),
                  "worst": min(({"name": name, "margin": m,
                                 "t_tilde": s["t_tilde"]}
                                for s in record.samples
                                for name, m in s["ba_margins"].items()
                                if name.startswith(fam + "_")),
-                              key=lambda w: w["margin"], default=None)}
+                              key=lambda w: w["margin"])}
            for fam in ("ba_w", "ba_z")}
     out["pass"] = out["ba_w"]["pass"] and out["ba_z"]["pass"]
     return out
@@ -258,6 +255,8 @@ class BlowupReport:
     xi_star: float
     holder_seminorm_max: float
     min_sigma: float
+    profile: dict    # profile_convergence(record)
+    bootstrap: dict  # bootstrap_families(record)
     flags: dict = field(default_factory=dict)
     rate_note: str | None = None
 
@@ -271,7 +270,12 @@ def blowup_report(record, holder_cap, rate_tol=0.05) -> BlowupReport:
     within the 2 M tau0^2 time budget of tau0.  An undefined T* raises
     DiagnosticUndefinedError; an undefined rate fails the rate flags."""
     solver = record.config["solver"]
-    sigma_inf, tau0, M = solver["sigma_inf"], solver["tau0"], solver["monitor_M"]
+    sigma_inf = solver["sigma_inf"]
+    tau0 = solver["tau0"]
+    beta3 = betas(solver["gamma"]).beta3
+    M = solver["monitor_M"]
+    xi0 = solver["xi0"]
+    kappa0 = sigma_inf
 
     T_star, tau_end, _ = blowup_time(record)
     rate = span = note = None
@@ -279,10 +283,11 @@ def blowup_report(record, holder_cap, rate_tol=0.05) -> BlowupReport:
         rate, span = rate_fit(record, T_star)
     except DiagnosticUndefinedError as err:
         note = str(err)
-    loc = location_report(record, solver["xi0"], sigma_inf,
-                          betas(solver["gamma"]).beta3, M, tau0)
+    loc = location_report(record, xi0, kappa0, beta3, M, tau0)
     vac = vacuum_check(record, sigma_inf)
     holder_max = float(np.max(record.series("holder_w")))
+    prof = profile_convergence(record)
+    ba = bootstrap_families(record)
 
     flags = {
         "blow_up_time": abs(T_star - tau0) <= 2.0 * M * tau0**2,
@@ -291,10 +296,10 @@ def blowup_report(record, holder_cap, rate_tol=0.05) -> BlowupReport:
         "location": loc["pass"],
         "vacuum": vac["pass"],
         "holder": holder_max <= holder_cap,
-        "profile_convergence": profile_convergence(record)["pass"],
-        "bootstrap": bootstrap_families(record)["pass"],
+        "profile_convergence": prof["pass"],
+        "bootstrap": ba["pass"],
     }
     return BlowupReport(T_star=T_star, tau_tracker=tau_end, rate_exponent=rate,
                         rate_span=span, xi_star=float(record.series("xi")[-1]),
                         holder_seminorm_max=holder_max, min_sigma=vac["min_sigma"],
-                        flags=flags, rate_note=note)
+                        profile=prof, bootstrap=ba, flags=flags, rate_note=note)

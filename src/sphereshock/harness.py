@@ -140,12 +140,9 @@ def _sweep_row(config: ExperimentConfig, overrides, out_root):
         row["status"] = rec.status
         row["T_star"] = rec.summary.get("T_star")
         try:
-            rate = dg.blowup_report(
-                rec, holder_cap=config.diagnostics.holder_cap,
-                rate_tol=config.diagnostics.rate_tol).rate_exponent
-        except dg.DiagnosticUndefinedError:  # no T*, so no rate
-            rate = None
-        row["rate"] = "" if rate is None else rate
+            row["rate"] = dg.rate_fit(rec, rec.summary.get("T_star"))[0]
+        except dg.DiagnosticUndefinedError:
+            row["rate"] = ""
         row["min_sigma"] = dg.vacuum_check(
             rec, config.solver.sigma_inf)["min_sigma"]
         row["holder_max"] = float(np.max(rec.series("holder_w")))
