@@ -111,6 +111,10 @@ def cmd_diagnose(args):
     except DiagnosticUndefinedError as err:
         print(f"diagnostics undefined: {err}")
         return 2
+    for fam in ("ba_w", "ba_z"):
+        worst = rep.bootstrap[fam]["worst"]
+        print(f"min {fam}_* margin : {worst['name']} {worst['margin']:+.4g} "
+              f"at t~ = {worst['t_tilde']:.8g}")
     lo, hi = fit_bounds(rec)
     print(f"fit window        : max_slope in [{lo:.4g}, {hi:.4g}], "
           f"{len(fit_window(rec))} samples, span {fit_window_span(rec):.1f}x")
@@ -126,10 +130,6 @@ def cmd_diagnose(args):
     print(f"holder seminorm   : {rep.holder_seminorm_max:.4f} "
           "(dyadic estimate, a lower bound)")
     print(f"min sigma         : {rep.min_sigma:.4f}")
-    for fam in ("ba_w", "ba_z"):
-        worst = rep.bootstrap[fam]["worst"]
-        print(f"min {fam}_* margin : {worst['name']} {worst['margin']:+.4g} "
-              f"at t~ = {worst['t_tilde']:.8g}")
     for name, ok in rep.flags.items():
         print(f"  [{'PASS' if ok else 'FAIL'}] {name}")
     return 0 if rep.passed else 1
