@@ -7,6 +7,7 @@ import argparse
 import contextlib
 import csv
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -58,8 +59,6 @@ def cmd_simulate(args):
         print(print_defaults())
         return 0
     cfg = _load_config(args)
-    if args.emit_selfsim is not None:
-        cfg.solver = cfg.solver.replace(emit_selfsim_ds=args.emit_selfsim)
     from .harness import run_experiment
     rec = run_experiment(cfg)
     print(f"status: {rec.status}  samples: {len(rec.samples)}  "
@@ -247,9 +246,6 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="run one experiment")
     _add_common(p)
-    p.add_argument("--emit-selfsim", type=float, metavar="DS",
-                   help="save self-similar snapshots to snapshots.npz every "
-                   "DS in s")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="run the sweep cross-product")
@@ -297,13 +293,20 @@ def main(argv=None):
     from .config import ConfigError
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as err:
-        print(f"config refused: {err}")
-        return 2
-    except InputFileError as err:
-        print(err)
-        return 2
+        try:
+            return args.func(args)
+        except ConfigError as err:
+            print(f"config refused: {err}")
+            return 2
+        except InputFileError as err:
+            print(err)
+            return 2
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:  # a reader that left early, as `| head` does:
+        # Python's documented recipe, so that the flush at exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -151,14 +151,17 @@ def rate_fit(record, T_star=None):
     return float(p), span
 
 
-def location_report(record, xi0, kappa0, beta3, M, tau0):
-    """Drift of the tracked shock location and exterior gradient bounds."""
+def location_report(record):
+    """Drift of the tracked shock location from xi0 + 2 b3 kappa0 t and
+    exterior gradient bounds, with the record's solver constants."""
+    solver = record.config["solver"]
+    M, beta3 = solver["monitor_M"], betas(solver["gamma"]).beta3
     t = record.series("t_tilde")
-    xi = record.series("xi")
-    drift = np.abs(xi - xi0 - 2.0 * beta3 * kappa0 * t)
+    drift = np.abs(record.series("xi") - solver["xi0"]
+                   - 2.0 * beta3 * solver["sigma_inf"] * t)
     out = {
         "max_drift": float(np.max(drift)),
-        "drift_budget": float(M ** 1.75 * tau0**2),
+        "drift_budget": float(M ** 1.75 * solver["tau0"]**2),
         "ext_grad": {},
     }
     for key in record.samples[0]:
@@ -272,10 +275,7 @@ def blowup_report(record, holder_cap, rate_tol=0.05) -> BlowupReport:
     solver = record.config["solver"]
     sigma_inf = solver["sigma_inf"]
     tau0 = solver["tau0"]
-    beta3 = betas(solver["gamma"]).beta3
     M = solver["monitor_M"]
-    xi0 = solver["xi0"]
-    kappa0 = sigma_inf
 
     T_star, tau_end, _ = blowup_time(record)
     rate = span = note = None
@@ -283,7 +283,7 @@ def blowup_report(record, holder_cap, rate_tol=0.05) -> BlowupReport:
         rate, span = rate_fit(record, T_star)
     except DiagnosticUndefinedError as err:
         note = str(err)
-    loc = location_report(record, xi0, kappa0, beta3, M, tau0)
+    loc = location_report(record)
     vac = vacuum_check(record, sigma_inf)
     holder_max = float(np.max(record.series("holder_w")))
     prof = profile_convergence(record)

@@ -179,8 +179,6 @@ class EquivariantState:
     w: np.ndarray
     z: np.ndarray
     t_tilde: float
-    xi0: float
-    frame_drift: float
     # [lo, hi): outside it w and z hold the background's bits (sigma_inf,
     # -sigma_inf), so that a step leaves them as they are.  Set by the step
     # that made this state; a state built from its fields, initial_data's
@@ -249,8 +247,7 @@ def initial_data(cfg: SolverConfig) -> EquivariantState:
     if np.max(np.abs(deriv1_c4(w, dx))) >= cfg.blowup_slope_cap:
         raise ConfigError("the initial max slope reaches blowup_slope_cap")
     z = np.full_like(w, -cfg.sigma_inf)
-    return EquivariantState(grid=grid, w=w, z=z, t_tilde=0.0, xi0=cfg.xi0,
-                            frame_drift=cfg.frame_drift())
+    return EquivariantState(grid=grid, w=w, z=z, t_tilde=0.0)
 
 
 def _speed(u, v, beta2, xi_dot):
@@ -294,17 +291,19 @@ def step_limit(state: EquivariantState, mod: ModulationState, bc,
     return StepLimit(dt=dt, vmax=vmax, cw=cw, cz=cz)
 
 
-def _tan_theta(state: EquivariantState, cfg: SolverConfig, t, r=slice(None)):
-    """tan of the absolute latitude at time t on the nodes r, after the pole
-    check; None in flat mode, which has no curvature forcing."""
+def _tan_theta(state: EquivariantState, mod: ModulationState,
+               cfg: SolverConfig, t, r=slice(None)):
+    """tan of the absolute latitude grid + xi0 + xi_dot t on the nodes r,
+    in the frame whose drift mod.xi_dot the transport speeds take, after the
+    pole check; None in flat mode, which has no curvature forcing."""
     if cfg.flat_mode:
         return None
-    shift = state.frame_drift * t
+    shift = mod.xi_dot * t
     # theta increases along the grid, so its largest |theta| is at an end
-    if max(abs(state.grid[0] + state.xi0 + shift),
-           abs(state.grid[-1] + state.xi0 + shift)) > 0.5 * math.pi - POLE_MARGIN:
+    if max(abs(state.grid[0] + cfg.xi0 + shift),
+           abs(state.grid[-1] + cfg.xi0 + shift)) > 0.5 * math.pi - POLE_MARGIN:
         raise PoleProximityError("domain within the pole margin of theta = pi/2")
-    return np.tan(state.grid[r] + state.xi0 + shift)
+    return np.tan(state.grid[r] + cfg.xi0 + shift)
 
 
 def rhs(state: EquivariantState, mod: ModulationState, bc, cfg: SolverConfig,
@@ -314,10 +313,10 @@ def rhs(state: EquivariantState, mod: ModulationState, bc, cfg: SolverConfig,
     The curvature forcing is (b3/2)(w^2 - z^2) tan(theta).  Flat mode drops
     it, so the system is a simple wave: z is a Riemann invariant at the
     background, w alone is differenced and dz/dt is None.
-    speeds = (cw, cz) of (w, z) and tan = _tan_theta(state, cfg, t, r) may
-    be passed by a caller that has them already.  w and z may be the nodes
-    r of the grid, as step passes them, with the speeds and tan of the same
-    nodes; the derivatives take the whole grid's state.dx.
+    speeds = (cw, cz) of (w, z) and tan = _tan_theta(state, mod, cfg, t, r)
+    may be passed by a caller that has them already.  w and z may be the
+    nodes r of the grid, as step passes them, with the speeds and tan of the
+    same nodes; the derivatives take the whole grid's state.dx.
     """
     w = state.w if w is None else w
     z = state.z if z is None else z
@@ -330,7 +329,7 @@ def rhs(state: EquivariantState, mod: ModulationState, bc, cfg: SolverConfig,
         cw, cz = (transport_speeds(w, z, bc.beta2, mod.xi_dot)
                   if speeds is None else speeds)
         dwx, dzx = weno5_upwind_derivative((w, z), state.dx, (cw, cz))
-        tan = _tan_theta(state, cfg, t) if tan is None else tan
+        tan = _tan_theta(state, mod, cfg, t) if tan is None else tan
         force = np.subtract(w, z)
         force *= 0.5 * bc.beta3
         force *= w + z
@@ -381,9 +380,9 @@ def step(state: EquivariantState, mod: ModulationState, dt, bc, cfg: SolverConfi
 
     t, w, z = state.t_tilde, state.w[r], state.z[r]
     t_half = t + 0.5 * dt
-    tan = _tan_theta(state, cfg, t, r)
-    tan_half = _tan_theta(state, cfg, t_half, r)
-    tan_end = _tan_theta(state, cfg, t + dt, r)
+    tan = _tan_theta(state, mod, cfg, t, r)
+    tan_half = _tan_theta(state, mod, cfg, t_half, r)
+    tan_end = _tan_theta(state, mod, cfg, t + dt, r)
 
     def stage_z(k, h):
         return z if k is None else z + h * k
@@ -402,8 +401,7 @@ def step(state: EquivariantState, mod: ModulationState, dt, bc, cfg: SolverConfi
     else:
         z1 = state.z.copy()
         z1[r] = z + dt / 6.0 * (k1z + 2 * k2z + 2 * k3z + k4z)
-    new = EquivariantState(grid=state.grid, w=w1, z=z1, t_tilde=t + dt,
-                           xi0=state.xi0, frame_drift=state.frame_drift)
+    new = EquivariantState(grid=state.grid, w=w1, z=z1, t_tilde=t + dt)
     new.window = _off_background(w1[r], z1[r], cfg.sigma_inf, r.start)
 
     if check_support:

@@ -9,6 +9,8 @@ import json
 import os
 import time
 import traceback
+import zipfile
+import zlib
 
 import numpy as np
 
@@ -74,15 +76,19 @@ def load_snapshots(out_dir):
         raise SnapshotReadError(str(err)) from None
     solver = cfg.solver
     grid = np.linspace(solver.theta_min, solver.theta_max, solver.n_cells)
-    with open(os.path.join(out_dir, "snapshots_meta.json")) as f:
-        meta = json.load(f)
-    snaps = []
-    with np.load(os.path.join(out_dir, "snapshots.npz")) as data:
-        for i, m in enumerate(meta):
-            y = zoom_coordinate(grid, m["xi_hat"], m["s"])
-            snaps.append({**m, "y": y, "W": data[f"snap{i}_W"],
-                          "Z": data[f"snap{i}_Z"]})
-    return snaps
+    path = os.path.join(out_dir, "snapshots_meta.json")
+    try:
+        with open(path) as f:
+            meta = json.load(f)
+        path = os.path.join(out_dir, "snapshots.npz")
+        # opened here: np.load leaves a file that is not a zip open
+        with open(path, "rb") as f, np.load(f) as data:
+            fields = [(data[f"snap{i}_W"], data[f"snap{i}_Z"])
+                      for i in range(len(meta))]
+    except (ValueError, EOFError, zipfile.BadZipFile, zlib.error) as err:
+        raise SnapshotReadError(f"cannot read {path}: {err}") from None
+    return [{**m, "y": zoom_coordinate(grid, m["xi_hat"], m["s"]),
+             "W": W, "Z": Z} for m, (W, Z) in zip(meta, fields)]
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> RunRecord:
@@ -122,7 +128,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunRecord:
     return record
 
 
-def _sweep_row(config: ExperimentConfig, overrides, out_root):
+def _sweep_row(config: ExperimentConfig, overrides):
     shown = {**{k: getattr(config.solver, k)
                 for k in ("gamma", "tau0", "n_cells", "xi0")}, **overrides}
     row = {"config_hash": config_hash({**config.to_dict(), "overrides": overrides}),
@@ -131,7 +137,7 @@ def _sweep_row(config: ExperimentConfig, overrides, out_root):
            "status": "", "T_star": "", "rate": "",
            "min_sigma": "", "holder_max": "", "ba_w_ok": "", "ba_z_ok": "",
            "error": ""}
-    out_dir = os.path.join(out_root, row["config_hash"])
+    out_dir = os.path.join(config.out_dir, row["config_hash"])
     try:
         # copied, not dataclasses.replace'd: that would check every row again
         config = copy.copy(config)
@@ -157,28 +163,27 @@ def _sweep_row(config: ExperimentConfig, overrides, out_root):
     return row
 
 
-def sweep(config: ExperimentConfig, out_root=None, max_workers=None):
+def sweep(config: ExperimentConfig, max_workers=None):
     """Run the sweep cross-product concurrently; one CSV row per run."""
     # imported here, their only user, to keep them off every other import
     import csv
     from concurrent.futures import ProcessPoolExecutor, as_completed
 
-    out_root = out_root or config.out_dir
-    os.makedirs(out_root, exist_ok=True)
+    os.makedirs(config.out_dir, exist_ok=True)
     combos = config.sweep.combinations()
     rows = []
     if len(combos) == 1 or (max_workers is not None and max_workers <= 1):
         for overrides in combos:
-            rows.append(_sweep_row(config, overrides, out_root))
+            rows.append(_sweep_row(config, overrides))
     else:
         workers = max_workers or min(len(combos), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_sweep_row, config, overrides, out_root)
+            futs = [pool.submit(_sweep_row, config, overrides)
                     for overrides in combos]
             for fut in as_completed(futs):
                 rows.append(fut.result())
     rows.sort(key=lambda r: r["config_hash"])
-    path = os.path.join(out_root, "sweep.csv")
+    path = os.path.join(config.out_dir, "sweep.csv")
     with open(path, "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
         writer.writeheader()

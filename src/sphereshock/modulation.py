@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import location_report
 from .riemann import BetaConstants
 from .util import lagrange_value_and_derivs
 from .weno import deriv1_c4
@@ -56,10 +57,11 @@ def constraints_from_field(grid, w, xi):
                                            npts=8)[3])
 
 
-def track_extremal(grid, w, t_tilde, slope=None, tie_tol=1e-12):
+def track_extremal(grid, w, t_tilde, slope=None):
     """Locate the steepest descent of w and read off (xi, kappa, tau).
 
-    xi is the parabolic refinement of argmin d(theta) w (leftmost on ties),
+    xi is the parabolic refinement of argmin d(theta) w (leftmost on ties:
+    separate minima within 1e-12 max(1, |min slope|) of the least slope),
     kappa = w(xi), tau = t_tilde + 1/|dw(xi)|.  Returns
     (xi, kappa, tau, slope_at_xi).
     """
@@ -69,7 +71,7 @@ def track_extremal(grid, w, t_tilde, slope=None, tie_tol=1e-12):
     if slope is None:
         slope = deriv1_c4(w, dx)
     i = int(np.argmin(slope))
-    ties = np.flatnonzero(slope <= slope[i] + tie_tol * max(1.0, abs(slope[i])))
+    ties = np.flatnonzero(slope <= slope[i] + 1e-12 * max(1.0, abs(slope[i])))
     if len(ties) > 1 and np.any(np.diff(ties) > 1):
         warnings.warn("non-unique steepest point; taking the leftmost",
                       AmbiguousExtremumWarning)
@@ -136,31 +138,34 @@ def ode_rhs(d3w, mod: ModulationState, bc: BetaConstants,
     return float(dkappa), float(dtau), float(dxi)
 
 
-def cross_validate(record, M, tau0, kappa0, xi0, beta3):
+def cross_validate(record):
     """Compare extremal-tracked modulation against the integrated ODE monitor.
 
     Returns max deviations between the trackers and the bootstrap-style
-    modulation margins (nonnegative margin = bound satisfied).
+    modulation margins (nonnegative margin = bound satisfied), with the
+    constants of the record's solver config.
     """
+    solver = record.config["solver"]
+    M, tau0, kappa0 = solver["monitor_M"], solver["tau0"], solver["sigma_inf"]
     t = record.series("t_tilde")
-    kap, tau, xi = record.series("kappa"), record.series("tau"), record.series("xi")
+    kap, tau = record.series("kappa"), record.series("tau")
     report = {}
     # integrate over the samples that carry the monitor, at their own times
     ode = [r for r in record.samples if r.get("ode_dkappa") is not None]
     t_ode = np.array([r["t_tilde"] for r in ode])
-    for name, start in (("kappa", kappa0), ("tau", tau0), ("xi", xi0)):
+    for name, start in (("kappa", kappa0), ("tau", tau0),
+                        ("xi", solver["xi0"])):
         rate = np.array([r[f"ode_d{name}"] for r in ode])
         integral = start + np.concatenate([[0.0], np.cumsum(
             0.5 * (rate[1:] + rate[:-1]) * np.diff(t_ode))])
         tracked = np.array([r[name] for r in ode])
         report[f"max_dev_{name}"] = float(np.max(np.abs(tracked - integral)))
 
-    drift = xi - xi0 - 2.0 * beta3 * kappa0 * t
     s = record.series("s")
     dtau_fd = np.gradient(tau, t) if len(t) > 2 else np.zeros_like(t)
     report["ba_m_margins"] = {
         "kappa_dev": float(M * tau0 - np.max(np.abs(kap - kappa0))),
-        "xi_drift": float(M**2 * tau0**2 - np.max(np.abs(drift))),
+        "xi_drift": float(M**2 * tau0**2 - location_report(record)["max_drift"]),
         "tau_dev": float(2 * M * tau0**2 - np.max(np.abs(tau - tau0))),
         "dtau": float(np.min(2 * M * np.exp(-s) - np.abs(dtau_fd))),
     }

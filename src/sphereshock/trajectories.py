@@ -17,11 +17,6 @@ import numpy as np
 from .equivariant import transport_speeds
 
 
-class EscapeStatus:
-    INSIDE = "inside"
-    ESCAPED = "escaped"
-
-
 @dataclass
 class TrajectoryPath:
     """Dense-output trajectory: cubic Hermite between accepted steps."""
@@ -31,7 +26,6 @@ class TrajectoryPath:
     f: np.ndarray            # field values at the nodes
     s1: float
     y0: float
-    status: str = EscapeStatus.INSIDE
 
     def __post_init__(self):
         if len(self.s) < 2 or np.any(np.diff(self.s) <= 0):
@@ -72,20 +66,15 @@ _RKF_C4 = (25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0)
 MAX_STEPS = 200000
 
 
-def integrate_trajectory(V, s1, y0, s_end, tol=1e-10,
-                         escape_box=None) -> TrajectoryPath:
+def integrate_trajectory(V, s1, y0, s_end, tol=1e-10) -> TrajectoryPath:
     """Adaptive RKF45 integration of dPhi/ds = V(s, Phi) from (s1, y0).
 
-    Local error is controlled to tol per step; leaving escape_box (lo, hi)
-    terminates early with status 'escaped' (not an error).  A start outside
-    the box is refused, and so is a step whose error estimate is not finite:
-    no step size would be accepted there.
+    Local error is controlled to tol per step.  A step whose error estimate
+    is not finite is refused: no step size would be accepted there.
     """
     if not s_end > s1:
         raise ValueError("s_end must exceed s1")
     y0 = float(y0)
-    if escape_box is not None and not escape_box[0] <= y0 <= escape_box[1]:
-        raise ValueError(f"y0 = {y0!r} starts outside escape_box {escape_box!r}")
     a0, a1, a2, a3, a4, a5 = _RKF_A
     (b10,), (b20, b21), (b30, b31, b32), (b40, b41, b42, b43), \
         (b50, b51, b52, b53, b54) = _RKF_B[1:]
@@ -94,12 +83,8 @@ def integrate_trajectory(V, s1, y0, s_end, tol=1e-10,
     ss, ys, fs = [s1], [y0], [float(V(s1, y0))]
     h = min(1e-2, s_end - s1)
     s, y = s1, y0
-    status = EscapeStatus.INSIDE
     for _ in range(MAX_STEPS):
         if s >= s_end - 1e-14:
-            break
-        if escape_box is not None and not escape_box[0] <= y <= escape_box[1]:
-            status = EscapeStatus.ESCAPED
             break
         h = min(h, s_end - s)
         # each stage sum starts from the integer 0, as sum() over the
@@ -133,7 +118,7 @@ def integrate_trajectory(V, s1, y0, s_end, tol=1e-10,
     else:
         raise RuntimeError("trajectory integration exceeded MAX_STEPS")
     return TrajectoryPath(s=np.array(ss), y=np.array(ys), f=np.array(fs),
-                          s1=s1, y0=y0, status=status)
+                          s1=s1, y0=y0)
 
 
 def growth_certificate(path: TrajectoryPath, rate):

@@ -9,11 +9,11 @@ _PLASTIC = 1.3247179572447460  # real root of x^3 = x + 1
 _R2_ALPHA = np.array([1.0 / _PLASTIC, 1.0 / _PLASTIC**2])
 
 
-def r2_points(n, lows, highs, skip=0):
+def r2_points(n, lows, highs):
     """n quasi-uniform points in the box [lows, highs] (2D), deterministic."""
     lows = np.asarray(lows, dtype=float)
     highs = np.asarray(highs, dtype=float)
-    idx = np.arange(skip + 1, skip + n + 1, dtype=float)[:, None]
+    idx = np.arange(1, n + 1, dtype=float)[:, None]
     frac = (0.5 + idx * _R2_ALPHA[None, :]) % 1.0
     return lows + frac * (highs - lows)
 

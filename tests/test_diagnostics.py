@@ -191,18 +191,17 @@ def test_holder_seminorm_reads_one_dx():
 
 
 def test_location_report_zero_drift():
-    beta3, kappa0 = 0.5, 1.2
-    rec = synthetic_burgers_record(drift=2 * beta3 * kappa0)
-    rep = dg.location_report(rec, xi0=0.26, kappa0=kappa0, beta3=beta3,
-                             M=100.0, tau0=1e-2)
+    # the record's xi0 = 0.26, kappa0 = 1.2 and gamma = 3, so beta3 = 1/2
+    rec = synthetic_burgers_record(drift=2 * 0.5 * 1.2)
+    rep = dg.location_report(rec)
     assert rep["max_drift"] < 1e-12
     assert rep["pass"]
 
 
 def test_location_report_flags_excess_drift():
     rec = synthetic_burgers_record(drift=10.0)
-    rep = dg.location_report(rec, xi0=0.26, kappa0=1.2, beta3=0.5,
-                             M=10.0, tau0=1e-2)
+    rec.config["solver"]["monitor_M"] = 10.0  # the budget reads the record's M
+    rep = dg.location_report(rec)
     assert rep["max_drift"] > rep["drift_budget"]
     assert not rep["pass"]
 

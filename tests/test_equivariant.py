@@ -151,17 +151,17 @@ def test_steady_state_is_exact():
 
 def test_forcing_sign():
     # w=2, z=0, beta3=1/2, tan=1 -> forcing contribution = +1 on dw/dt;
-    # the state sits at xi0 = pi/4, outside the regime a config accepts
+    # the grid sits about latitude pi/4, outside the regime a config accepts
     cfg = eq.SolverConfig(n_cells=512, theta_min=-1e-4, theta_max=1e-4,
                           tau0=1e-6)
     grid = np.linspace(cfg.theta_min, cfg.theta_max, cfg.n_cells)
+    grid += math.pi / 4 - cfg.xi0
     st = eq.EquivariantState(grid=grid, w=np.full_like(grid, 2.0),
-                             z=np.zeros_like(grid), t_tilde=0.0,
-                             xi0=math.pi / 4, frame_drift=0.0)
+                             z=np.zeros_like(grid), t_tilde=0.0)
     bc = betas(3.0)
     mod = make_mod(cfg, xi_dot=0.0)
     dw, dz = eq.rhs(st, mod, bc, cfg)
-    i0 = int(np.argmin(np.abs(st.grid)))
+    i0 = int(np.argmin(np.abs(st.grid + cfg.xi0 - math.pi / 4)))
     assert dw[i0] == pytest.approx(1.0, rel=1e-3)
     assert dz[i0] == pytest.approx(-1.0, rel=1e-3)
 
@@ -174,8 +174,7 @@ def test_flat_mode_is_exact_burgers():
     grid = np.linspace(cfg.theta_min, cfg.theta_max, cfg.n_cells)
     b = 17.0
     st = eq.EquivariantState(grid=grid, w=1.3 + b * grid,
-                             z=np.full_like(grid, -1.2), t_tilde=0.0,
-                             xi0=cfg.xi0, frame_drift=0.0)
+                             z=np.full_like(grid, -1.2), t_tilde=0.0)
     bc = betas(3.0)
     mod = make_mod(cfg, xi_dot=0.0)
     dw, dz = eq.rhs(st, mod, bc, cfg)
@@ -216,7 +215,7 @@ def test_rhs_keeps_the_bits_of_the_textbook_combination(case):
     force = 0.0
     if not cfg.flat_mode:
         force = (0.5 * bc.beta3 * (st.w - st.z) * (st.w + st.z)
-                 * np.tan(st.grid + st.xi0 + st.frame_drift * st.t_tilde))
+                 * np.tan(st.grid + cfg.xi0 + mod.xi_dot * st.t_tilde))
     dw, dz = eq.rhs(st, mod, bc, cfg)
     # a flat rhs differences w alone: the bits of differencing it beside z
     assert np.array_equal(_bits(dw), _bits(-cw * dwx + force))
@@ -309,8 +308,8 @@ def test_curved_step_forms_three_range_tans(monkeypatch):
     sizes = []
     tan_theta = eq._tan_theta
 
-    def counting_tan(st, c, t, r):
-        tan = tan_theta(st, c, t, r)
+    def counting_tan(st, m, c, t, r):
+        tan = tan_theta(st, m, c, t, r)
         sizes.append(tan.size)
         return tan
 
@@ -324,8 +323,7 @@ def test_curved_step_forms_three_range_tans(monkeypatch):
     assert sizes == [n for n in ranges for _ in range(3)]
     assert max(ranges) < cfg.n_cells
     for a, b in zip(states, states[1:]):
-        fresh = eq.EquivariantState(a.grid, a.w, a.z, a.t_tilde, a.xi0,
-                                    a.frame_drift)
+        fresh = eq.EquivariantState(a.grid, a.w, a.z, a.t_tilde)
         lim = eq.step_limit(fresh, mod, bc, cfg)
         fresh = eq.step(fresh, mod, lim.dt, bc, cfg, limit=lim)
         assert np.array_equal(_bits(fresh.w), _bits(b.w))
@@ -360,7 +358,7 @@ def _sharp_z_state(cfg):
     st.w[:] = cfg.sigma_inf
     st.z[:] = -cfg.sigma_inf
     st.z[200:300] += 0.01
-    return eq.EquivariantState(st.grid, st.w, st.z, 0.0, st.xi0, st.frame_drift)
+    return eq.EquivariantState(st.grid, st.w, st.z, 0.0)
 
 
 # (flat mode, gamma, n_cells, steps, initial state): the initial data, a
@@ -391,8 +389,7 @@ def test_windowed_step_matches_the_whole_grid_step(case):
         for _ in range(60):
             lim = eq.step_limit(st, mod, bc, cfg)
             st = eq.step(st, mod, lim.dt, bc, cfg, limit=lim)
-        st = eq.EquivariantState(st.grid, st.w.copy(), st.z.copy(), st.t_tilde,
-                                 st.xi0, st.frame_drift)
+        st = eq.EquivariantState(st.grid, st.w.copy(), st.z.copy(), st.t_tilde)
     elif start == "sharp":
         st = _sharp_z_state(cfg)
     ranges = []
@@ -603,13 +600,13 @@ def test_transport_speeds_match_certified_diagonal():
 
 
 def test_pole_abort():
-    # the state sits at xi0 = 1.55, within the pole margin
+    # the grid sits about latitude 1.55, within the pole margin
     cfg = eq.SolverConfig(n_cells=512, theta_min=-1e-3, theta_max=1e-3,
                           tau0=1e-5)
     grid = np.linspace(cfg.theta_min, cfg.theta_max, cfg.n_cells)
+    grid += 1.55 - cfg.xi0
     st = eq.EquivariantState(grid=grid, w=np.full_like(grid, cfg.sigma_inf),
-                             z=np.full_like(grid, -cfg.sigma_inf), t_tilde=0.0,
-                             xi0=1.55, frame_drift=0.0)
+                             z=np.full_like(grid, -cfg.sigma_inf), t_tilde=0.0)
     bc = betas(cfg.gamma)
     mod = make_mod(cfg, xi_dot=0.0)
     with pytest.raises(eq.PoleProximityError):
@@ -625,7 +622,7 @@ def test_mirror_symmetry_flat_mode():
 
     mirrored = eq.EquivariantState(grid=st.grid.copy(),
                                    w=-st.w[::-1].copy(), z=-st.z[::-1].copy(),
-                                   t_tilde=0.0, xi0=cfg.xi0, frame_drift=0.0)
+                                   t_tilde=0.0)
     dt = 0.3 * cfg.cfl * st.dx / eq.max_transport_speed(st, mod, bc)
     a, b = st, mirrored
     for _ in range(25):
@@ -746,8 +743,7 @@ def _run_from(monkeypatch, w, z):
     cfg = eq.SolverConfig(n_cells=512)
     grid = np.linspace(cfg.theta_min, cfg.theta_max, cfg.n_cells)
     state = eq.EquivariantState(grid=grid, w=w(grid, cfg), z=z(grid, cfg),
-                                t_tilde=0.0, xi0=cfg.xi0,
-                                frame_drift=cfg.frame_drift())
+                                t_tilde=0.0)
     monkeypatch.setattr(eq, "initial_data", lambda c: state)
     return eq.run_until_blowup(cfg)
 

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -23,6 +25,7 @@ from sphereshock.records import (SCHEMA_VERSION, RunRecord, config_hash,
 CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..",
                                         "configs", "*.json")))
 FORMATS = os.path.join(os.path.dirname(__file__), "..", "FORMATS.md")
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 
 def small_config(tmp, **solver_overrides):
@@ -335,7 +338,7 @@ def test_edge_contact_recorded_and_diagnosed(tmp_path, capsys):
 
 def test_empty_sweep_is_single_run(tmp_path):
     cfg = small_config(tmp_path)
-    rows = sweep(cfg, str(tmp_path), max_workers=1)
+    rows = sweep(cfg, max_workers=1)
     assert len(rows) == 1
     assert rows[0]["status"] == "blew_up"
     assert os.path.exists(tmp_path / "sweep.csv")
@@ -344,7 +347,7 @@ def test_empty_sweep_is_single_run(tmp_path):
 def test_sweep_cross_product_and_isolation(tmp_path):
     cfg = small_config(tmp_path)
     cfg.sweep.tau0 = [1e-2, -1.0]  # second run is invalid -> error row
-    rows = sweep(cfg, str(tmp_path), max_workers=1)
+    rows = sweep(cfg, max_workers=1)
     assert len(rows) == 2
     statuses = sorted(r["status"] for r in rows)
     assert statuses == ["blew_up", "error"]
@@ -359,10 +362,11 @@ def test_sweep_cross_product_and_isolation(tmp_path):
 
 
 def test_pool_sweep_matches_the_serial_sweep(tmp_path):
-    cfg = small_config(tmp_path, n_cells=256)
+    cfg = small_config(tmp_path / "serial", n_cells=256)
     cfg.sweep.tau0 = [1e-2, 5e-3]
-    sweep(cfg, str(tmp_path / "serial"), max_workers=1)
-    rows = sweep(cfg, str(tmp_path / "pool"), max_workers=2)
+    sweep(cfg, max_workers=1)
+    cfg.out_dir = str(tmp_path / "pool")
+    rows = sweep(cfg, max_workers=2)
     assert sorted(r["status"] for r in rows) == ["blew_up", "blew_up"]
     serial, pool = ((tmp_path / d / "sweep.csv").read_bytes()
                     for d in ("serial", "pool"))
@@ -385,7 +389,7 @@ def test_sweep_refuses_a_repeated_axis_value(tmp_path, capsys):
 def test_sweep_rows_derive_unset_fields_from_their_tau0(tmp_path):
     cfg = small_config(tmp_path)
     cfg.sweep.tau0 = [1e-2, 5e-3]
-    rows = sweep(cfg, str(tmp_path), max_workers=1)
+    rows = sweep(cfg, max_workers=1)
     assert sorted(r["tau0"] for r in rows) == [5e-3, 1e-2]
     for row in rows:
         with open(tmp_path / row["config_hash"] / "run.jsonl") as f:
@@ -440,14 +444,14 @@ def test_cli_simulate_and_diagnose(tmp_path, capsys):
         assert re.findall(r"\[FAIL\] (\w+)", capsys.readouterr().out) == fails
 
 
-def test_cli_simulate_emit_selfsim_writes_the_snapshots_once(tmp_path):
+def test_cli_simulate_writes_the_snapshots_once(tmp_path):
     run = tmp_path / "run"
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(
-        {"solver": {"n_cells": 256, "t_max": 1e-4, "blowup_slope_cap": 300.0},
+        {"solver": {"n_cells": 256, "t_max": 1e-4, "blowup_slope_cap": 300.0,
+                    "emit_selfsim_ds": 0.4},
          "out_dir": str(run)}))
-    assert cli.main(["simulate", "--config", str(cfg_path),
-                     "--emit-selfsim", "0.4"]) == 0
+    assert cli.main(["simulate", "--config", str(cfg_path)]) == 0
     with open(run / "run.jsonl") as f:
         assert json.loads(f.readline())["config"]["solver"][
             "emit_selfsim_ds"] == 0.4
@@ -459,25 +463,23 @@ def test_cli_simulate_emit_selfsim_writes_the_snapshots_once(tmp_path):
             for key in ("W", "Z"))  # y and g are formed on load
 
 
-@pytest.mark.parametrize("doc, argv, refusal", [
-    ({"solver": {"gamma": 0.5}}, [], "config refused: gamma"),
-    ({}, ["--emit-selfsim", "-1"], "config refused: emit_selfsim_ds"),
-    ({"solver": {"theta_min": -0.004, "theta_max": 0.004}}, [],
+@pytest.mark.parametrize("doc, refusal", [
+    ({"solver": {"gamma": 0.5}}, "config refused: gamma"),
+    ({"solver": {"theta_min": -0.004, "theta_max": 0.004}},
      "config refused: initial support does not fit inside the grid"),
-    (None, [], "cannot read {cfg}: No such file or directory"),
-    ('{"solver": ', [], "cannot read {cfg}: Expecting value"),
-    ("[1, 2]", [], "config refused: a config must be a JSON object"),
-    ({"solver": 3}, [],
-     "config refused: the 'solver' block must be a JSON object"),
-    ({"solver": {"n_cells": 100_000_000_000}}, [],
+    (None, "cannot read {cfg}: No such file or directory"),
+    ('{"solver": ', "cannot read {cfg}: Expecting value"),
+    ("[1, 2]", "config refused: a config must be a JSON object"),
+    ({"solver": 3}, "config refused: the 'solver' block must be a JSON object"),
+    ({"solver": {"n_cells": 100_000_000_000}},
      "config refused: n_cells=100000000000 exceeds 1048576"),
-    ({"solver": {"theta_max": 1.3, "n_cells": 8192}}, [],
+    ({"solver": {"theta_max": 1.3, "n_cells": 8192}},
      "config refused: the domain reaches latitude 1.586 by t_max")],
-    ids=["config", "flag", "theta_range", "missing", "not_json", "not_object",
+    ids=["config", "theta_range", "missing", "not_json", "not_object",
          "block_not_object", "n_cells_unbounded", "pole"])
 def test_cli_simulate_refuses_a_bad_config_in_one_line(tmp_path, capsys, doc,
-                                                       argv, refusal):
-    # each once ended in a traceback: the first two a ConfigError, the
+                                                       refusal):
+    # each once ended in a traceback: the first a ConfigError, the
     # missing, the malformed and the non-object file and block a
     # FileNotFoundError, a JSONDecodeError and a TypeError, the unbounded
     # n_cells an _ArrayMemoryError and the pole a PoleProximityError; the
@@ -487,7 +489,7 @@ def test_cli_simulate_refuses_a_bad_config_in_one_line(tmp_path, capsys, doc,
         doc = json.dumps({**doc, "out_dir": str(tmp_path / "run")})
     if doc is not None:
         cfg_path.write_text(doc)
-    assert cli.main(["simulate", "--config", str(cfg_path), *argv]) == 2
+    assert cli.main(["simulate", "--config", str(cfg_path)]) == 2
     out, err = capsys.readouterr()
     assert err == "" and len(out.splitlines()) == 1
     assert out.startswith(refusal.format(cfg=cfg_path))
@@ -732,6 +734,18 @@ def test_cli_trajectories_refuses_snapshots_it_cannot_read(tmp_path, capsys):
             first = json.dumps(first)
         log.write_text("".join([first + "\n"] + samples))
         assert _cli_trajectories(tmp_path, capsys, run) == (2, [refusal])
+    # a truncated snapshots_meta.json or snapshots.npz once ended in a
+    # JSONDecodeError or a BadZipFile traceback
+    log.write_text("".join([header] + samples))
+    for path, reason in ((run / "snapshots_meta.json", "Expecting"),
+                         (run / "snapshots.npz", "File is not a zip file")):
+        whole = path.read_bytes()
+        path.write_bytes(whole[:len(whole) // 2])
+        rc, out = _cli_trajectories(tmp_path, capsys, run)
+        assert rc == 2 and len(out) == 1
+        assert out[0].startswith(f"cannot read {path}: {reason}")
+        path.write_bytes(whole)
+    assert _cli_trajectories(tmp_path, capsys, run)[0] == 0
     (run / "snapshots_meta.json").unlink()
     rc, out = _cli_trajectories(tmp_path, capsys, run)
     assert rc == 2 and out == [f"{run} holds no snapshots_meta.json: rerun "
@@ -756,7 +770,10 @@ def test_formats_header_example_has_the_schema_version():
     with open(FORMATS) as f:
         versions = re.findall(r'"type": "header", "schema_version": (\d+)',
                               f.read())
-    assert versions == [str(SCHEMA_VERSION)]
+    with open(README) as f:
+        versions += re.findall(r"artifacts carry\s+`schema_version`\s+(\d+)",
+                               f.read())
+    assert versions == [str(SCHEMA_VERSION)] * 2
 
 
 def test_cli_profile_table(tmp_path, capsys):
@@ -775,6 +792,23 @@ def test_cli_profile_table(tmp_path, capsys):
         args.update([bad])
         assert cli.main(["profile", "table", *sum(args.items(), ())]) == 2
         assert capsys.readouterr().out.splitlines() == [refusal]
+
+
+def test_cli_ends_without_a_traceback_when_its_reader_leaves(tmp_path):
+    # `diagnose run.jsonl | head -4` once ended in a BrokenPipeError
+    # traceback; here the reader closes the pipe before the command writes
+    read, write = os.pipe()
+    os.close(read)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sphereshock.cli", "profile", "table",
+             "--y1min", "-1", "--y1max", "1", "--y2min", "0", "--y2max", "0",
+             "--n", "3"], stdout=write, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_cli_profile_calibrate(capsys):

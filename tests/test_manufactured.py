@@ -68,8 +68,7 @@ def _errors(monkeypatch, gamma, n_cells):
     exact = Manufactured(cfg)
     grid = np.linspace(cfg.theta_min, cfg.theta_max, cfg.n_cells)
     (w, _, _), (z, _, _) = exact.fields(grid, 0.0)
-    state = eq.EquivariantState(grid=grid, w=w, z=z, t_tilde=0.0,
-                                xi0=cfg.xi0, frame_drift=exact.xi_dot)
+    state = eq.EquivariantState(grid=grid, w=w, z=z, t_tilde=0.0)
     mod = ModulationState(kappa=cfg.kappa0, tau=cfg.tau0, xi=cfg.xi0,
                           t_tilde=0.0, xi_dot=exact.xi_dot)
     rhs = eq.rhs

@@ -64,7 +64,7 @@ def test_track_extremal_tie_break_leftmost():
     # two identical wells
     w = -np.exp(-((grid + 0.5) / 0.05) ** 2) - np.exp(-((grid - 0.5) / 0.05) ** 2)
     with pytest.warns(md.AmbiguousExtremumWarning):
-        xi, *_ = md.track_extremal(grid, w, 0.0, tie_tol=1e-6)
+        xi, *_ = md.track_extremal(grid, w, 0.0)
     assert xi < 0
 
 
@@ -162,8 +162,7 @@ def test_cross_validate_flat_run():
     cfg = eq.SolverConfig(n_cells=2048, tau0=1e-2, flat_mode=True, gamma=3.0,
                           blowup_slope_cap=300.0, record_every=8)
     rec = eq.run_until_blowup(cfg)
-    rep = md.cross_validate(rec, M=100.0, tau0=cfg.tau0, kappa0=cfg.kappa0,
-                            xi0=cfg.xi0, beta3=0.5)
+    rep = md.cross_validate(rec)
     # flat mode: kappa and tau are conserved; trackers agree to the
     # late-time interpolation error of the coarse grid
     assert rep["max_dev_kappa"] < 2e-3
@@ -180,7 +179,9 @@ def test_cross_validate_skips_null_ode_samples():
     # tracked values below match the integrals wherever the rates are paired
     # with their own times; a degenerate sample records no rates
     from sphereshock.records import RunRecord
-    rec = RunRecord(config={})
+    rec = RunRecord(config={"solver": {"monitor_M": 100.0, "tau0": 0.02,
+                                       "sigma_inf": 1.2, "xi0": 0.3,
+                                       "gamma": 3.0}})
     t = 0.01 * np.linspace(0.0, 1.0, 12) ** 2
     for i, ti in enumerate(t):
         null = i == 5
@@ -190,8 +191,7 @@ def test_cross_validate_skips_null_ode_samples():
                        ode_dkappa=None if null else ti,
                        ode_dtau=None if null else 2.0 * ti,
                        ode_dxi=None if null else -3.0 * ti)
-    rep = md.cross_validate(rec, M=100.0, tau0=0.02, kappa0=1.2, xi0=0.3,
-                            beta3=0.5)
+    rep = md.cross_validate(rec)
     for name in ("kappa", "tau", "xi"):
         assert rep[f"max_dev_{name}"] < 1e-14
 
@@ -203,7 +203,6 @@ def test_cross_validate_curved_run():
                           record_every=8)
     rec = eq.run_until_blowup(cfg)
     assert rec.status == "blew_up"
-    rep = md.cross_validate(rec, M=100.0, tau0=cfg.tau0, kappa0=cfg.kappa0,
-                            xi0=cfg.xi0, beta3=0.5)
+    rep = md.cross_validate(rec)
     assert rep["max_dev_kappa"] < 5e-3
     assert rep["max_dev_xi"] < 5e-3

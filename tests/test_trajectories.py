@@ -61,13 +61,6 @@ def test_rejects_reversed_span():
         tr.integrate_trajectory(lambda s, y: 0.0, 1.0, 0.0, 0.5)
 
 
-def test_escape_box_status():
-    p = tr.integrate_trajectory(lambda s, y: 1.5 * y, 0.0, 0.3, 50.0,
-                                escape_box=(-5.0, 5.0))
-    assert p.status == tr.EscapeStatus.ESCAPED
-    assert p.s_end < 50.0
-
-
 def test_growth_certificate_positive_for_linear_field():
     p = tr.integrate_trajectory(lambda s, y: 1.5 * y, 0.0, 0.1, 3.0)
     assert tr.growth_certificate(p, 1.0 / 3.0) > 0.0
@@ -194,19 +187,6 @@ def test_criterion_9_paths_stay_on_the_frozen_field():
             assert np.all((lo[j] <= path.y) & (path.y <= hi[j])), y0
 
 
-def test_start_outside_escape_box_is_refused():
-    with pytest.raises(ValueError, match=r"y0 = 1\.0 .*\(-1\.0, 0\.5\)"):
-        tr.integrate_trajectory(lambda s, y: 1.5 * y, 0.0, 1.0, 5.0,
-                                escape_box=(-1.0, 0.5))
-
-
-def test_path_that_leaves_the_box_later_escapes():
-    p = tr.integrate_trajectory(lambda s, y: 1.5 * y, 0.0, 0.5, 5.0,
-                                escape_box=(-1.0, 1.0))
-    assert p.status == tr.EscapeStatus.ESCAPED
-    assert len(p.s) > 2 and abs(p.y[-1]) > 1.0 >= np.max(np.abs(p.y[:-1]))
-
-
 def _bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
 
@@ -262,19 +242,14 @@ def test_scalar_interp_keeps_numpy_nan_fallbacks():
             assert _bits(got) == _bits(want) or (np.isnan(got) and np.isnan(want))
 
 
-def _reference_integrate(V, s1, y0, s_end, tol=1e-10, escape_box=None,
-                         max_steps=200000):
+def _reference_integrate(V, s1, y0, s_end, tol=1e-10, max_steps=200000):
     """The generator-sum RKF45 loop that integrate_trajectory unrolls."""
     y0 = float(y0)
     ss, ys, fs = [s1], [y0], [float(np.asarray(V(s1, y0)))]
     h = min(1e-2, s_end - s1)
     s, y = s1, y0
-    status = tr.EscapeStatus.INSIDE
     for _ in range(max_steps):
         if s >= s_end - 1e-14:
-            break
-        if escape_box is not None and not escape_box[0] <= y <= escape_box[1]:
-            status = tr.EscapeStatus.ESCAPED
             break
         h = min(h, s_end - s)
         k = []
@@ -293,7 +268,7 @@ def _reference_integrate(V, s1, y0, s_end, tol=1e-10, escape_box=None,
             fs.append(float(np.asarray(V(s, y))))
         ratio = (scale / err) ** 0.2 if err > 0 else 2.0
         h = max(1e-12, h * min(2.0, max(0.2, 0.9 * ratio)))
-    return np.array(ss), np.array(ys), np.array(fs), status
+    return np.array(ss), np.array(ys), np.array(fs)
 
 
 def _nonlinear(s, y):
@@ -307,7 +282,6 @@ _CASES = {
     "sign-aware V at y0 -0": (
         lambda s, y: 7.0 if np.signbit(y) else -0.0, 0.0, -0.0, 0.5, {}),
     "h floor": (lambda s, y: 1e6 * np.sin(1e13 * s) + y, 0.0, 0.3, 4e-11, {}),
-    "escape": (_nonlinear, 0.0, 0.3, 10.0, {"escape_box": (-2.0, 2.0)}),
     "frozen": (_two_grid_field(), 4.0, 0.7, 5.25, {"tol": 1e-9}),
     "frozen past the span": (_two_grid_field(), 3.5, -0.4, 6.0, {}),
 }
@@ -317,13 +291,10 @@ _CASES = {
 def test_unrolled_stages_match_the_generator_sums(case):
     V, s1, y0, s_end, kw = _CASES[case]
     p = tr.integrate_trajectory(V, s1, y0, s_end, **kw)
-    s, y, f, status = _reference_integrate(V, s1, y0, s_end, **kw)
+    s, y, f = _reference_integrate(V, s1, y0, s_end, **kw)
     for got, want in ((p.s, s), (p.y, y), (p.f, f)):
         assert np.array_equal(_bits(got), _bits(want))
-    assert p.status == status
     if case == "h floor":
         assert np.max(np.diff(p.s)) < 1.001e-12 and len(p.s) > 20
-    if case == "escape":
-        assert status == tr.EscapeStatus.ESCAPED
     if case in ("y0 -0", "V -0"):
         assert np.signbit(p.f[0])
