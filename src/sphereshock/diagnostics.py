@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .riemann import betas
+from .util import comoving_grid
 
 
 class DiagnosticUndefinedError(ValueError):
@@ -43,8 +44,8 @@ def resolution_window(tau0, dx):
 def _grid(record):
     """initial_data's grid of the record's solver config, and its dx."""
     solver = record.config["solver"]
-    grid = np.linspace(solver["theta_min"], solver["theta_max"],
-                       solver["n_cells"])
+    grid = comoving_grid(solver["theta_min"], solver["theta_max"],
+                         solver["n_cells"])
     return grid, float(grid[1] - grid[0])
 
 

@@ -25,7 +25,7 @@ from .records import RunRecord
 from .riemann import betas
 from .selfsim import (BootstrapConstants, bootstrap_report,
                       normalization_check, profile_distance, to_selfsimilar)
-from .util import bump, lagrange_value_and_derivs
+from .util import bump, comoving_grid, lagrange_value_and_derivs
 from .weno import deriv1_c4, weno5_upwind_derivative
 
 
@@ -149,7 +149,7 @@ class SolverConfig:
             # max slope ~ e^s and node spacing in y = dx e^{3s/2}
             L = BootstrapConstants(M=self.monitor_M, tau0=self.tau0,
                                    sigma_inf=self.sigma_inf).L
-            grid = np.linspace(self.theta_min, self.theta_max, self.n_cells)
+            grid = comoving_grid(self.theta_min, self.theta_max, self.n_cells)
             dx = float(grid[1] - grid[0])  # initial_data's dx
             self._derived.append("blowup_slope_cap")
             self.blowup_slope_cap = WINDOW_CAP_FRAC * (2.0 * L / dx) ** (2.0 / 3.0)
@@ -230,7 +230,7 @@ def initial_data(cfg: SolverConfig) -> EquivariantState:
     """Profile-shaped pulse riding the background: w = kappa0 + e^{-s0/2}
     W0(theta e^{3 s0/2}) with W0 a smooth-bump-truncated 1D profile, z at
     the uniform background."""
-    grid = np.linspace(cfg.theta_min, cfg.theta_max, cfg.n_cells)
+    grid = comoving_grid(cfg.theta_min, cfg.theta_max, cfg.n_cells)
     s0 = -math.log(cfg.tau0)
     y = grid * math.exp(1.5 * s0)
     inner = CUT_INNER * cfg.tau0 ** -0.5

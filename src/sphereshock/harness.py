@@ -15,18 +15,22 @@ import zlib
 import numpy as np
 
 from . import diagnostics as dg
-from .config import ConfigError, ExperimentConfig, header_config
+from .config import ExperimentConfig
 from .equivariant import run_until_blowup
-from .records import RunRecord, config_hash, write_field_csv
+from .records import SCHEMA_VERSION, RunRecord, config_hash, write_field_csv
 from .selfsim import zoom_coordinate
+from .util import comoving_grid
 # unused here, but perfbench/spans.py wraps harness.write_selfsim_csv, and its
 # Tracer.install() reads that name from this module's namespace
 from .records import write_selfsim_csv  # noqa: F401
 
 
-# the first schema whose snapshots centre the zoom frame at xi_hat on the
-# co-moving grid
-SNAPSHOT_SCHEMA = 18
+# the first schema whose snapshots.npz holds the snapshot scalars and the
+# grid beside W and Z
+SNAPSHOT_SCHEMA = 21
+_SCALARS = ("s", "t_tilde", "kappa", "tau", "xi_hat", "beta_tau", "xi_dot",
+            "beta2")
+_GRID = ("theta_min", "theta_max", "n_cells")
 
 
 class SnapshotReadError(ValueError):
@@ -36,67 +40,53 @@ class SnapshotReadError(ValueError):
 def _save_snapshots(record: RunRecord, out_dir):
     if not record.snapshots:
         return
-    arrays = {}
-    meta = []
+    arrays = {k: np.array([snap[k] for snap in record.snapshots], dtype=float)
+              for k in _SCALARS}
     for i, snap in enumerate(record.snapshots):
         arrays[f"snap{i}_W"], arrays[f"snap{i}_Z"] = snap["W"], snap["Z"]
-        meta.append({k: v for k, v in snap.items() if k not in ("y", "W", "Z")})
-    np.savez_compressed(os.path.join(out_dir, "snapshots.npz"), **arrays)
-    with open(os.path.join(out_dir, "snapshots_meta.json"), "w") as f:
-        json.dump(meta, f, sort_keys=True, indent=1)
+    np.savez_compressed(os.path.join(out_dir, "snapshots.npz"),
+                        schema=SCHEMA_VERSION, **arrays,
+                        **{k: record.config["solver"][k] for k in _GRID})
 
 
 def load_snapshots(out_dir):
-    """Rebuild the snapshot list persisted by run_experiment: W and Z from
-    snapshots.npz, the scalars from snapshots_meta.json, and y from the
-    solver config in the run.jsonl header, formed on the co-moving grid at
-    xi_hat as the run formed it."""
-    for name in ("snapshots.npz", "snapshots_meta.json", "run.jsonl"):
-        if not os.path.exists(os.path.join(out_dir, name)):
-            raise SnapshotReadError(f"{out_dir} holds no {name}: rerun it "
-                                    "with solver.emit_selfsim_ds set")
-    path = os.path.join(out_dir, "run.jsonl")
-    with open(path) as f:
-        line = f.readline()
+    """Rebuild the snapshot list persisted by run_experiment from
+    snapshots.npz alone: W, Z and the scalars of each snapshot, and y formed
+    on the archive's co-moving grid at xi_hat as the run formed it."""
+    path = os.path.join(out_dir, "snapshots.npz")
+    if not os.path.exists(path):
+        raise SnapshotReadError(f"{out_dir} holds no snapshots.npz: rerun it "
+                                "with solver.emit_selfsim_ds set")
+    snaps = []
     try:
-        header = json.loads(line)
-    except ValueError:
-        header = None
-    if type(header) is not dict or header.get("type") != "header":
-        raise SnapshotReadError(f"{path} has no run header with a solver "
-                                "config")
-    version = header.get("schema_version")
-    if not (isinstance(version, int) and version >= SNAPSHOT_SCHEMA):
-        raise SnapshotReadError(
-            f"{out_dir} was written at schema {version}, whose snapshots "
-            f"predate schema {SNAPSHOT_SCHEMA}: rerun it")
-    try:
-        cfg = header_config(path, header.get("config", {}), version)
-    except ConfigError as err:
-        raise SnapshotReadError(str(err)) from None
-    solver = cfg.solver
-    grid = np.linspace(solver.theta_min, solver.theta_max, solver.n_cells)
-    path = os.path.join(out_dir, "snapshots_meta.json")
-    try:
-        with open(path) as f:
-            meta = json.load(f)
-        path = os.path.join(out_dir, "snapshots.npz")
         # opened here: np.load leaves a file that is not a zip open
         with open(path, "rb") as f, np.load(f) as data:
-            fields = [(data[f"snap{i}_W"], data[f"snap{i}_Z"])
-                      for i in range(len(meta))]
+            # schemas 18 to 20 wrote W and Z alone, and no schema member
+            schema = data["schema"].item() if "schema" in data.files else 0
+            if schema >= SNAPSHOT_SCHEMA:
+                grid = comoving_grid(*(data[k].item() for k in _GRID))
+                columns = [data[k].tolist() for k in _SCALARS]
+                for i, row in enumerate(zip(*columns)):
+                    snap = dict(zip(_SCALARS, row))
+                    y = zoom_coordinate(grid, snap["xi_hat"], snap["s"])
+                    snaps.append({**snap, "y": y, "W": data[f"snap{i}_W"],
+                                  "Z": data[f"snap{i}_Z"]})
+    except KeyError as err:  # np.load's message names the missing member
+        raise SnapshotReadError(f"cannot read {path}: {err.args[0]}") from None
     except (ValueError, EOFError, zipfile.BadZipFile, zlib.error) as err:
         raise SnapshotReadError(f"cannot read {path}: {err}") from None
-    return [{**m, "y": zoom_coordinate(grid, m["xi_hat"], m["s"]),
-             "W": W, "Z": Z} for m, (W, Z) in zip(meta, fields)]
+    if schema < SNAPSHOT_SCHEMA:
+        raise SnapshotReadError(f"{path} was written before schema "
+                                f"{SNAPSHOT_SCHEMA}: rerun it")
+    return snaps
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> RunRecord:
     """Run one configured experiment and persist its artifacts.
 
     Writes run.jsonl (time series), summary.json (no timestamps; idempotent
-    given the config), meta.json (wall-clock info), snapshots.npz with
-    snapshots_meta.json when the run made snapshots, and final_fields.csv.
+    given the config), meta.json (wall-clock info), snapshots.npz when the
+    run made snapshots, and final_fields.csv.
     Returns the in-memory record.
     """
     out_dir = out_dir or config.out_dir

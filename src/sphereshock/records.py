@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-SCHEMA_VERSION = 20
+SCHEMA_VERSION = 21
 
 
 def _jsonable(obj):

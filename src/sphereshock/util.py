@@ -1,4 +1,5 @@
-"""Small shared numerics: low-discrepancy sampling, bump functions, local interpolation."""
+"""Small shared numerics: the co-moving grid, low-discrepancy sampling, bump
+functions, local interpolation."""
 
 from __future__ import annotations
 
@@ -16,6 +17,12 @@ def r2_points(n, lows, highs):
     idx = np.arange(1, n + 1, dtype=float)[:, None]
     frac = (0.5 + idx * _R2_ALPHA[None, :]) % 1.0
     return lows + frac * (highs - lows)
+
+
+def comoving_grid(theta_min, theta_max, n_cells):
+    """The co-moving theta_hat nodes that the solver steps: n_cells uniform
+    nodes from theta_min to theta_max, both included."""
+    return np.linspace(theta_min, theta_max, n_cells)
 
 
 def smoothstep(t):

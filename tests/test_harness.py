@@ -176,7 +176,7 @@ def test_run_experiment_artifacts(tmp_path):
         assert required in names
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["status"] == "blew_up"
-    assert summary["schema_version"] == SCHEMA_VERSION == 20
+    assert summary["schema_version"] == SCHEMA_VERSION == 21
     assert "T_star" in summary and "seed" not in summary
     assert "edge_contact_t" in summary
     # the exterior gradient is taken outside a quarter of the domain width
@@ -259,8 +259,7 @@ def test_formats_documents_each_run_artifact_and_no_other(tmp_path):
         run_experiment(small_config(out, n_cells=256, t_max=1e-4,
                                     emit_selfsim_ds=ds))
         written[ds] = set(os.listdir(out))
-    assert written[0.4] - written[None] == {"snapshots.npz",
-                                            "snapshots_meta.json"}
+    assert written[0.4] - written[None] == {"snapshots.npz"}
     assert written[0.4] == _run_artifact_names()
 
 
@@ -459,8 +458,11 @@ def test_cli_simulate_writes_the_snapshots_once(tmp_path):
     snaps = load_snapshots(run)
     with np.load(run / "snapshots.npz") as data:
         assert sorted(data.files) == sorted(
-            f"snap{i}_{key}" for i in range(len(snaps))
-            for key in ("W", "Z"))  # y and g are formed on load
+            [f"snap{i}_{key}" for i in range(len(snaps)) for key in ("W", "Z")]
+            + ["s", "t_tilde", "kappa", "tau", "xi_hat", "beta_tau", "xi_dot",
+               "beta2", "theta_min", "theta_max", "n_cells", "schema"]
+        )  # y and g are formed on load
+        assert data["schema"] == SCHEMA_VERSION
 
 
 @pytest.mark.parametrize("doc, refusal", [
@@ -637,19 +639,26 @@ def test_cli_trajectories_without_snapshots(tmp_path, capsys):
     assert len(out) == 1 and "emit_selfsim_ds" in out[0]
 
 
-def test_load_snapshots_refuses_a_schema_17_directory(tmp_path):
-    # schema 17 centred its snapshots at the absolute xi, on the absolute
-    # grid; its files name no xi_hat
+def _drop_members(path, drop):
+    """Write the npz archive at path again without each member whose name
+    drop(name) is true."""
+    with np.load(path) as data:
+        kept = {name: data[name] for name in data.files if not drop(name)}
+    np.savez_compressed(path, **kept)
+
+
+def _schema_20(name):
+    # schemas 18 to 20 wrote the snap<i>_W and snap<i>_Z members alone, with
+    # the scalars in snapshots_meta.json and the grid in the run.jsonl header
+    return not name.startswith("snap")
+
+
+def test_load_snapshots_refuses_an_archive_written_before_schema_21(tmp_path):
     run_experiment(small_config(tmp_path, n_cells=512))
-    meta = json.loads((tmp_path / "snapshots_meta.json").read_text())
-    for m in meta:
-        m["xi"] = m.pop("xi_hat")
-    (tmp_path / "snapshots_meta.json").write_text(json.dumps(meta))
-    header, *samples = (tmp_path / "run.jsonl").read_text().splitlines(True)
-    (tmp_path / "run.jsonl").write_text("".join(
-        [header.replace(f'"schema_version": {SCHEMA_VERSION}',
-                        '"schema_version": 17')] + samples))
-    with pytest.raises(SnapshotReadError, match="schema 17.*rerun it"):
+    path = tmp_path / "snapshots.npz"
+    _drop_members(path, _schema_20)
+    with pytest.raises(SnapshotReadError,
+                       match=f"^{path} was written before schema 21: rerun it$"):
         load_snapshots(tmp_path)
 
 
@@ -671,9 +680,24 @@ def _bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
 
 
+def test_load_snapshots_reads_the_archive_alone(tmp_path):
+    # the scalars once came from snapshots_meta.json and the grid from the
+    # run.jsonl header
+    rec = run_experiment(small_config(tmp_path, n_cells=512))
+    for name in os.listdir(tmp_path):
+        if name != "snapshots.npz":
+            os.remove(tmp_path / name)
+    loaded = load_snapshots(tmp_path)
+    assert len(loaded) == len(rec.snapshots) >= 2
+    for mem, disk in zip(rec.snapshots, loaded):
+        assert list(mem) == list(disk)
+        for key, value in mem.items():
+            assert np.array_equal(_bits(disk[key]), _bits(value)), key
+
+
 @pytest.mark.parametrize("gamma", [3.0, 2.0])  # beta2 = 0 at gamma = 3
 def test_loaded_snapshots_are_the_run_snapshots(tmp_path, gamma):
-    # the benchmark's verify stage: y is formed again from the header and
+    # the benchmark's verify stage: y is formed again from the archive and
     # the transport offsets from W, Z and the scalars, bit for bit
     from sphereshock import trajectories as tr
     rec = run_experiment(small_config(tmp_path, gamma=gamma))
@@ -703,53 +727,33 @@ def _cli_trajectories(tmp_path, capsys, run, seeds="0.05\n"):
 
 
 def test_cli_trajectories_refuses_snapshots_it_cannot_read(tmp_path, capsys):
-    # a missing snapshots_meta.json once ended in a FileNotFoundError
-    # traceback; a schema-13 directory stores y and g and no xi_dot
     run = tmp_path / "run"
     run_experiment(small_config(run, n_cells=512))
-    # a seeds file that is not there once ended in one too
+    # a seeds file that is not there once ended in a FileNotFoundError
+    # traceback
     capsys.readouterr()
     assert cli.main(["trajectories", "--from-run", str(run), "--seeds",
                      str(tmp_path / "none.txt")]) == 2
     assert capsys.readouterr().out.splitlines() == [
         f"cannot read {tmp_path / 'none.txt'}: No such file or directory"]
-    header, *samples = (run / "run.jsonl").read_text().splitlines(True)
-    (run / "run.jsonl").write_text("".join(
-        [header.replace(f'"schema_version": {SCHEMA_VERSION}',
-                        '"schema_version": 13')] + samples))
-    rc, out = _cli_trajectories(tmp_path, capsys, run)
-    assert rc == 2 and len(out) == 1 and "schema 13" in out[0]
-    # a header without a solver block, a config that is not an object and a
-    # first line that is not JSON once ended in a KeyError, an
-    # AttributeError and a JSONDecodeError traceback
-    log = run / "run.jsonl"
-    row = json.loads(header)
-    for first, refusal in (
-            ({**row, "config": {"diagnostics": row["config"]["diagnostics"]}},
-             f"{log} has no run header with a solver config"),
-            ({**row, "config": 3},
-             f"{log}: header config refused: a config must be a JSON object"),
-            ("{not json", f"{log} has no run header with a solver config")):
-        if not isinstance(first, str):
-            first = json.dumps(first)
-        log.write_text("".join([first + "\n"] + samples))
-        assert _cli_trajectories(tmp_path, capsys, run) == (2, [refusal])
-    # a truncated snapshots_meta.json or snapshots.npz once ended in a
-    # JSONDecodeError or a BadZipFile traceback
-    log.write_text("".join([header] + samples))
-    for path, reason in ((run / "snapshots_meta.json", "Expecting"),
-                         (run / "snapshots.npz", "File is not a zip file")):
-        whole = path.read_bytes()
-        path.write_bytes(whole[:len(whole) // 2])
-        rc, out = _cli_trajectories(tmp_path, capsys, run)
-        assert rc == 2 and len(out) == 1
-        assert out[0].startswith(f"cannot read {path}: {reason}")
+    # a truncated archive once ended in a BadZipFile traceback
+    path = run / "snapshots.npz"
+    whole = path.read_bytes()
+    path.write_bytes(whole[:len(whole) // 2])
+    assert _cli_trajectories(tmp_path, capsys, run) == (
+        2, [f"cannot read {path}: File is not a zip file"])
+    # an archive without a member, and one written before schema 21
+    for drop, refusal in (
+            (lambda name: name == "snap1_Z",
+             f"cannot read {path}: snap1_Z is not a file in the archive"),
+            (lambda name: name == "xi_dot",
+             f"cannot read {path}: xi_dot is not a file in the archive"),
+            (_schema_20, f"{path} was written before schema 21: rerun it")):
         path.write_bytes(whole)
+        _drop_members(path, drop)
+        assert _cli_trajectories(tmp_path, capsys, run) == (2, [refusal])
+    path.write_bytes(whole)
     assert _cli_trajectories(tmp_path, capsys, run)[0] == 0
-    (run / "snapshots_meta.json").unlink()
-    rc, out = _cli_trajectories(tmp_path, capsys, run)
-    assert rc == 2 and out == [f"{run} holds no snapshots_meta.json: rerun "
-                               "it with solver.emit_selfsim_ds set"]
 
 
 @pytest.mark.parametrize("bad", ["abc", "nan", "inf"])

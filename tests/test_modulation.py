@@ -196,6 +196,29 @@ def test_cross_validate_skips_null_ode_samples():
         assert rep[f"max_dev_{name}"] < 1e-14
 
 
+def test_cross_validate_dtau_margin_reads_the_tau_equation():
+    # the dtau margin once differenced the tracked tau, whose jitter here
+    # (a rise of 0.01 on every third sample) differences to 5.5 and more
+    # against a bound of at most 2 M e^{-s} = 4; the tau equation's rate,
+    # 0.5, stays inside it
+    from sphereshock.records import RunRecord
+    M, tau0 = 100.0, 0.02
+    rec = RunRecord(config={"solver": {"monitor_M": M, "tau0": tau0,
+                                       "sigma_inf": 1.2, "xi0": 0.3,
+                                       "gamma": 3.0}})
+    t = np.linspace(0.0, 0.01, 12)
+    s = -np.log(tau0 - t)
+    for i, ti in enumerate(t):
+        rec.add_sample(t_tilde=ti, s=s[i], kappa=1.2,
+                       tau=tau0 + (0.01 if i % 3 == 2 else 0.0),
+                       xi=0.3 + 1.2 * ti, ode_dkappa=0.0, ode_dtau=0.5,
+                       ode_dxi=1.2)
+    assert np.max(np.abs(np.gradient(rec.series("tau"), t))) > 5.0
+    rep = md.cross_validate(rec)
+    assert rep["ba_m_margins"]["dtau"] == np.min(2 * M * np.exp(-s) - 0.5)
+    assert rep["ba_m_margins"]["dtau"] > 1.0
+
+
 def test_cross_validate_curved_run():
     # the ODE monitor against extremal tracking under the curvature forcing,
     # which the flat run above leaves out
