@@ -11,6 +11,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .equivariant import ConfigError, SolverConfig
+from .records import schema_refusal
 
 
 @dataclass
@@ -109,17 +110,16 @@ class ExperimentConfig:
 
 def header_config(path, config, version):
     """The ExperimentConfig that the run.jsonl header at path records,
-    validated once by from_dict.  A config that from_dict refuses, or one
-    with no solver block, raises ConfigError in one line; a header before
-    schema 10 is told so, since its diagnostics block names clip_frac, a key
-    since retired."""
+    validated once by from_dict.  A header of another schema than this
+    build's (records.schema_refusal), a config that from_dict refuses, or
+    one with no solver block, raises ConfigError in one line."""
+    refusal = schema_refusal(path, version)
+    if refusal:
+        raise ConfigError(refusal)
     try:
         cfg = ExperimentConfig.from_dict(config)
     except ConfigError as err:
-        old = type(version) is int and version < 10
-        raise ConfigError(f"{path}: header config refused: {err}"
-                          + ("; the run predates schema 10" if old else "")
-                          ) from None
+        raise ConfigError(f"{path}: header config refused: {err}") from None
     if "solver" not in config:
         raise ConfigError(f"{path} has no run header with a solver config")
     return cfg

@@ -192,16 +192,13 @@ def edge_contact_time(record):
 def tightest_margin(record):
     """The run's smallest bootstrap margin, {name, margin, y, t_tilde}: of
     the samples' own smallest members (ba_tightest at ba_tightest_y), the
-    smallest, the first on a tie.  None when no sample records one, as
-    before schema 19."""
-    best = None
-    for s in record.samples:
-        name = s.get("ba_tightest")
-        if name is not None and (best is None
-                                 or s["ba_margins"][name] < best["margin"]):
-            best = {"name": name, "margin": s["ba_margins"][name],
-                    "y": s["ba_tightest_y"], "t_tilde": s["t_tilde"]}
-    return best
+    smallest, the first on a tie.  None for a run with no sample."""
+    if not record.samples:
+        return None
+    s = min(record.samples, key=lambda s: s["ba_margins"][s["ba_tightest"]])
+    name = s["ba_tightest"]
+    return {"name": name, "margin": s["ba_margins"][name],
+            "y": s["ba_tightest_y"], "t_tilde": s["t_tilde"]}
 
 
 def profile_convergence(record):

@@ -17,7 +17,8 @@ import numpy as np
 from . import diagnostics as dg
 from .config import ExperimentConfig
 from .equivariant import run_until_blowup
-from .records import SCHEMA_VERSION, RunRecord, config_hash, write_field_csv
+from .records import (SCHEMA_VERSION, RunRecord, config_hash, schema_refusal,
+                      write_field_csv)
 from .selfsim import zoom_coordinate
 from .util import comoving_grid
 # unused here, but perfbench/spans.py wraps harness.write_selfsim_csv, and its
@@ -25,9 +26,6 @@ from .util import comoving_grid
 from .records import write_selfsim_csv  # noqa: F401
 
 
-# the first schema whose snapshots.npz holds the snapshot scalars and the
-# grid beside W and Z
-SNAPSHOT_SCHEMA = 21
 _SCALARS = ("s", "t_tilde", "kappa", "tau", "xi_hat", "beta_tau", "xi_dot",
             "beta2")
 _GRID = ("theta_min", "theta_max", "n_cells")
@@ -38,14 +36,16 @@ class SnapshotReadError(ValueError):
 
 
 def _save_snapshots(record: RunRecord, out_dir):
+    path = os.path.join(out_dir, "snapshots.npz")
     if not record.snapshots:
+        if os.path.exists(path):  # an earlier run's, which this one replaces
+            os.remove(path)
         return
     arrays = {k: np.array([snap[k] for snap in record.snapshots], dtype=float)
               for k in _SCALARS}
     for i, snap in enumerate(record.snapshots):
         arrays[f"snap{i}_W"], arrays[f"snap{i}_Z"] = snap["W"], snap["Z"]
-    np.savez_compressed(os.path.join(out_dir, "snapshots.npz"),
-                        schema=SCHEMA_VERSION, **arrays,
+    np.savez_compressed(path, schema=SCHEMA_VERSION, **arrays,
                         **{k: record.config["solver"][k] for k in _GRID})
 
 
@@ -61,9 +61,8 @@ def load_snapshots(out_dir):
     try:
         # opened here: np.load leaves a file that is not a zip open
         with open(path, "rb") as f, np.load(f) as data:
-            # schemas 18 to 20 wrote W and Z alone, and no schema member
-            schema = data["schema"].item() if "schema" in data.files else 0
-            if schema >= SNAPSHOT_SCHEMA:
+            schema = data["schema"].item() if "schema" in data.files else None
+            if schema == SCHEMA_VERSION:
                 grid = comoving_grid(*(data[k].item() for k in _GRID))
                 columns = [data[k].tolist() for k in _SCALARS]
                 for i, row in enumerate(zip(*columns)):
@@ -75,9 +74,9 @@ def load_snapshots(out_dir):
         raise SnapshotReadError(f"cannot read {path}: {err.args[0]}") from None
     except (ValueError, EOFError, zipfile.BadZipFile, zlib.error) as err:
         raise SnapshotReadError(f"cannot read {path}: {err}") from None
-    if schema < SNAPSHOT_SCHEMA:
-        raise SnapshotReadError(f"{path} was written before schema "
-                                f"{SNAPSHOT_SCHEMA}: rerun it")
+    refusal = schema_refusal(path, schema)
+    if refusal:
+        raise SnapshotReadError(refusal)
     return snaps
 
 
@@ -86,7 +85,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunRecord:
 
     Writes run.jsonl (time series), summary.json (no timestamps; idempotent
     given the config), meta.json (wall-clock info), snapshots.npz when the
-    run made snapshots, and final_fields.csv.
+    run made snapshots (removing an earlier run's when it made none), and
+    final_fields.csv.
     Returns the in-memory record.
     """
     out_dir = out_dir or config.out_dir

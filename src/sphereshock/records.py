@@ -13,6 +13,16 @@ import numpy as np
 SCHEMA_VERSION = 21
 
 
+def schema_refusal(path, version):
+    """A build reads only runs of its own schema.  The one-line refusal of
+    the file at path, which records schema version (None where it records
+    none), or None when version is SCHEMA_VERSION."""
+    if version == SCHEMA_VERSION:
+        return None
+    found = "no schema" if version is None else f"schema {version}"
+    return f"{path} holds {found}, not schema {SCHEMA_VERSION}: rerun it"
+
+
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
@@ -87,12 +97,15 @@ class RunRecord:
                 if type(row) is not dict:
                     raise ValueError(f"line {n} is not a JSON object")
                 kind = row.pop("type", "sample")
-                if kind == "header":
+                if kind != "header":
+                    samples.append(row)
+                elif n == 1:
                     config = row.get("config", {})
                     status = row.get("status", "unknown")
                     version = row.get("schema_version")
                 else:
-                    samples.append(row)
+                    raise ValueError(f"line {n} is a run header, which only "
+                                     "line 1 may be")
         return cls(config=config, samples=samples, status=status,
                    schema_version=version)
 

@@ -530,54 +530,67 @@ def test_sweep_refuses_a_bad_axis_value_before_any_run(tmp_path, capsys):
     assert ExperimentConfig().sweep.combinations() == [{}]
 
 
-def test_cli_diagnose_refuses_a_schema_9_header(tmp_path, capsys):
-    # every header before schema 10 names clip_frac in its diagnostics block
-    path = tmp_path / "run.jsonl"
-    header = {"type": "header", "schema_version": 9, "status": "blew_up",
-              "config": {"diagnostics": {"holder_cap": 2.5, "rate_tol": 0.05,
-                                         "clip_frac": 0.02}}}
-    path.write_text(json.dumps(header) + "\n")
-    assert cli.main(["diagnose", str(path)]) == 2
-    out = capsys.readouterr().out.splitlines()
-    assert len(out) == 1
-    assert "clip_frac" in out[0] and "predates schema 10" in out[0]
+def _header_line(**fields):
+    """A run.jsonl header line of this build's schema."""
+    return json.dumps({"type": "header", "schema_version": SCHEMA_VERSION,
+                       **fields}) + "\n"
+
+
+def test_cli_diagnose_refuses_a_run_of_another_schema(tmp_path, capsys):
+    # a build reads only runs of its own schema
+    run = tmp_path / "run"
+    run_experiment(small_config(run, n_cells=512))
+    header, *samples = (run / "run.jsonl").read_text().splitlines(True)
+    row = json.loads(header)
+    del row["schema_version"]
+    path = tmp_path / "edited.jsonl"
+    for found, head in (
+            ("schema 20", [json.dumps({**row, "schema_version": 20}) + "\n"]),
+            ("schema 22", [json.dumps({**row, "schema_version": 22}) + "\n"]),
+            ("no schema", [json.dumps(row) + "\n"]),
+            ("no schema", [])):  # no header at all
+        path.write_text("".join(head + samples))
+        assert cli.main(["diagnose", str(path)]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            f"{path} holds {found}, not schema {SCHEMA_VERSION}: rerun it"]
 
 
 @pytest.mark.parametrize("text, refusal", [
-    ("", "{path} has no run header with a solver config"),
-    (json.dumps({"type": "header", "schema_version": SCHEMA_VERSION,
-                 "status": "blew_up",
-                 "config": {"diagnostics": {"holder_cap": 2.5}}}) + "\n",
+    (_header_line(), "{path} has no run header with a solver config"),
+    (_header_line(status="blew_up",
+                  config={"diagnostics": {"holder_cap": 2.5}}),
      "{path} has no run header with a solver config"),
     (None, "cannot read {path}: No such file or directory"),
-    ('{"type": "header"}\n{"t_tilde": \n',
+    (_header_line() + '{"t_tilde": \n',
      "cannot read {path}: line 2 is not JSON (Expecting value)"),
-    ('{"type": "header"}\n3\n',
-     "cannot read {path}: line 2 is not a JSON object"),
-    ('{"type": "header", "config": 3}\n',
+    (_header_line() + "3\n", "cannot read {path}: line 2 is not a JSON object"),
+    (_header_line(config=3),
      "{path}: header config refused: a config must be a JSON object"),
-    ('{"type": "header", "schema_version": 15, "config": {"solver": {},'
-     ' "diagnostics": 3}}\n',
+    (_header_line(config={"solver": {}, "diagnostics": 3}),
      "{path}: header config refused: the 'diagnostics' block must be a JSON "
      "object"),
-    ('{"type": "header", "config": {"solver": {"theta_min": "x"}}}\n',
+    (_header_line(config={"solver": {"theta_min": "x"}}),
      "{path}: header config refused: theta_min must be of type float"),
-    ('{"type": "header", "config": {"solver": {"n_cells": 100000000000}}}\n',
+    (_header_line(config={"solver": {"n_cells": 100000000000}}),
      "{path}: header config refused: n_cells=100000000000 exceeds 1048576"),
     # a solver block that from_dict accepts takes the defaults it leaves out
-    ('{"type": "header", "config": {"solver": {}}}\n',
+    (_header_line(config={"solver": {}}),
      "edge contact      : none\n"
      "tightest margin   : none recorded\n"
-     "diagnostics undefined: run ended with status 'unknown'")],
+     "diagnostics undefined: run ended with status 'unknown'"),
+    # two run.jsonl files joined into one
+    (2 * (_header_line(config={"solver": {}}) + '{"t_tilde": 0.001}\n'),
+     "cannot read {path}: line 3 is a run header, which only line 1 may be")],
     ids=["empty", "no_solver", "missing", "not_json", "not_object",
          "config_not_object", "diagnostics_not_object", "bad_solver_value",
-         "n_cells_unbounded", "solver_block_empty"])
+         "n_cells_unbounded", "solver_block_empty", "second_header"])
 def test_cli_diagnose_without_a_run_header(tmp_path, capsys, text, refusal):
-    # the first two and the last once ended in a KeyError traceback from
-    # edge_contact_time, config_not_object in an AttributeError one, and
-    # diagnostics_not_object was refused as a run before schema 10,
-    # n_cells_unbounded ended in an _ArrayMemoryError; the others ended in a
-    # FileNotFoundError, a JSONDecodeError and an AttributeError traceback
+    # empty, no_solver and solver_block_empty once ended in a KeyError
+    # traceback from edge_contact_time, config_not_object in an
+    # AttributeError one, n_cells_unbounded in an _ArrayMemoryError; missing,
+    # not_json and not_object in a FileNotFoundError, a JSONDecodeError and an
+    # AttributeError traceback; second_header read the second header's config
+    # with the samples of both runs
     path = tmp_path / "run.jsonl"
     if text is not None:
         path.write_text(text)
@@ -586,49 +599,13 @@ def test_cli_diagnose_without_a_run_header(tmp_path, capsys, text, refusal):
     assert out == refusal.format(path=path).splitlines()
 
 
-def _schema_11_removed_keys():
-    """The ba_margins keys that FORMATS.md's schema-11 paragraph names."""
-    with open(FORMATS) as f:
-        text = f.read()
-    para = text[text.index("Schema version 11"):]
-    para = para[:para.index("\n\n")]
-    return re.findall(r"`(ba_wt_\w+)`", para)
-
-
-def test_cli_diagnose_reads_a_schema_10_run(tmp_path, capsys):
-    # a schema-10 run.jsonl differs in its header's schema_version and in
-    # the five ba_margins keys that schema 11 dropped
-    run = tmp_path / "run"
-    cfg = small_config(run, n_cells=2048, record_every=4,
-                       blowup_slope_cap=1100.0)
-    run_experiment(cfg)
-    removed = _schema_11_removed_keys()
-    assert len(removed) == 5
-    lines = []
-    with open(run / "run.jsonl") as f:
-        for line in f:
-            row = json.loads(line)
-            if row["type"] == "header":
-                row["schema_version"] = 10
-            else:
-                assert not set(removed) & set(row["ba_margins"])
-                row["ba_margins"].update(dict.fromkeys(removed, -1.0))
-            lines.append(json.dumps(row, sort_keys=True) + "\n")
-    old = tmp_path / "schema10.jsonl"
-    old.write_text("".join(lines))
-    capsys.readouterr()
-    rc = cli.main(["diagnose", str(run / "run.jsonl")])
-    out = capsys.readouterr().out
-    assert cli.main(["diagnose", str(old)]) == rc
-    assert capsys.readouterr().out == out
-    assert "T*                : " in out
-
-
 def test_cli_trajectories_without_snapshots(tmp_path, capsys):
-    # a run without emit_selfsim_ds writes no snapshots.npz; this once ended
-    # in a FileNotFoundError traceback
+    # a run without emit_selfsim_ds removes an earlier run's snapshots.npz,
+    # which trajectories once read; no archive once ended in a traceback
     run = tmp_path / "run"
-    run_experiment(small_config(run, emit_selfsim_ds=None))
+    run_experiment(small_config(run, n_cells=512))
+    assert (run / "snapshots.npz").exists()
+    run_experiment(small_config(run, n_cells=512, emit_selfsim_ds=None))
     assert not (run / "snapshots.npz").exists()
     seeds = tmp_path / "seeds.txt"
     seeds.write_text("0.05\n")
@@ -639,26 +616,21 @@ def test_cli_trajectories_without_snapshots(tmp_path, capsys):
     assert len(out) == 1 and "emit_selfsim_ds" in out[0]
 
 
-def _drop_members(path, drop):
+def _drop_members(path, drop, **members):
     """Write the npz archive at path again without each member whose name
-    drop(name) is true."""
+    drop(name) is true, and with members in place of its own."""
     with np.load(path) as data:
         kept = {name: data[name] for name in data.files if not drop(name)}
-    np.savez_compressed(path, **kept)
-
-
-def _schema_20(name):
-    # schemas 18 to 20 wrote the snap<i>_W and snap<i>_Z members alone, with
-    # the scalars in snapshots_meta.json and the grid in the run.jsonl header
-    return not name.startswith("snap")
+    np.savez_compressed(path, **{**kept, **members})
 
 
 def test_load_snapshots_refuses_an_archive_written_before_schema_21(tmp_path):
     run_experiment(small_config(tmp_path, n_cells=512))
     path = tmp_path / "snapshots.npz"
-    _drop_members(path, _schema_20)
-    with pytest.raises(SnapshotReadError,
-                       match=f"^{path} was written before schema 21: rerun it$"):
+    # W and Z alone, as schemas 18 to 20 wrote them
+    _drop_members(path, lambda name: not name.startswith("snap"))
+    with pytest.raises(SnapshotReadError, match=(
+            f"^{path} holds no schema, not schema 21: rerun it$")):
         load_snapshots(tmp_path)
 
 
@@ -742,15 +714,20 @@ def test_cli_trajectories_refuses_snapshots_it_cannot_read(tmp_path, capsys):
     path.write_bytes(whole[:len(whole) // 2])
     assert _cli_trajectories(tmp_path, capsys, run) == (
         2, [f"cannot read {path}: File is not a zip file"])
-    # an archive without a member, and one written before schema 21
-    for drop, refusal in (
-            (lambda name: name == "snap1_Z",
+    # an archive without a member, and one of another schema or of none
+    for drop, members, refusal in (
+            (lambda name: name == "snap1_Z", {},
              f"cannot read {path}: snap1_Z is not a file in the archive"),
-            (lambda name: name == "xi_dot",
+            (lambda name: name == "xi_dot", {},
              f"cannot read {path}: xi_dot is not a file in the archive"),
-            (_schema_20, f"{path} was written before schema 21: rerun it")):
+            (lambda name: False, {"schema": 20},
+             f"{path} holds schema 20, not schema 21: rerun it"),
+            (lambda name: False, {"schema": 22},
+             f"{path} holds schema 22, not schema 21: rerun it"),
+            (lambda name: name == "schema", {},
+             f"{path} holds no schema, not schema 21: rerun it")):
         path.write_bytes(whole)
-        _drop_members(path, drop)
+        _drop_members(path, drop, **members)
         assert _cli_trajectories(tmp_path, capsys, run) == (2, [refusal])
     path.write_bytes(whole)
     assert _cli_trajectories(tmp_path, capsys, run)[0] == 0
@@ -771,13 +748,20 @@ def test_cli_trajectories_refuses_a_seed_that_is_not_finite(tmp_path, capsys,
 
 
 def test_formats_header_example_has_the_schema_version():
-    with open(FORMATS) as f:
-        versions = re.findall(r'"type": "header", "schema_version": (\d+)',
-                              f.read())
-    with open(README) as f:
-        versions += re.findall(r"artifacts carry\s+`schema_version`\s+(\d+)",
-                               f.read())
+    # and neither document names another schema: a build reads only runs of
+    # its own, and CHANGES.md keeps the history of the earlier ones
+    with open(FORMATS) as f, open(README) as g:
+        formats, readme = f.read(), g.read()
+    versions = re.findall(r'"type": "header", "schema_version": (\d+)',
+                          formats)
+    versions += re.findall(r"artifacts carry\s+`schema_version`\s+(\d+)",
+                           readme)
     assert versions == [str(SCHEMA_VERSION)] * 2
+    named = re.compile(r"schema(?:s| version|_version)?\W{0,3}(\d+)"
+                       r"(?:\s+(?:to|and|or)\s+-?(\d+))?", re.I)
+    for text in (formats, readme):
+        numbers = [n for found in named.findall(text) for n in found if n]
+        assert numbers and set(numbers) == {str(SCHEMA_VERSION)}
 
 
 def test_cli_profile_table(tmp_path, capsys):
