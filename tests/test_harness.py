@@ -555,6 +555,19 @@ def test_cli_diagnose_refuses_a_run_of_another_schema(tmp_path, capsys):
             f"{path} holds {found}, not schema {SCHEMA_VERSION}: rerun it"]
 
 
+def test_cli_diagnose_refuses_a_schema_9_header(tmp_path, capsys):
+    # every header before schema 10 names clip_frac in its diagnostics block;
+    # such a run is refused by its schema before its config is read
+    path = tmp_path / "run.jsonl"
+    header = {"type": "header", "schema_version": 9, "status": "blew_up",
+              "config": {"diagnostics": {"holder_cap": 2.5, "rate_tol": 0.05,
+                                         "clip_frac": 0.02}}}
+    path.write_text(json.dumps(header) + "\n")
+    assert cli.main(["diagnose", str(path)]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        f"{path} holds schema 9, not schema {SCHEMA_VERSION}: rerun it"]
+
+
 @pytest.mark.parametrize("text, refusal", [
     (_header_line(), "{path} has no run header with a solver config"),
     (_header_line(status="blew_up",
