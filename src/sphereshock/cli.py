@@ -23,12 +23,13 @@ def _add_common(p):
 
 def _out_file(path):
     """The file at path, opened for csv.writer, or stdout; for a with block."""
-    return (open(path, "w", newline="") if path
+    return (_write(path, lambda p: open(p, "w", newline="")) if path
             else contextlib.nullcontext(sys.stdout))
 
 
-class InputFileError(Exception):
-    """An input file that cannot be opened or decoded."""
+class FileAccessError(Exception):
+    """A file that cannot be read or decoded, or a path that cannot be
+    written."""
 
 
 def _read(path, reader):
@@ -41,15 +42,27 @@ def _read(path, reader):
         raise
     except (OSError, ValueError) as err:
         reason = getattr(err, "strerror", None) or err
-        raise InputFileError(f"cannot read {path}: {reason}") from None
+        raise FileAccessError(f"cannot read {path}: {reason}") from None
+
+
+def _write(path, writer):
+    """writer(path), refusing a path that cannot be written in one line that
+    names it and the reason."""
+    try:
+        return writer(path)
+    except OSError as err:
+        raise FileAccessError(
+            f"cannot write {path}: {err.strerror or err}") from None
 
 
 def _load_config(args):
+    """The validated config of args, with its output directory made."""
     from .config import ExperimentConfig
     cfg = (_read(args.config, ExperimentConfig.load) if args.config
            else ExperimentConfig())
     if args.out:
         cfg.out_dir = args.out
+    _write(cfg.out_dir, lambda p: os.makedirs(p, exist_ok=True))
     return cfg
 
 
@@ -298,7 +311,7 @@ def main(argv=None):
         except ConfigError as err:
             print(f"config refused: {err}")
             return 2
-        except InputFileError as err:
+        except FileAccessError as err:
             print(err)
             return 2
         finally:

@@ -24,12 +24,15 @@ def holder_seminorm(f, dx):
     Uses all adjacent pairs plus dyadic separations sep = 1, 2, 4, ...
     (O(N log N) pairs): the max |f[i+sep] - f[i]| of each, divided by
     (sep dx)^(1/3).  The dense all-pairs oracle validates this at small N.
+    A field with a NaN has no seminorm: NaN.
     """
     f = np.asarray(f, dtype=float)
     best = 0.0
     sep = 1
     while sep < len(f):
         diff = float(np.max(np.abs(f[sep:] - f[:-sep])))
+        if np.isnan(diff):  # max(best, nan) would keep best
+            return np.nan
         best = max(best, diff / (sep * dx) ** (1.0 / 3.0))
         sep *= 2
     return float(best)

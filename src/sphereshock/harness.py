@@ -4,7 +4,6 @@ configs, JSON-lines time series, npz snapshots, and concurrent sweep rows.
 
 from __future__ import annotations
 
-import copy
 import json
 import os
 import time
@@ -29,6 +28,7 @@ from .records import write_selfsim_csv  # noqa: F401
 _SCALARS = ("s", "t_tilde", "kappa", "tau", "xi_hat", "beta_tau", "xi_dot",
             "beta2")
 _GRID = ("theta_min", "theta_max", "n_cells")
+_AXES = ("gamma", "tau0", "n_cells", "xi0")
 
 
 class SnapshotReadError(ValueError):
@@ -119,34 +119,33 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunRecord:
 
 
 def _sweep_row(config: ExperimentConfig, overrides):
-    shown = {**{k: getattr(config.solver, k)
-                for k in ("gamma", "tau0", "n_cells", "xi0")}, **overrides}
-    row = {"config_hash": config_hash({**config.to_dict(), "overrides": overrides}),
-           "gamma": shown["gamma"], "tau0": shown["tau0"],
-           "n_cells": shown["n_cells"], "xi0": shown["xi0"],
-           "status": "", "T_star": "", "rate": "",
+    """Run one row's config as `simulate` runs a config; its sweep.csv row."""
+    # where the solver refuses the overrides, they alone name the row
+    row = {"config_hash": config_hash(overrides), **dict.fromkeys(_AXES, ""),
+           **overrides, "status": "", "T_star": "", "rate": "",
            "min_sigma": "", "holder_max": "", "ba_w_ok": "", "ba_z_ok": "",
            "error": ""}
-    out_dir = os.path.join(config.out_dir, row["config_hash"])
     try:
-        # copied, not dataclasses.replace'd: that would check every row again
-        config = copy.copy(config)
-        config.solver = config.solver.replace(**overrides)
-        rec = run_experiment(config, out_dir)
+        run = ExperimentConfig(solver=config.solver.replace(**overrides),
+                               diagnostics=config.diagnostics)
+        row["config_hash"] = config_hash(run.to_dict())
+        row.update({k: getattr(run.solver, k) for k in _AXES})
+        run.out_dir = os.path.join(config.out_dir, row["config_hash"])
+        rec = run_experiment(run)
         row["status"] = rec.status
         row["T_star"] = rec.summary.get("T_star")
         try:
             row["rate"] = dg.rate_fit(rec, rec.summary.get("T_star"))[0]
         except dg.DiagnosticUndefinedError:
             row["rate"] = ""
-        row["min_sigma"] = dg.vacuum_check(
-            rec, config.solver.sigma_inf)["min_sigma"]
+        row["min_sigma"] = dg.vacuum_check(rec, run.solver.sigma_inf)["min_sigma"]
         row["holder_max"] = float(np.max(rec.series("holder_w")))
         ba = dg.bootstrap_families(rec)
         row["ba_w_ok"], row["ba_z_ok"] = ba["ba_w"]["pass"], ba["ba_z"]["pass"]
     except Exception as err:  # crash isolation: a bad run keeps its row
         row["status"] = "error"
         row["error"] = repr(err)
+        out_dir = os.path.join(config.out_dir, row["config_hash"])
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "error.txt"), "w") as f:
             f.write(traceback.format_exc())
@@ -166,7 +165,8 @@ def sweep(config: ExperimentConfig, max_workers=None):
         for overrides in combos:
             rows.append(_sweep_row(config, overrides))
     else:
-        workers = max_workers or min(len(combos), os.cpu_count() or 1)
+        # a fork pool starts every worker at its first submit: none idle
+        workers = min(len(combos), max_workers or os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futs = [pool.submit(_sweep_row, config, overrides)
                     for overrides in combos]

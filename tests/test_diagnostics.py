@@ -157,6 +157,14 @@ def test_holder_seminorm_constant_zero():
     assert dg.holder_seminorm(np.ones_like(x), x[1] - x[0]) == 0.0
 
 
+def test_holder_seminorm_of_a_field_with_a_nan_is_nan():
+    # each separation's max was NaN, which max(best, nan) skipped: 0.0
+    x = np.linspace(0.0, 1.0, 64)
+    f = x.copy()
+    f[20] = np.nan
+    assert np.isnan(dg.holder_seminorm(f, x[1] - x[0]))
+
+
 def test_holder_estimator_vs_dense_oracle():
     rng = np.random.default_rng(3)
     x = np.linspace(0.0, 1.0, 257)

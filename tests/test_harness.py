@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from sphereshock import cli
+from sphereshock import cli, harness
 from sphereshock import diagnostics as dg
 from sphereshock import equivariant as eq
 from sphereshock.config import ConfigError, ExperimentConfig, print_defaults
@@ -372,6 +372,78 @@ def test_pool_sweep_matches_the_serial_sweep(tmp_path):
     assert pool == serial
 
 
+def test_sweep_starts_no_more_workers_than_rows(tmp_path, monkeypatch):
+    # a fork pool starts every worker at its first submit: 3 workers for 2
+    # rows once started 3 processes, of which 2 ran
+    import concurrent.futures
+    started = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(harness, "_sweep_row",
+                        lambda config, overrides: {"config_hash": str(overrides)})
+    cfg = small_config(tmp_path)
+    cfg.sweep.tau0 = [1e-2, 5e-3]
+    sweep(cfg, max_workers=3)
+    assert started == [2]
+
+
+def test_a_sweep_row_is_the_run_it_makes(tmp_path):
+    # a row was once named by the hash of the whole sweep block with its
+    # overrides, so it changed with its sibling rows, and its summary.json
+    # held a second hash, of a header that recorded the whole sweep block
+    hashes = {}
+    for tau0s in ([1e-2, 5e-3], [1e-2, 5e-3, 4e-3]):
+        out = tmp_path / str(len(tau0s))
+        cfg = ExperimentConfig.from_dict(
+            {"solver": {"n_cells": 512, "blowup_slope_cap": 300.0},
+             "sweep": {"tau0": tau0s}, "out_dir": str(out)})
+        sweep(cfg, max_workers=1)
+        with open(out / "sweep.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert sorted(os.listdir(out)) == sorted(
+            [r["config_hash"] for r in rows] + ["sweep.csv"])
+        for row in rows:
+            run = out / row["config_hash"]
+            summary = json.loads((run / "summary.json").read_text())
+            with open(run / "run.jsonl") as f:
+                header = json.loads(f.readline())["config"]
+            assert summary["config_hash"] == config_hash(header) == run.name
+            assert header["out_dir"] == str(run)
+            assert not any(header["sweep"].values())
+            hashes.setdefault(float(row["tau0"]), set()).add(run.name)
+    assert [len(names) for names in hashes.values()] == [1, 1, 1]
+
+
+def test_cli_diagnose_reads_every_sweep_row(tmp_path, capsys):
+    # the tau0 = 5e-3 row's header once held the whole sweep block, whose
+    # tau0 = 1e-2 row did not fit this row's derived domain: exit 2
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"sweep": {"tau0": [1e-2, 5e-3]},
+                                    "out_dir": str(tmp_path / "runs")}))
+    assert cli.main(["sweep", "--config", str(cfg_path),
+                     "--workers", "1"]) == 0
+    runs = sorted(glob.glob(str(tmp_path / "runs" / "*" / "run.jsonl")))
+    assert len(runs) == 2
+    for path in runs:
+        capsys.readouterr()
+        assert cli.main(["diagnose", path]) in (0, 1), capsys.readouterr().out
+
+
 def test_sweep_refuses_a_repeated_axis_value(tmp_path, capsys):
     # both rows once ran under one config_hash, into one directory
     doc = {"sweep": {"tau0": [1e-2, 5e-3, 1e-2]}, "out_dir": str(tmp_path / "runs")}
@@ -476,22 +548,25 @@ def test_cli_simulate_writes_the_snapshots_once(tmp_path):
     ({"solver": {"n_cells": 100_000_000_000}},
      "config refused: n_cells=100000000000 exceeds 1048576"),
     ({"solver": {"theta_max": 1.3, "n_cells": 8192}},
-     "config refused: the domain reaches latitude 1.586 by t_max")],
+     "config refused: the domain reaches latitude 1.586 by t_max"),
+    ({}, "cannot write {cfg}: File exists")],
     ids=["config", "theta_range", "missing", "not_json", "not_object",
-         "block_not_object", "n_cells_unbounded", "pole"])
+         "block_not_object", "n_cells_unbounded", "pole", "out_is_a_file"])
 def test_cli_simulate_refuses_a_bad_config_in_one_line(tmp_path, capsys, doc,
                                                        refusal):
     # each once ended in a traceback: the first a ConfigError, the
     # missing, the malformed and the non-object file and block a
     # FileNotFoundError, a JSONDecodeError and a TypeError, the unbounded
-    # n_cells an _ArrayMemoryError and the pole a PoleProximityError; the
-    # theta range was refused after the output directory had been made
+    # n_cells an _ArrayMemoryError, the pole a PoleProximityError and an
+    # --out that is a file a FileExistsError; the theta range was refused
+    # after the output directory had been made
     cfg_path = tmp_path / "cfg.json"
     if isinstance(doc, dict):
         doc = json.dumps({**doc, "out_dir": str(tmp_path / "run")})
     if doc is not None:
         cfg_path.write_text(doc)
-    assert cli.main(["simulate", "--config", str(cfg_path)]) == 2
+    to = ["--out", str(cfg_path)] if refusal.startswith("cannot write") else []
+    assert cli.main(["simulate", "--config", str(cfg_path), *to]) == 2
     out, err = capsys.readouterr()
     assert err == "" and len(out.splitlines()) == 1
     assert out.startswith(refusal.format(cfg=cfg_path))
@@ -521,6 +596,11 @@ def test_sweep_refuses_a_bad_axis_value_before_any_run(tmp_path, capsys):
     assert cli.main(["sweep", "--config", str(tmp_path / "none.json")]) == 2
     assert capsys.readouterr().out.splitlines() == [
         f"cannot read {tmp_path / 'none.json'}: No such file or directory"]
+    # and so is an out_dir that is a file, once a FileExistsError traceback
+    cfg_path.write_text(json.dumps({"out_dir": str(cfg_path)}))
+    assert cli.main(["sweep", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        f"cannot write {cfg_path}: File exists"]
     sweep_cfg = ExperimentConfig.from_dict(
         {"sweep": {"tau0": [1e-2, 5e-3], "n_cells": [1024, 2048, 4096]}})
     combos = sweep_cfg.sweep.combinations()
@@ -744,6 +824,12 @@ def test_cli_trajectories_refuses_snapshots_it_cannot_read(tmp_path, capsys):
         assert _cli_trajectories(tmp_path, capsys, run) == (2, [refusal])
     path.write_bytes(whole)
     assert _cli_trajectories(tmp_path, capsys, run)[0] == 0
+    # an --out that is a directory once ended in an IsADirectoryError
+    # traceback
+    assert cli.main(["trajectories", "--from-run", str(run), "--seeds",
+                     str(tmp_path / "seeds.txt"), "--out", str(run)]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        f"cannot write {run}: Is a directory"]
 
 
 @pytest.mark.parametrize("bad", ["abc", "nan", "inf"])
@@ -784,10 +870,13 @@ def test_cli_profile_table(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "y1,y2,W,dW1,dW2,residual"
     assert len(out) == 10
-    # each once ended in a ValueError traceback
+    # each once ended in a traceback: a ValueError, and an IsADirectoryError
+    # for an --out that is a directory
     for bad, refusal in ((["--n", "-1"], "--n must be a positive integer, got -1"),
                          (["--y1max", "nan"],
-                          "--y1max must be a finite number, got nan")):
+                          "--y1max must be a finite number, got nan"),
+                         (["--out", str(tmp_path)],
+                          f"cannot write {tmp_path}: Is a directory")):
         args = dict(zip(["--y1min", "--y1max", "--y2min", "--y2max", "--n"],
                         ["-1", "1", "0", "0", "3"]))
         args.update([bad])
