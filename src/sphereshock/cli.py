@@ -57,9 +57,12 @@ def _write(path, writer):
 
 def _load_config(args):
     """The validated config of args, with its output directory made."""
-    from .config import ExperimentConfig
+    from .config import ConfigError, ExperimentConfig
     cfg = (_read(args.config, ExperimentConfig.load) if args.config
            else ExperimentConfig())
+    if args.command == "simulate" and cfg.sweep.axes():
+        raise ConfigError(f"sweep axes {sorted(cfg.sweep.axes())} are run by "
+                          "`sphereshock sweep`, not simulate")
     if args.out:
         cfg.out_dir = args.out
     _write(cfg.out_dir, lambda p: os.makedirs(p, exist_ok=True))
@@ -86,7 +89,7 @@ def cmd_sweep(args):
         return 0
     cfg = _load_config(args)
     from .harness import sweep
-    print(f"sweep cross-product: {cfg.sweep.size()} run(s)")
+    print(f"sweep cross-product: {len(cfg.sweep.combinations())} run(s)")
     rows = sweep(cfg, max_workers=args.workers)
     print(f"sweep finished: {len(rows)} runs -> {cfg.out_dir}/sweep.csv")
     bad = [r for r in rows if r["status"] == "error"]

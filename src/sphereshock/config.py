@@ -24,6 +24,7 @@ class DiagnosticsConfig:
             v = getattr(self, f.name)
             if not (type(v) in (int, float) and math.isfinite(v) and v > 0):
                 raise ConfigError(f"{f.name} must be finite and positive")
+            setattr(self, f.name, float(v))  # 3 and 3.0: one config, one hash
 
 
 def build_block(klass, block, name):
@@ -64,9 +65,6 @@ class SweepConfig:
         return [dict(zip(names, combo))
                 for combo in itertools.product(*(axes[n] for n in names))]
 
-    def size(self):
-        return len(self.combinations())
-
 
 @dataclass
 class ExperimentConfig:
@@ -79,14 +77,25 @@ class ExperimentConfig:
         if type(self.out_dir) is not str:
             raise ConfigError("out_dir must be of type str")
         if self.sweep.axes():  # refuse a bad axis value before any row runs
-            for overrides in self.sweep.combinations():
-                try:
-                    self.solver.replace(**overrides)
-                except ConfigError as err:
-                    raise ConfigError(f"sweep row {overrides}: {err}") from None
+            self.runs()
+
+    def runs(self):
+        """The run of each sweep row: the row's solver and this experiment's
+        diagnostics.  A row its solver refuses raises ConfigError naming it."""
+        runs = []
+        for row in self.sweep.combinations():
+            try:
+                runs.append(ExperimentConfig(self.solver.replace(**row),
+                                             self.diagnostics))
+            except ConfigError as err:
+                raise ConfigError(f"sweep row {row}: {err}") from None
+        return runs
 
     def to_dict(self):
-        return asdict(self)
+        """The run this config makes, as its run.jsonl header records it and
+        records.config_hash names it: not where it is written, nor a sweep."""
+        return {"solver": asdict(self.solver),
+                "diagnostics": asdict(self.diagnostics)}
 
     @classmethod
     def from_dict(cls, doc):
@@ -126,4 +135,4 @@ def header_config(path, config, version):
 
 
 def print_defaults():
-    return json.dumps(ExperimentConfig().to_dict(), sort_keys=True, indent=1)
+    return json.dumps(asdict(ExperimentConfig()), sort_keys=True, indent=1)

@@ -100,6 +100,8 @@ class SolverConfig:
                 ok = type(v) is {"int": int, "bool": bool}[f.type]
             if not ok:
                 raise ConfigError(f"{f.name} must be of type {f.type}")
+            if f.type == "float" and v is not None:
+                setattr(self, f.name, float(v))  # 300 and 300.0: one hash
         if not self.gamma > 1.0:
             raise ConfigError("gamma must exceed 1")
         if not 0 < self.cfl < 1:

@@ -118,20 +118,15 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunRecord:
     return record
 
 
-def _sweep_row(config: ExperimentConfig, overrides):
-    """Run one row's config as `simulate` runs a config; its sweep.csv row."""
-    # where the solver refuses the overrides, they alone name the row
-    row = {"config_hash": config_hash(overrides), **dict.fromkeys(_AXES, ""),
-           **overrides, "status": "", "T_star": "", "rate": "",
-           "min_sigma": "", "holder_max": "", "ba_w_ok": "", "ba_z_ok": "",
-           "error": ""}
+def _sweep_row(run: ExperimentConfig, root):
+    """Run a sweep row's run into root/<its config_hash>; its sweep.csv row."""
+    row = {"config_hash": config_hash(run.to_dict()),
+           **{k: getattr(run.solver, k) for k in _AXES}, "status": "",
+           "T_star": "", "rate": "", "min_sigma": "", "holder_max": "",
+           "ba_w_ok": "", "ba_z_ok": "", "error": ""}
+    out_dir = os.path.join(root, row["config_hash"])
     try:
-        run = ExperimentConfig(solver=config.solver.replace(**overrides),
-                               diagnostics=config.diagnostics)
-        row["config_hash"] = config_hash(run.to_dict())
-        row.update({k: getattr(run.solver, k) for k in _AXES})
-        run.out_dir = os.path.join(config.out_dir, row["config_hash"])
-        rec = run_experiment(run)
+        rec = run_experiment(run, out_dir)
         row["status"] = rec.status
         row["T_star"] = rec.summary.get("T_star")
         try:
@@ -145,7 +140,6 @@ def _sweep_row(config: ExperimentConfig, overrides):
     except Exception as err:  # crash isolation: a bad run keeps its row
         row["status"] = "error"
         row["error"] = repr(err)
-        out_dir = os.path.join(config.out_dir, row["config_hash"])
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "error.txt"), "w") as f:
             f.write(traceback.format_exc())
@@ -158,18 +152,18 @@ def sweep(config: ExperimentConfig, max_workers=None):
     import csv
     from concurrent.futures import ProcessPoolExecutor, as_completed
 
+    runs = config.runs()  # a refused row is refused before any row runs
     os.makedirs(config.out_dir, exist_ok=True)
-    combos = config.sweep.combinations()
     rows = []
-    if len(combos) == 1 or (max_workers is not None and max_workers <= 1):
-        for overrides in combos:
-            rows.append(_sweep_row(config, overrides))
+    if len(runs) == 1 or (max_workers is not None and max_workers <= 1):
+        for run in runs:
+            rows.append(_sweep_row(run, config.out_dir))
     else:
         # a fork pool starts every worker at its first submit: none idle
-        workers = min(len(combos), max_workers or os.cpu_count() or 1)
+        workers = min(len(runs), max_workers or os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_sweep_row, config, overrides)
-                    for overrides in combos]
+            futs = [pool.submit(_sweep_row, run, config.out_dir)
+                    for run in runs]
             for fut in as_completed(futs):
                 rows.append(fut.result())
     rows.sort(key=lambda r: r["config_hash"])

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-SCHEMA_VERSION = 21
+SCHEMA_VERSION = 22
 
 
 def schema_refusal(path, version):
@@ -36,10 +36,8 @@ def _jsonable(obj):
 
 
 def config_hash(config_dict):
-    """12 hex digits naming a config.  `out_dir` says where a run is written,
-    not what it computes, so it is left out: one physics, one hash."""
-    kept = {k: v for k, v in config_dict.items() if k != "out_dir"}
-    blob = json.dumps(_jsonable(kept), sort_keys=True).encode()
+    """12 hex digits naming a config, such as the run a header records."""
+    blob = json.dumps(_jsonable(config_dict), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
@@ -98,6 +96,12 @@ class RunRecord:
                     raise ValueError(f"line {n} is not a JSON object")
                 kind = row.pop("type", "sample")
                 if kind != "header":
+                    # every sample of a run has the same keys, so that the
+                    # series of two keys stay in step
+                    if samples and row.keys() != samples[0].keys():
+                        other = sorted(row.keys() ^ samples[0].keys())
+                        raise ValueError(f"line {n} is a sample whose keys "
+                                         f"differ from the first's by {other}")
                     samples.append(row)
                 elif n == 1:
                     config = row.get("config", {})

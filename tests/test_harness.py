@@ -102,6 +102,21 @@ def test_config_hash_stable():
     assert a == b and len(a) == 12
 
 
+def test_a_float_field_given_as_an_integer_is_one_config(tmp_path):
+    # a float field given as an int was kept an int, so one config had two
+    # hashes, and a sweep over gamma [3, 2] two run directories per row
+    records = []
+    for cap, holder, gammas in ((300, 3, [3, 2]), (300.0, 3.0, [3.0, 2.0])):
+        cfg = ExperimentConfig.from_dict(
+            {"solver": {"n_cells": 512, "blowup_slope_cap": cap},
+             "diagnostics": {"holder_cap": holder}, "sweep": {"gamma": gammas}})
+        path = tmp_path / "run.jsonl"
+        RunRecord(config=cfg.to_dict()).write_jsonl(path)
+        records.append((path.read_bytes(), config_hash(cfg.to_dict()),
+                        [config_hash(run.to_dict()) for run in cfg.runs()]))
+    assert records[0] == records[1]
+
+
 def test_experiment_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"bogus": 1})
@@ -176,7 +191,7 @@ def test_run_experiment_artifacts(tmp_path):
         assert required in names
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["status"] == "blew_up"
-    assert summary["schema_version"] == SCHEMA_VERSION == 21
+    assert summary["schema_version"] == SCHEMA_VERSION == 22
     assert "T_star" in summary and "seed" not in summary
     assert "edge_contact_t" in summary
     # the exterior gradient is taken outside a quarter of the domain width
@@ -290,15 +305,25 @@ def test_run_experiment_deterministic(tmp_path):
     assert (tmp_path / "a" / "summary.json").read_bytes() == s1
 
 
-def test_summary_does_not_depend_on_out_dir(tmp_path):
-    # same physics written to two directories => one hash, one summary
+def test_summary_does_not_depend_on_out_dir(tmp_path, capsys):
+    # one config written to two directories => one record.  The header once
+    # recorded the run's out_dir, and its sweep block, which diagnose
+    # replayed against the run's fixed domain: the tau0 = 2e-2 row did not
+    # fit it, and a run that blew up was refused with exit 2
     for name in ("a", "b"):
-        run_experiment(small_config(tmp_path / name))
-    s_a = (tmp_path / "a" / "summary.json").read_bytes()
-    assert (tmp_path / "b" / "summary.json").read_bytes() == s_a
+        run_experiment(ExperimentConfig.from_dict(
+            {"solver": {"n_cells": 2048}, "sweep": {"tau0": [1e-2, 2e-2]},
+             "out_dir": str(tmp_path / name)}))
+    for name in ("run.jsonl", "summary.json"):
+        assert ((tmp_path / "b" / name).read_bytes()
+                == (tmp_path / "a" / name).read_bytes())
     with open(tmp_path / "b" / "run.jsonl") as f:
-        header = json.loads(f.readline())
-    assert header["config"]["out_dir"] == str(tmp_path / "b")
+        header = json.loads(f.readline())["config"]
+    summary = json.loads((tmp_path / "b" / "summary.json").read_text())
+    assert sorted(header) == ["diagnostics", "solver"]
+    assert summary["config_hash"] == config_hash(header)
+    assert cli.main(["diagnose", str(tmp_path / "b" / "run.jsonl")]) in (0, 1)
+    assert "refused" not in capsys.readouterr().out
 
 
 def _support_edges(rec):
@@ -343,9 +368,24 @@ def test_empty_sweep_is_single_run(tmp_path):
     assert os.path.exists(tmp_path / "sweep.csv")
 
 
-def test_sweep_cross_product_and_isolation(tmp_path):
+def test_sweep_cross_product_and_isolation(tmp_path, monkeypatch):
+    # a config edited in code into a row its solver refuses is refused
+    # before any row runs
+    cfg = small_config(tmp_path / "refused")
+    cfg.sweep.tau0 = [1e-2, -1.0]
+    with pytest.raises(ConfigError,
+                       match=r"^sweep row \{'tau0': -1\.0\}: tau0 must be "):
+        sweep(cfg, max_workers=1)
+    assert not (tmp_path / "refused").exists()
+    # a row whose run raises keeps its row and its traceback
+    def run_or_raise(run, out_dir):
+        if run.solver.tau0 == 5e-3:
+            raise FloatingPointError("row crashed")
+        return run_experiment(run, out_dir)
+
+    monkeypatch.setattr(harness, "run_experiment", run_or_raise)
     cfg = small_config(tmp_path)
-    cfg.sweep.tau0 = [1e-2, -1.0]  # second run is invalid -> error row
+    cfg.sweep.tau0 = [1e-2, 5e-3]
     rows = sweep(cfg, max_workers=1)
     assert len(rows) == 2
     statuses = sorted(r["status"] for r in rows)
@@ -356,8 +396,10 @@ def test_sweep_cross_product_and_isolation(tmp_path):
         rows_csv = list(csv.DictReader(f))
     assert len(rows_csv) == 2
     failed = next(r for r in rows if r["status"] == "error")
+    assert failed["tau0"] == 5e-3
+    assert failed["error"] == "FloatingPointError('row crashed')"
     with open(tmp_path / failed["config_hash"] / "error.txt") as f:
-        assert "ConfigError" in f.read()
+        assert f.read().startswith("Traceback (most recent call last):")
 
 
 def test_pool_sweep_matches_the_serial_sweep(tmp_path):
@@ -395,7 +437,7 @@ def test_sweep_starts_no_more_workers_than_rows(tmp_path, monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(harness, "_sweep_row",
-                        lambda config, overrides: {"config_hash": str(overrides)})
+                        lambda run, root: {"config_hash": str(run.solver.tau0)})
     cfg = small_config(tmp_path)
     cfg.sweep.tau0 = [1e-2, 5e-3]
     sweep(cfg, max_workers=3)
@@ -423,8 +465,7 @@ def test_a_sweep_row_is_the_run_it_makes(tmp_path):
             with open(run / "run.jsonl") as f:
                 header = json.loads(f.readline())["config"]
             assert summary["config_hash"] == config_hash(header) == run.name
-            assert header["out_dir"] == str(run)
-            assert not any(header["sweep"].values())
+            assert sorted(header) == ["diagnostics", "solver"]
             hashes.setdefault(float(row["tau0"]), set()).add(run.name)
     assert [len(names) for names in hashes.values()] == [1, 1, 1]
 
@@ -524,8 +565,11 @@ def test_cli_simulate_writes_the_snapshots_once(tmp_path):
          "out_dir": str(run)}))
     assert cli.main(["simulate", "--config", str(cfg_path)]) == 0
     with open(run / "run.jsonl") as f:
-        assert json.loads(f.readline())["config"]["solver"][
-            "emit_selfsim_ds"] == 0.4
+        header = json.loads(f.readline())["config"]
+    assert sorted(header) == ["diagnostics", "solver"]
+    assert header["solver"]["emit_selfsim_ds"] == 0.4
+    summary = json.loads((run / "summary.json").read_text())
+    assert summary["config_hash"] == config_hash(header)
     assert not glob.glob(str(run / "selfsim_*.csv"))
     snaps = load_snapshots(run)
     with np.load(run / "snapshots.npz") as data:
@@ -549,9 +593,13 @@ def test_cli_simulate_writes_the_snapshots_once(tmp_path):
      "config refused: n_cells=100000000000 exceeds 1048576"),
     ({"solver": {"theta_max": 1.3, "n_cells": 8192}},
      "config refused: the domain reaches latitude 1.586 by t_max"),
-    ({}, "cannot write {cfg}: File exists")],
+    ({}, "cannot write {cfg}: File exists"),
+    ({"sweep": {"tau0": [0.01, 0.02]}},
+     "config refused: sweep axes ['tau0'] are run by `sphereshock sweep`, "
+     "not simulate")],
     ids=["config", "theta_range", "missing", "not_json", "not_object",
-         "block_not_object", "n_cells_unbounded", "pole", "out_is_a_file"])
+         "block_not_object", "n_cells_unbounded", "pole", "out_is_a_file",
+         "sweep_axes"])
 def test_cli_simulate_refuses_a_bad_config_in_one_line(tmp_path, capsys, doc,
                                                        refusal):
     # each once ended in a traceback: the first a ConfigError, the
@@ -559,7 +607,8 @@ def test_cli_simulate_refuses_a_bad_config_in_one_line(tmp_path, capsys, doc,
     # FileNotFoundError, a JSONDecodeError and a TypeError, the unbounded
     # n_cells an _ArrayMemoryError, the pole a PoleProximityError and an
     # --out that is a file a FileExistsError; the theta range was refused
-    # after the output directory had been made
+    # after the output directory had been made, and a config with sweep axes
+    # ran its solver block alone
     cfg_path = tmp_path / "cfg.json"
     if isinstance(doc, dict):
         doc = json.dumps({**doc, "out_dir": str(tmp_path / "run")})
@@ -604,7 +653,7 @@ def test_sweep_refuses_a_bad_axis_value_before_any_run(tmp_path, capsys):
     sweep_cfg = ExperimentConfig.from_dict(
         {"sweep": {"tau0": [1e-2, 5e-3], "n_cells": [1024, 2048, 4096]}})
     combos = sweep_cfg.sweep.combinations()
-    assert sweep_cfg.sweep.size() == len(combos) == 6
+    assert len(combos) == len(sweep_cfg.runs()) == 6
     assert combos[:2] == [{"n_cells": 1024, "tau0": 1e-2},
                           {"n_cells": 1024, "tau0": 5e-3}]
     assert ExperimentConfig().sweep.combinations() == [{}]
@@ -625,8 +674,8 @@ def test_cli_diagnose_refuses_a_run_of_another_schema(tmp_path, capsys):
     del row["schema_version"]
     path = tmp_path / "edited.jsonl"
     for found, head in (
-            ("schema 20", [json.dumps({**row, "schema_version": 20}) + "\n"]),
-            ("schema 22", [json.dumps({**row, "schema_version": 22}) + "\n"]),
+            ("schema 21", [json.dumps({**row, "schema_version": 21}) + "\n"]),
+            ("schema 23", [json.dumps({**row, "schema_version": 23}) + "\n"]),
             ("no schema", [json.dumps(row) + "\n"]),
             ("no schema", [])):  # no header at all
         path.write_text("".join(head + samples))
@@ -673,17 +722,28 @@ def test_cli_diagnose_refuses_a_schema_9_header(tmp_path, capsys):
      "diagnostics undefined: run ended with status 'unknown'"),
     # two run.jsonl files joined into one
     (2 * (_header_line(config={"solver": {}}) + '{"t_tilde": 0.001}\n'),
-     "cannot read {path}: line 3 is a run header, which only line 1 may be")],
+     "cannot read {path}: line 3 is a run header, which only line 1 may be"),
+    # a sample that lacks a key, and one with no key at all
+    (_header_line(config={"solver": {}}) + '{"t_tilde": 0.001, '
+     '"max_slope": 3.0}\n{"t_tilde": 0.002}\n',
+     "cannot read {path}: line 3 is a sample whose keys differ from the "
+     "first's by ['max_slope']"),
+    (_header_line(config={"solver": {}}) + '{"t_tilde": 0.001}\n'
+     '{"type": "sample"}\n',
+     "cannot read {path}: line 3 is a sample whose keys differ from the "
+     "first's by ['t_tilde']")],
     ids=["empty", "no_solver", "missing", "not_json", "not_object",
          "config_not_object", "diagnostics_not_object", "bad_solver_value",
-         "n_cells_unbounded", "solver_block_empty", "second_header"])
+         "n_cells_unbounded", "solver_block_empty", "second_header",
+         "sample_lacks_a_key", "sample_of_no_key"])
 def test_cli_diagnose_without_a_run_header(tmp_path, capsys, text, refusal):
     # empty, no_solver and solver_block_empty once ended in a KeyError
     # traceback from edge_contact_time, config_not_object in an
     # AttributeError one, n_cells_unbounded in an _ArrayMemoryError; missing,
     # not_json and not_object in a FileNotFoundError, a JSONDecodeError and an
     # AttributeError traceback; second_header read the second header's config
-    # with the samples of both runs
+    # with the samples of both runs; sample_lacks_a_key read series of two
+    # keys out of step, and sample_of_no_key ended in a KeyError traceback
     path = tmp_path / "run.jsonl"
     if text is not None:
         path.write_text(text)
@@ -723,7 +783,7 @@ def test_load_snapshots_refuses_an_archive_written_before_schema_21(tmp_path):
     # W and Z alone, as schemas 18 to 20 wrote them
     _drop_members(path, lambda name: not name.startswith("snap"))
     with pytest.raises(SnapshotReadError, match=(
-            f"^{path} holds no schema, not schema 21: rerun it$")):
+            f"^{path} holds no schema, not schema 22: rerun it$")):
         load_snapshots(tmp_path)
 
 
@@ -813,12 +873,12 @@ def test_cli_trajectories_refuses_snapshots_it_cannot_read(tmp_path, capsys):
              f"cannot read {path}: snap1_Z is not a file in the archive"),
             (lambda name: name == "xi_dot", {},
              f"cannot read {path}: xi_dot is not a file in the archive"),
-            (lambda name: False, {"schema": 20},
-             f"{path} holds schema 20, not schema 21: rerun it"),
-            (lambda name: False, {"schema": 22},
-             f"{path} holds schema 22, not schema 21: rerun it"),
+            (lambda name: False, {"schema": 21},
+             f"{path} holds schema 21, not schema 22: rerun it"),
+            (lambda name: False, {"schema": 23},
+             f"{path} holds schema 23, not schema 22: rerun it"),
             (lambda name: name == "schema", {},
-             f"{path} holds no schema, not schema 21: rerun it")):
+             f"{path} holds no schema, not schema 22: rerun it")):
         path.write_bytes(whole)
         _drop_members(path, drop, **members)
         assert _cli_trajectories(tmp_path, capsys, run) == (2, [refusal])
