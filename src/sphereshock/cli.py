@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .records import Refusal
+
 
 def _add_common(p):
     p.add_argument("--config", help="experiment config JSON")
@@ -27,11 +29,6 @@ def _out_file(path):
             else contextlib.nullcontext(sys.stdout))
 
 
-class FileAccessError(Exception):
-    """A file that cannot be read or decoded, or a path that cannot be
-    written."""
-
-
 def _read(path, reader):
     """reader(path), refusing a file that cannot be opened or decoded in one
     line that names it and the reason; a refused config passes through."""
@@ -42,7 +39,7 @@ def _read(path, reader):
         raise
     except (OSError, ValueError) as err:
         reason = getattr(err, "strerror", None) or err
-        raise FileAccessError(f"cannot read {path}: {reason}") from None
+        raise Refusal(f"cannot read {path}: {reason}") from None
 
 
 def _write(path, writer):
@@ -51,8 +48,7 @@ def _write(path, writer):
     try:
         return writer(path)
     except OSError as err:
-        raise FileAccessError(
-            f"cannot write {path}: {err.strerror or err}") from None
+        raise Refusal(f"cannot write {path}: {err.strerror or err}") from None
 
 
 def _load_config(args):
@@ -87,6 +83,9 @@ def cmd_sweep(args):
     if args.print_defaults:
         print(print_defaults())
         return 0
+    if args.workers is not None and args.workers < 1:
+        raise Refusal("--workers must be a positive integer, "
+                      f"got {args.workers}")
     cfg = _load_config(args)
     from .harness import sweep
     print(f"sweep cross-product: {len(cfg.sweep.combinations())} run(s)")
@@ -99,18 +98,14 @@ def cmd_sweep(args):
 
 
 def cmd_diagnose(args):
-    from .config import ConfigError, header_config
+    from .config import header_config
     from .diagnostics import (DiagnosticUndefinedError,
                               background_blowup_time, blowup_report,
                               edge_contact_time, fit_bounds, fit_window,
                               fit_window_span, tightest_margin)
     from .records import RunRecord
     rec = _read(args.record, RunRecord.read_jsonl)
-    try:
-        cfg = header_config(args.record, rec.config, rec.schema_version)
-    except ConfigError as err:
-        print(err)
-        return 2
+    cfg = header_config(args.record, rec)
     rec.config = cfg.to_dict()
     diag = cfg.diagnostics
     contact = edge_contact_time(rec)
@@ -124,8 +119,7 @@ def cmd_diagnose(args):
         rep = blowup_report(rec, holder_cap=diag.holder_cap,
                             rate_tol=diag.rate_tol)
     except DiagnosticUndefinedError as err:
-        print(f"diagnostics undefined: {err}")
-        return 2
+        raise Refusal(f"diagnostics undefined: {err}") from None
     for fam in ("ba_w", "ba_z"):
         worst = rep.bootstrap[fam]["worst"]
         print(f"min {fam}_* margin : {worst['name']} {worst['margin']:+.4g} "
@@ -163,8 +157,8 @@ def cmd_profile_table(args):
     from . import profile
     refusal = _not_finite(args, ("y1min", "y1max", "y2min", "y2max"))
     if refusal or args.n < 1:
-        print(refusal or f"--n must be a positive integer, got {args.n}")
-        return 2
+        raise Refusal(refusal
+                      or f"--n must be a positive integer, got {args.n}")
     y1 = np.linspace(args.y1min, args.y1max, args.n)
     y2 = np.linspace(args.y2min, args.y2max, args.n)
     with _out_file(args.out) as f:
@@ -196,8 +190,7 @@ def cmd_check_geometry(args):
     except ValueError as err:
         refusal = refusal or f"--r0 refused: {err}"
     if refusal:
-        print(refusal)
-        return 2
+        raise Refusal(refusal)
     Q = np.array([[0.0, args.q12, args.q13],
                   [-args.q12, 0.0, args.q23],
                   [-args.q13, -args.q23, 0.0]])
@@ -214,20 +207,15 @@ def cmd_check_geometry(args):
 
 
 def cmd_trajectories(args):
-    from .harness import SnapshotReadError, load_snapshots
+    from .harness import load_snapshots
     from .trajectories import FrozenTransportField, integrate_trajectory, \
         weighted_integral
-    try:
-        snaps = load_snapshots(args.from_run)
-    except SnapshotReadError as err:
-        print(err)
-        return 2
+    snaps = load_snapshots(args.from_run)
     try:
         field = FrozenTransportField.from_snapshots(snaps)
     except ValueError as err:
-        print(f"{args.from_run}: {err}; rerun it with a smaller "
-              "solver.emit_selfsim_ds")
-        return 2
+        raise Refusal(f"{args.from_run}: {err}; rerun it with a smaller "
+                      "solver.emit_selfsim_ds") from None
     s_lo, s_hi = field.s_span
     seeds = []
     lines = _read(args.seeds, lambda p: Path(p).read_text().splitlines())
@@ -240,8 +228,8 @@ def cmd_trajectories(args):
         except ValueError:
             y0 = math.nan
         if not math.isfinite(y0):
-            print(f"{args.seeds}:{n}: seed {text!r} is not a finite number")
-            return 2
+            raise Refusal(f"{args.seeds}:{n}: seed {text!r} is not a "
+                          "finite number")
         seeds.append(y0)
     ps = (0.5, 1.0, 2.0)
     with _out_file(args.out) as f:
@@ -314,7 +302,7 @@ def main(argv=None):
         except ConfigError as err:
             print(f"config refused: {err}")
             return 2
-        except FileAccessError as err:
+        except Refusal as err:
             print(err)
             return 2
         finally:

@@ -7,11 +7,10 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import asdict, dataclass, field, fields
 
-from .equivariant import ConfigError, SolverConfig
-from .records import schema_refusal
+from .equivariant import ConfigError, SolverConfig, check_fields
+from .records import Refusal, schema_refusal
 
 
 @dataclass
@@ -20,11 +19,10 @@ class DiagnosticsConfig:
     rate_tol: float = 0.05
 
     def __post_init__(self):
+        check_fields(self)
         for f in fields(self):
-            v = getattr(self, f.name)
-            if not (type(v) in (int, float) and math.isfinite(v) and v > 0):
-                raise ConfigError(f"{f.name} must be finite and positive")
-            setattr(self, f.name, float(v))  # 3 and 3.0: one config, one hash
+            if not getattr(self, f.name) > 0:
+                raise ConfigError(f"{f.name} must be positive")
 
 
 def build_block(klass, block, name):
@@ -117,20 +115,20 @@ class ExperimentConfig:
             return cls.from_dict(json.load(f))
 
 
-def header_config(path, config, version):
-    """The ExperimentConfig that the run.jsonl header at path records,
-    validated once by from_dict.  A header of another schema than this
-    build's (records.schema_refusal), a config that from_dict refuses, or
-    one with no solver block, raises ConfigError in one line."""
-    refusal = schema_refusal(path, version)
+def header_config(path, record):
+    """The ExperimentConfig that the run.jsonl header of record, read from
+    path, records, validated once by from_dict.  A header of another schema
+    than this build's (records.schema_refusal), a config that from_dict
+    refuses, or one with no solver block, raises Refusal."""
+    refusal = schema_refusal(path, record.schema_version)
     if refusal:
-        raise ConfigError(refusal)
+        raise Refusal(refusal)
     try:
-        cfg = ExperimentConfig.from_dict(config)
+        cfg = ExperimentConfig.from_dict(record.config)
     except ConfigError as err:
-        raise ConfigError(f"{path}: header config refused: {err}") from None
-    if "solver" not in config:
-        raise ConfigError(f"{path} has no run header with a solver config")
+        raise Refusal(f"{path}: header config refused: {err}") from None
+    if "solver" not in record.config:
+        raise Refusal(f"{path} has no run header with a solver config")
     return cfg
 
 

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import profile
-from .diagnostics import holder_seminorm
+from .diagnostics import exterior_radius, holder_seminorm
 from .modulation import (DegenerateRhsError, ModulationState,
                          constraints_from_field, ode_rhs, track_extremal)
 from .records import RunRecord
@@ -31,6 +31,29 @@ from .weno import deriv1_c4, weno5_upwind_derivative
 
 class ConfigError(ValueError):
     pass
+
+
+def check_fields(cfg):
+    """Refuse a field of the config dataclass cfg that is not of its type.
+    A float field holds an int or a float, not a bool, whose float is finite,
+    and is stored as that float (300 and 300.0: one config, one hash), or
+    None where that is its default; an int or a bool field holds exactly
+    that type (bool is not an int here)."""
+    for f in dataclasses.fields(cfg):
+        v = getattr(cfg, f.name)
+        if f.type != "float":
+            if type(v) is not {"int": int, "bool": bool}[f.type]:
+                raise ConfigError(f"{f.name} must be of type {f.type}")
+        elif not (v is None and f.default is None):
+            if not isinstance(v, (int, float)) or isinstance(v, bool):
+                raise ConfigError(f"{f.name} must be of type float")
+            try:
+                v = float(v)
+            except OverflowError:  # an int past the largest float
+                v = math.inf
+            if not math.isfinite(v):
+                raise ConfigError(f"{f.name} must be a finite number")
+            setattr(cfg, f.name, v)
 
 
 class PoleProximityError(RuntimeError):
@@ -91,17 +114,7 @@ class SolverConfig:
     emit_selfsim_ds: float = None         # snapshot cadence in s; None = off
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            if f.type == "float":  # a number, or None where that is the default
-                ok = (v is None and f.default is None) or (
-                    isinstance(v, (int, float)) and not isinstance(v, bool))
-            else:  # bool is not an int here
-                ok = type(v) is {"int": int, "bool": bool}[f.type]
-            if not ok:
-                raise ConfigError(f"{f.name} must be of type {f.type}")
-            if f.type == "float" and v is not None:
-                setattr(self, f.name, float(v))  # 300 and 300.0: one hash
+        check_fields(self)
         if not self.gamma > 1.0:
             raise ConfigError("gamma must exceed 1")
         if not 0 < self.cfl < 1:
@@ -114,14 +127,12 @@ class SolverConfig:
             raise ConfigError("tau0 must be positive")
         if not self.record_every >= 1:
             raise ConfigError("record_every must be >= 1")
-        if not 1.0 < self.monitor_M < math.inf:
-            raise ConfigError("monitor_M must be finite and exceed 1")
+        if not self.monitor_M > 1.0:
+            raise ConfigError("monitor_M must exceed 1")
         if self.emit_selfsim_ds is not None and not self.emit_selfsim_ds > 0:
             raise ConfigError("emit_selfsim_ds must be positive when set")
         if not math.pi / 16.0 <= self.xi0 <= math.pi / 8.0:
             raise ConfigError(f"xi0={self.xi0} outside [pi/16, pi/8]")
-        if not self.sigma_inf < math.inf:
-            raise ConfigError("sigma_inf must be finite")
         floor = self.xi0 ** (1.0 / 3.0) / (2.0 * betas(self.gamma).beta3)
         if not self.sigma_inf > floor:
             raise ConfigError(f"sigma_inf={self.sigma_inf} <= {floor:.4f} "
@@ -466,9 +477,7 @@ def _sample_row(state: EquivariantState, xi_hat, fld, mod, slope, smax,
                ba_z_pass=ba.family_passed("ba_z_"))
     lo, hi = support_bounds(state, cfg.sigma_inf)
     row["support_lo"], row["support_hi"] = lo, hi
-    # sup outside a quarter domain width of xi; under half the width, the
-    # far set is never empty
-    delta = 0.25 * (cfg.theta_max - cfg.theta_min)
+    delta = exterior_radius(cfg.theta_min, cfg.theta_max)
     far = np.abs(state.grid - xi_hat) > delta
     row[f"ext_grad_{delta:g}"] = float(np.max(np.abs(slope[far])))
     row["ode_dkappa"], row["ode_dtau"], row["ode_dxi"] = ode
@@ -564,7 +573,6 @@ def run_until_blowup(cfg: SolverConfig) -> RunRecord:
 
     record.status = status
     record.summary = {
-        "status": status,
         "t_end": state.t_tilde,
         "steps": step_i,
         "max_slope_end": float(record.samples[-1]["max_slope"]) if record.samples else None,

@@ -10,14 +10,15 @@ import time
 import traceback
 import zipfile
 import zlib
+from dataclasses import fields
 
 import numpy as np
 
 from . import diagnostics as dg
-from .config import ExperimentConfig
+from .config import ExperimentConfig, SweepConfig
 from .equivariant import run_until_blowup
-from .records import (SCHEMA_VERSION, RunRecord, config_hash, schema_refusal,
-                      write_field_csv)
+from .records import (SCHEMA_VERSION, Refusal, RunRecord, config_hash,
+                      schema_refusal, write_field_csv)
 from .selfsim import zoom_coordinate
 from .util import comoving_grid
 # unused here, but perfbench/spans.py wraps harness.write_selfsim_csv, and its
@@ -28,10 +29,9 @@ from .records import write_selfsim_csv  # noqa: F401
 _SCALARS = ("s", "t_tilde", "kappa", "tau", "xi_hat", "beta_tau", "xi_dot",
             "beta2")
 _GRID = ("theta_min", "theta_max", "n_cells")
-_AXES = ("gamma", "tau0", "n_cells", "xi0")
 
 
-class SnapshotReadError(ValueError):
+class SnapshotReadError(Refusal):
     """A run directory whose snapshots this build cannot read."""
 
 
@@ -121,9 +121,10 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunRecord:
 def _sweep_row(run: ExperimentConfig, root):
     """Run a sweep row's run into root/<its config_hash>; its sweep.csv row."""
     row = {"config_hash": config_hash(run.to_dict()),
-           **{k: getattr(run.solver, k) for k in _AXES}, "status": "",
-           "T_star": "", "rate": "", "min_sigma": "", "holder_max": "",
-           "ba_w_ok": "", "ba_z_ok": "", "error": ""}
+           **{f.name: getattr(run.solver, f.name)
+              for f in fields(SweepConfig)},
+           "status": "", "T_star": "", "rate": "", "min_sigma": "",
+           "holder_max": "", "ba_w_ok": "", "ba_z_ok": "", "error": ""}
     out_dir = os.path.join(root, row["config_hash"])
     try:
         rec = run_experiment(run, out_dir)
@@ -147,26 +148,22 @@ def _sweep_row(run: ExperimentConfig, root):
 
 
 def sweep(config: ExperimentConfig, max_workers=None):
-    """Run the sweep cross-product concurrently; one CSV row per run."""
+    """Run the sweep cross-product in a fork pool of min(rows, max_workers
+    or nproc) processes; one CSV row per run, in config_hash order."""
     # imported here, their only user, to keep them off every other import
     import csv
-    from concurrent.futures import ProcessPoolExecutor, as_completed
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
     runs = config.runs()  # a refused row is refused before any row runs
     os.makedirs(config.out_dir, exist_ok=True)
-    rows = []
-    if len(runs) == 1 or (max_workers is not None and max_workers <= 1):
-        for run in runs:
-            rows.append(_sweep_row(run, config.out_dir))
-    else:
-        # a fork pool starts every worker at its first submit: none idle
-        workers = min(len(runs), max_workers or os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_sweep_row, run, config.out_dir)
-                    for run in runs]
-            for fut in as_completed(futs):
-                rows.append(fut.result())
-    rows.sort(key=lambda r: r["config_hash"])
+    # a fork pool starts every worker at its first submit: none idle
+    workers = min(len(runs), max_workers or os.cpu_count() or 1)
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
+        futs = [pool.submit(_sweep_row, run, config.out_dir) for run in runs]
+        rows = sorted((fut.result() for fut in futs),
+                      key=lambda r: r["config_hash"])
     path = os.path.join(config.out_dir, "sweep.csv")
     with open(path, "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=list(rows[0].keys()))

@@ -29,7 +29,9 @@ class AmbiguousExtremumWarning(UserWarning):
     pass
 
 
-@dataclass
+# frozen, so that the tau > t_tilde of __post_init__ holds for the state's
+# life: to_selfsimilar's zoom frame is defined for every state
+@dataclass(frozen=True)
 class ModulationState:
     kappa: float
     tau: float

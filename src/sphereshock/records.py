@@ -13,6 +13,11 @@ import numpy as np
 SCHEMA_VERSION = 22
 
 
+class Refusal(Exception):
+    """A file, a run or an option that the program declines, in one line
+    that names it and the reason; the command line prints it and exits 2."""
+
+
 def schema_refusal(path, version):
     """A build reads only runs of its own schema.  The one-line refusal of
     the file at path, which records schema version (None where it records
@@ -33,6 +38,11 @@ def _jsonable(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     return obj
+
+
+# the JSON kind of a sample value; a null may stand for any kind
+_KINDS = {int: "number", float: "number", bool: "bool", str: "string",
+          dict: "object", list: "list", type(None): None}
 
 
 def config_hash(config_dict):
@@ -82,6 +92,7 @@ class RunRecord:
     @classmethod
     def read_jsonl(cls, path):
         samples = []
+        kinds = {}  # key -> the JSON kind of its first value that is not null
         config = {}
         status = "unknown"
         version = None
@@ -102,6 +113,15 @@ class RunRecord:
                         other = sorted(row.keys() ^ samples[0].keys())
                         raise ValueError(f"line {n} is a sample whose keys "
                                          f"differ from the first's by {other}")
+                    # and the same kind of value under each key, so that its
+                    # series is one array of numbers, strings or flags
+                    for key, value in row.items():
+                        got = _KINDS[type(value)]
+                        if got and kinds.setdefault(key, got) != got:
+                            raise ValueError(
+                                f"line {n} is a sample whose {key} is a "
+                                f"{got}, not a {kinds[key]} as in the "
+                                "samples before")
                     samples.append(row)
                 elif n == 1:
                     config = row.get("config", {})

@@ -52,9 +52,6 @@ class RiemannVars:
     z: float
     a: float
 
-    def as_vector(self):
-        return np.array([self.w, self.z, self.a], dtype=float)
-
 
 def lam_bracket(lam):
     return np.sqrt(1.0 + lam * lam)
@@ -105,7 +102,6 @@ class SystemMatrices:
     A_P_u2: np.ndarray
     A_P_u1t: np.ndarray
     A_P_u2t: np.ndarray
-    F_P: np.ndarray
     B: np.ndarray
     B_inv: np.ndarray
     D_R: np.ndarray
@@ -212,13 +208,11 @@ def assemble_matrices(P: PhysVars, frame: GeometryFrame, bc: BetaConstants) -> S
     # conjugation is the defining relation for the Riemann damping block
     D_R = B @ D_P @ B_inv
 
-    F_P = f_p(P, frame, bc)
-    mats = SystemMatrices(D_P=D_P, A_P_u1=A_P_u1, A_P_u2=A_P_u2,
-                          A_P_u1t=A_P_u1t, A_P_u2t=A_P_u2t, F_P=F_P,
+    return SystemMatrices(D_P=D_P, A_P_u1=A_P_u1, A_P_u2=A_P_u2,
+                          A_P_u1t=A_P_u1t, A_P_u2t=A_P_u2t,
                           B=B, B_inv=B_inv, D_R=D_R,
-                          A_R_u1t=A_R_u1t, A_R_u2t=A_R_u2t, F_R=None)
-    mats.F_R = f_r_direct(P, frame, bc)
-    return mats
+                          A_R_u1t=A_R_u1t, A_R_u2t=A_R_u2t,
+                          F_R=f_r_direct(P, frame, bc))
 
 
 def similarity_defects(mats: SystemMatrices):

@@ -14,10 +14,6 @@ from .util import lagrange_value_and_derivs
 from .weno import derivs_c4
 
 
-class PastBlowupError(ValueError):
-    pass
-
-
 @dataclass
 class BootstrapConstants:
     """Desk-scale calibration of the monitor constants.
@@ -68,10 +64,9 @@ def to_selfsimilar(grid, xi_hat, w, z, mod: ModulationState,
     by powers of e^{3s/2}, never by differencing the stretched y-grid.  The
     compared window |y| <= L, <y> and the profile jet on that window are
     formed here, once per sample, as is the origin jet: the one 8-node
-    interpolant of W at y = 0 that every origin monitor reads.
+    interpolant of W at y = 0 that every origin monitor reads.  mod, a
+    ModulationState, has tau > t_tilde, so the frame is defined.
     """
-    if not mod.tau > mod.t_tilde:
-        raise PastBlowupError("self-similar frame undefined at or past blow-up")
     grid = np.asarray(grid)
     w = np.asarray(w)
     z = np.asarray(z)

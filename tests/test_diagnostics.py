@@ -203,6 +203,10 @@ def test_location_report_zero_drift():
     rec = synthetic_burgers_record(drift=2 * 0.5 * 1.2)
     rep = dg.location_report(rec)
     assert rep["max_drift"] < 1e-12
+    # the exterior gradient is read by the name the record's domain gives
+    # it, and bounded with the exact delta
+    assert rep["ext_grad"] == {"delta": 0.01, "sup": 0.0,
+                               "bound": 100.0 + 2.0 * 0.01 ** (-2.0 / 3.0)}
     assert rep["pass"]
 
 

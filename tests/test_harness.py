@@ -402,18 +402,6 @@ def test_sweep_cross_product_and_isolation(tmp_path, monkeypatch):
         assert f.read().startswith("Traceback (most recent call last):")
 
 
-def test_pool_sweep_matches_the_serial_sweep(tmp_path):
-    cfg = small_config(tmp_path / "serial", n_cells=256)
-    cfg.sweep.tau0 = [1e-2, 5e-3]
-    sweep(cfg, max_workers=1)
-    cfg.out_dir = str(tmp_path / "pool")
-    rows = sweep(cfg, max_workers=2)
-    assert sorted(r["status"] for r in rows) == ["blew_up", "blew_up"]
-    serial, pool = ((tmp_path / d / "sweep.csv").read_bytes()
-                    for d in ("serial", "pool"))
-    assert pool == serial
-
-
 def test_sweep_starts_no_more_workers_than_rows(tmp_path, monkeypatch):
     # a fork pool starts every worker at its first submit: 3 workers for 2
     # rows once started 3 processes, of which 2 ran
@@ -421,8 +409,8 @@ def test_sweep_starts_no_more_workers_than_rows(tmp_path, monkeypatch):
     started = []
 
     class Pool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
+        def __init__(self, max_workers, mp_context):
+            started.append((max_workers, mp_context.get_start_method()))
 
         def __enter__(self):
             return self
@@ -441,7 +429,40 @@ def test_sweep_starts_no_more_workers_than_rows(tmp_path, monkeypatch):
     cfg = small_config(tmp_path)
     cfg.sweep.tau0 = [1e-2, 5e-3]
     sweep(cfg, max_workers=3)
-    assert started == [2]
+    assert started == [(2, "fork")]
+
+
+def test_cli_sweep_names_a_failed_row(tmp_path, capsys, monkeypatch):
+    # the forked workers run the patched run_experiment
+    def run_or_raise(run, out_dir):
+        if run.solver.tau0 == 5e-3:
+            raise FloatingPointError("row crashed")
+        return run_experiment(run, out_dir)
+
+    monkeypatch.setattr(harness, "run_experiment", run_or_raise)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"solver": {"n_cells": 512, "blowup_slope_cap": 300.0},
+         "sweep": {"tau0": [1e-2, 5e-3]}, "out_dir": str(tmp_path / "runs")}))
+    assert cli.main(["sweep", "--config", str(cfg_path),
+                     "--workers", "2"]) == 1
+    with open(tmp_path / "runs" / "sweep.csv") as f:
+        failed = [r for r in csv.DictReader(f) if r["status"] == "error"]
+    assert [r["tau0"] for r in failed] == ["0.005"]
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"  failed {failed[0]['config_hash']}: "
+        "FloatingPointError('row crashed')")
+
+
+def test_cli_sweep_refuses_workers_below_one(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"out_dir": str(tmp_path / "runs")}))
+    for workers in ("0", "-2"):
+        assert cli.main(["sweep", "--config", str(cfg_path),
+                         "--workers", workers]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            f"--workers must be a positive integer, got {workers}"]
+    assert not (tmp_path / "runs").exists()
 
 
 def test_a_sweep_row_is_the_run_it_makes(tmp_path):
@@ -543,7 +564,7 @@ def test_cli_simulate_and_diagnose(tmp_path, capsys):
         text = f.read()
     text = text[text.index("### diagnose flags"):]
     table = re.findall(r"^\| `(\w+)` \|", text[:text.index("\n#")], re.M)
-    assert table == list(dg.blowup_report(rec, 2.5).flags)
+    assert table == list(dg.blowup_report(rec, 2.5, 0.05).flags)
     log = (tmp_path / "run" / "run.jsonl").read_text()
     header, first, *rest = log.splitlines(True)
     header = header.replace('"holder_cap": 0.1', '"holder_cap": 2.5')
@@ -596,19 +617,24 @@ def test_cli_simulate_writes_the_snapshots_once(tmp_path):
     ({}, "cannot write {cfg}: File exists"),
     ({"sweep": {"tau0": [0.01, 0.02]}},
      "config refused: sweep axes ['tau0'] are run by `sphereshock sweep`, "
-     "not simulate")],
+     "not simulate"),
+    ({"solver": {"gamma": 10**400}}, "config refused: gamma must be a finite "
+     "number"),
+    ({"diagnostics": {"holder_cap": 10**400}},
+     "config refused: holder_cap must be a finite number")],
     ids=["config", "theta_range", "missing", "not_json", "not_object",
          "block_not_object", "n_cells_unbounded", "pole", "out_is_a_file",
-         "sweep_axes"])
+         "sweep_axes", "float_past_the_largest", "cap_past_the_largest"])
 def test_cli_simulate_refuses_a_bad_config_in_one_line(tmp_path, capsys, doc,
                                                        refusal):
     # each once ended in a traceback: the first a ConfigError, the
     # missing, the malformed and the non-object file and block a
     # FileNotFoundError, a JSONDecodeError and a TypeError, the unbounded
-    # n_cells an _ArrayMemoryError, the pole a PoleProximityError and an
-    # --out that is a file a FileExistsError; the theta range was refused
-    # after the output directory had been made, and a config with sweep axes
-    # ran its solver block alone
+    # n_cells an _ArrayMemoryError, the pole a PoleProximityError, an --out
+    # that is a file a FileExistsError and a float field set to an int past
+    # the largest float an OverflowError; the theta range was refused after
+    # the output directory had been made, and a config with sweep axes ran
+    # its solver block alone
     cfg_path = tmp_path / "cfg.json"
     if isinstance(doc, dict):
         doc = json.dumps({**doc, "out_dir": str(tmp_path / "run")})
@@ -731,11 +757,21 @@ def test_cli_diagnose_refuses_a_schema_9_header(tmp_path, capsys):
     (_header_line(config={"solver": {}}) + '{"t_tilde": 0.001}\n'
      '{"type": "sample"}\n',
      "cannot read {path}: line 3 is a sample whose keys differ from the "
-     "first's by ['t_tilde']")],
+     "first's by ['t_tilde']"),
+    # a value of another kind than the samples before it hold
+    (_header_line(config={"solver": {}}) + '{"t_tilde": 0.001, "x": null}\n'
+     '{"t_tilde": "0.002", "x": 1}\n',
+     "cannot read {path}: line 3 is a sample whose t_tilde is a string, not a "
+     "number as in the samples before"),
+    (_header_line(config={"solver": {}}) + '{"t_tilde": 0.001, "x": 1}\n'
+     '{"t_tilde": 0.002, "x": null}\n{"t_tilde": 0.003, "x": true}\n',
+     "cannot read {path}: line 4 is a sample whose x is a bool, not a number "
+     "as in the samples before")],
     ids=["empty", "no_solver", "missing", "not_json", "not_object",
          "config_not_object", "diagnostics_not_object", "bad_solver_value",
          "n_cells_unbounded", "solver_block_empty", "second_header",
-         "sample_lacks_a_key", "sample_of_no_key"])
+         "sample_lacks_a_key", "sample_of_no_key", "sample_value_a_string",
+         "sample_value_a_bool"])
 def test_cli_diagnose_without_a_run_header(tmp_path, capsys, text, refusal):
     # empty, no_solver and solver_block_empty once ended in a KeyError
     # traceback from edge_contact_time, config_not_object in an
@@ -743,7 +779,9 @@ def test_cli_diagnose_without_a_run_header(tmp_path, capsys, text, refusal):
     # not_json and not_object in a FileNotFoundError, a JSONDecodeError and an
     # AttributeError traceback; second_header read the second header's config
     # with the samples of both runs; sample_lacks_a_key read series of two
-    # keys out of step, and sample_of_no_key ended in a KeyError traceback
+    # keys out of step, sample_of_no_key ended in a KeyError traceback, and
+    # the sample_value cases were read as they stand (a string t_tilde in a
+    # recorded run ended in a numpy _UFuncNoLoopError traceback)
     path = tmp_path / "run.jsonl"
     if text is not None:
         path.write_text(text)
@@ -986,6 +1024,22 @@ def test_cli_check_geometry(capsys):
             (["--psi", "nan"], "--psi must be a finite number, got nan")):
         assert cli.main(["check-geometry", *bad]) == 2
         assert capsys.readouterr().out.splitlines() == [refusal]
+
+
+def test_cli_check_geometry_fails_a_corrupted_table(capsys, monkeypatch):
+    from sphereshock import geometry
+    good = geometry._origin_analytic
+
+    def corrupted(psi, Q, r0):
+        table = good(psi, Q, r0)
+        table["d22 g2"] += 1e-3
+        return table
+
+    monkeypatch.setattr(geometry, "_origin_analytic", corrupted)
+    assert cli.main(["check-geometry", "--psi", "1.0", "--q12", "0.2"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1
+    assert out[0].startswith("FAIL: origin table entry 'd22 g2': analytic ")
 
 
 def test_cli_print_defaults(capsys):

@@ -59,6 +59,24 @@ def test_track_extremal_smooth_well():
     assert smin == pytest.approx(-1.0 / tau0, rel=1e-6)
 
 
+def test_track_extremal_keeps_a_node_it_cannot_refine():
+    grid = np.linspace(0.0, 1.0, 11)
+    w = 2.0 - grid
+    # the least slope on an end node, which has no neighbour to refine with
+    slope = np.array([-3.0, -2.0, -1.0] + [0.0] * 8)
+    xi, kappa, tau, smin = md.track_extremal(grid, w, 0.5, slope=slope)
+    assert (xi, tau, smin) == (0.0, 0.5 + 1.0 / 3.0, -3.0)
+    assert kappa == pytest.approx(2.0, abs=1e-12)
+    # a bottom flat to within the tie tolerance, whose leftmost tie (node 3)
+    # lies above its right neighbour: the parabola through the three opens
+    # downward, and xi is the node itself
+    slope = np.zeros(11)
+    slope[[2, 3, 4, 8]] = [-1.0 + 1.1e-12, -1.0 + 0.9e-12, -1.0, -1.0]
+    with pytest.warns(md.AmbiguousExtremumWarning):
+        xi, kappa, tau, smin = md.track_extremal(grid, w, 0.5, slope=slope)
+    assert (xi, smin) == (grid[3], slope[3])
+
+
 def test_track_extremal_tie_break_leftmost():
     grid = np.linspace(-1.0, 1.0, 2001)
     # two identical wells
@@ -181,13 +199,14 @@ def test_cross_validate_skips_null_ode_samples():
     from sphereshock.records import RunRecord
     rec = RunRecord(config={"solver": {"monitor_M": 100.0, "tau0": 0.02,
                                        "sigma_inf": 1.2, "xi0": 0.3,
-                                       "gamma": 3.0}})
+                                       "gamma": 3.0, "theta_min": -0.04,
+                                       "theta_max": 0.04}})
     t = 0.01 * np.linspace(0.0, 1.0, 12) ** 2
     for i, ti in enumerate(t):
         null = i == 5
         rec.add_sample(t_tilde=ti, s=-np.log(0.02 - ti),
                        kappa=1.2 + 0.5 * ti**2, tau=0.02 + ti**2,
-                       xi=0.3 - 1.5 * ti**2,
+                       xi=0.3 - 1.5 * ti**2, **{"ext_grad_0.02": 0.0},
                        ode_dkappa=None if null else ti,
                        ode_dtau=None if null else 2.0 * ti,
                        ode_dxi=None if null else -3.0 * ti)
@@ -205,14 +224,15 @@ def test_cross_validate_dtau_margin_reads_the_tau_equation():
     M, tau0 = 100.0, 0.02
     rec = RunRecord(config={"solver": {"monitor_M": M, "tau0": tau0,
                                        "sigma_inf": 1.2, "xi0": 0.3,
-                                       "gamma": 3.0}})
+                                       "gamma": 3.0, "theta_min": -0.04,
+                                       "theta_max": 0.04}})
     t = np.linspace(0.0, 0.01, 12)
     s = -np.log(tau0 - t)
     for i, ti in enumerate(t):
         rec.add_sample(t_tilde=ti, s=s[i], kappa=1.2,
                        tau=tau0 + (0.01 if i % 3 == 2 else 0.0),
                        xi=0.3 + 1.2 * ti, ode_dkappa=0.0, ode_dtau=0.5,
-                       ode_dxi=1.2)
+                       ode_dxi=1.2, **{"ext_grad_0.02": 0.0})
     assert np.max(np.abs(np.gradient(rec.series("tau"), t))) > 5.0
     rep = md.cross_validate(rec)
     assert rep["ba_m_margins"]["dtau"] == np.min(2 * M * np.exp(-s) - 0.5)
